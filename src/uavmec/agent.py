@@ -54,6 +54,10 @@ class TrainConfig:
 class QNetwork:
     """Dense rectifier network mapping observations to per-action values."""
 
+    # Scratch output of the target pass; every instance, including those from
+    # copy() and load_checkpoint(), starts without one and makes its own.
+    _out_buffer = None
+
     def __init__(self, input_size, hidden_sizes, output_size, rng=None):
         rng = rng if rng is not None else np.random.default_rng()
         sizes = [input_size] + list(hidden_sizes) + [output_size]
@@ -88,13 +92,31 @@ class QNetwork:
         other.biases = [b.copy() for b in self.biases]
         return other
 
-    def forward_cached(self, x: np.ndarray):
-        """Batched forward pass keeping post-activation layers for backprop."""
+    def output_buffer(self, batch_size: int) -> np.ndarray:
+        """Scratch array for a batch's output layer, kept while the size holds.
+
+        A fresh (64, 1280) float64 output per learning update is large enough
+        for the allocator to return it to the kernel and fault it back in on
+        every call; reusing one array avoids that churn. Its contents are
+        overwritten by the next pass that writes into it.
+        """
+        buf = self._out_buffer
+        if buf is None or buf.shape[0] != batch_size:
+            buf = self._out_buffer = np.empty((batch_size, self.output_size))
+        return buf
+
+    def forward_cached(self, x: np.ndarray, out: np.ndarray = None):
+        """Batched forward pass keeping post-activation layers for backprop.
+
+        With ``out``, the output layer is written into it instead of into a
+        fresh array; the arithmetic is the same either way.
+        """
         activations = [x]
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = np.matmul(h, w, out=out if i == last else None)
+            h += b
             if i < last:
                 h = np.maximum(h, 0.0)
             activations.append(h)
@@ -179,7 +201,8 @@ def train_step(net: QNetwork, target_net: QNetwork, batch,
     """
     obs, actions, rewards, next_obs, dones = batch
     n = len(actions)
-    next_q, _ = target_net.forward_cached(next_obs)
+    next_q, _ = target_net.forward_cached(next_obs,
+                                          out=target_net.output_buffer(n))
     targets = rewards + config.discount * np.max(next_q, axis=1) * (~dones)
 
     # Forward through the hidden stack; only the chosen outputs are needed.

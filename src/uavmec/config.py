@@ -15,6 +15,11 @@ class ConfigError(ValueError):
     """Raised for unknown keys, malformed files, or out-of-range values."""
 
 
+# UAV grid moves, one interval each: stay, +x, -x, +y, -y.
+MOVES = ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+MOVE_NAMES = ("stay", "+x", "-x", "+y", "-y")
+
+
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
@@ -130,13 +135,19 @@ class SimConfig:
     def area_center(self) -> tuple:
         return (self.area_size / 2.0, self.area_size / 2.0)
 
+    @property
+    def catalog_size(self) -> int:
+        """Entries in the joint action catalog: every per-device choice of
+        (x_uav, x_cloud, w_uav, w_cloud) levels times the UAV moves."""
+        return len(self.frac_levels) ** (4 * self.num_devices) * len(MOVES)
+
     def validate(self) -> "SimConfig":
         positive = [
             "num_devices", "area_size", "altitude", "n_intervals", "tau",
             "bandwidth", "p_max", "install_delay", "cycles_per_bit",
             "local_cpu_max", "uav_cpu_total", "cloud_cpu_total",
             "reward_scale", "batch_size", "buffer_capacity",
-            "target_sync_period", "episodes", "queue_levels",
+            "target_sync_period", "episodes",
         ]
         for key in positive:
             if not getattr(self, key) > 0:
@@ -152,8 +163,18 @@ class SimConfig:
                 raise ConfigError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
         if not 0.0 <= self.discount < 1.0:
             raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
+        if self.queue_levels < 2:
+            raise ConfigError(
+                f"queue_levels must be at least 2, got {self.queue_levels}")
+        if len(self.frac_levels) == 0:
+            raise ConfigError("frac_levels must be nonempty")
         if not all(0.0 <= f <= 1.0 for f in self.frac_levels):
             raise ConfigError(f"frac_levels must lie in [0, 1], got {self.frac_levels}")
+        if self.catalog_size > self.max_catalog_size:
+            raise ConfigError(
+                f"joint action catalog has {self.catalog_size} entries, above "
+                f"max_catalog_size {self.max_catalog_size}; reduce "
+                f"num_devices or frac_levels")
         if self.tx_power > self.p_max:
             raise ConfigError(
                 f"tx_power {self.tx_power} exceeds p_max {self.p_max}")

@@ -18,11 +18,8 @@ from . import computation as comp
 from . import objective as obj
 from . import phy_link as phy
 from . import queueing as qs
-from .config import SimConfig
+from .config import MOVES, SimConfig
 
-# UAV grid moves, one interval each: stay, +x, -x, +y, -y.
-MOVES = ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-MOVE_NAMES = ("stay", "+x", "-x", "+y", "-y")
 STAY = 0
 
 
@@ -74,14 +71,13 @@ def action_catalog(config: SimConfig):
     fraction tuple (x_uav, x_cloud, w_uav, w_cloud); the five UAV moves
     iterate innermost.
     """
-    levels = config.frac_levels
-    per_device = list(itertools.product(levels, repeat=4))
-    size = len(per_device) ** config.num_devices * len(MOVES)
+    size = config.catalog_size
     if size > config.max_catalog_size:
         raise ValueError(
             f"joint action catalog has {size} entries, above the configured "
             f"cap {config.max_catalog_size}; a factorized action space is "
             f"out of scope, reduce num_devices or frac_levels")
+    per_device = list(itertools.product(config.frac_levels, repeat=4))
     catalog = []
     for fracs in itertools.product(per_device, repeat=config.num_devices):
         for move in range(len(MOVES)):
@@ -124,7 +120,6 @@ class MecEnvironment:
         self.queues = [qs.QueueTriple(0.0, 0.0, 0.0)
                        for _ in range(cfg.num_devices)]
         self.acc = obj.PdeAccumulator(num_devices=cfg.num_devices)
-        self.queue_history = [list(self.queues)]
         return self.observe()
 
     def observe(self) -> np.ndarray:
@@ -236,7 +231,6 @@ class MecEnvironment:
         queues_before = list(self.queues)
         self.queues = [qs.step_queues(q, s, a) for q, s, a
                        in zip(self.queues, splits, arrivals)]
-        self.queue_history.append(list(self.queues))
         self.acc.record_interval(b_tot, t_comm)
 
         record = IntervalRecord(

@@ -190,6 +190,92 @@ class TestTrainStep:
             assert np.array_equal(b, p)
 
 
+class TestTargetWorkspace:
+    """train_step writes the target pass into a buffer kept on the target."""
+
+    def _nets(self, output_size=1280):
+        rng = np.random.default_rng(10)
+        net = QNetwork(6, (64, 64), output_size, rng=rng)
+        for p in net.parameters():
+            p += rng.standard_normal(p.shape) * 0.1
+        return net, net.copy()
+
+    def _spy(self, monkeypatch):
+        """Record the ``out`` argument of every forward_cached call."""
+        seen = []
+        original = QNetwork.forward_cached
+
+        def spy(self, x, out=None):
+            seen.append(out)
+            return original(self, x, out=out)
+        monkeypatch.setattr(QNetwork, "forward_cached", spy)
+        return seen
+
+    def test_matches_allocating_forward(self, monkeypatch):
+        cfg = TrainConfig(discount=0.9, learning_rate=0.01)
+        rng = np.random.default_rng(11)
+        batches = [random_batch(rng, self._nets()[0], n=64) for _ in range(12)]
+
+        def run():
+            net, target = self._nets()
+            losses = []
+            for i, batch in enumerate(batches):
+                losses.append(train_step(net, target, batch, cfg))
+                if i % 4 == 3:
+                    sync_target(net, target)
+            return losses, net.parameters()
+
+        losses, params = run()
+        original = QNetwork.forward_cached
+        monkeypatch.setattr(QNetwork, "forward_cached",
+                            lambda self, x, out=None: original(self, x))
+        ref_losses, ref_params = run()
+        assert losses == ref_losses
+        for p, q in zip(params, ref_params):
+            assert np.array_equal(p, q)
+
+    def test_buffer_reused_until_batch_size_changes(self, monkeypatch):
+        net, target = self._nets(output_size=5)
+        seen = self._spy(monkeypatch)
+        rng = np.random.default_rng(12)
+        cfg = TrainConfig()
+        for n in (16, 16, 8):
+            train_step(net, target, random_batch(rng, net, n=n), cfg)
+        assert seen[0] is seen[1]
+        assert seen[0].shape == (16, 5)
+        assert seen[2] is not seen[0]
+        assert seen[2].shape == (8, 5)
+
+    def test_forward_result_not_overwritten(self):
+        net, target = self._nets()
+        rng = np.random.default_rng(13)
+        cfg = TrainConfig()
+        batch = random_batch(rng, net, n=64)
+        q = forward(target, batch[3])
+        snapshot = q.copy()
+        for _ in range(3):
+            train_step(net, target, random_batch(rng, net, n=64), cfg)
+            sync_target(net, target)
+        assert np.array_equal(q, snapshot)
+
+    def test_copied_and_loaded_nets_get_own_buffer(self, monkeypatch,
+                                                   tmp_path):
+        net, target = self._nets(output_size=5)
+        seen = self._spy(monkeypatch)
+        rng = np.random.default_rng(14)
+        batch = random_batch(rng, net)
+        cfg = TrainConfig(learning_rate=0.0)
+        loss = train_step(net, target, batch, cfg)
+        path = tmp_path / "target.ckpt"
+        save_checkpoint(target, str(path))
+        assert sorted(np.load(path).files) == ["b0", "b1", "b2", "sizes",
+                                               "version", "w0", "w1", "w2"]
+        for other in (target.copy(), load_checkpoint(str(path))):
+            assert train_step(net, other, batch, cfg) == loss
+        assert seen[1] is not seen[0] and seen[2] is not seen[0]
+        assert seen[1] is not seen[2]
+
+
 class TestSyncTarget:
     def test_exact_copy_in_place(self):
         net = tiny_net()

@@ -76,6 +76,25 @@ class TestValidate:
         with pytest.raises(ConfigError, match="exceeds p_max"):
             SimConfig(tx_power=0.2, p_max=0.1).validate()
 
+    def test_queue_levels_at_least_two(self):
+        # one level would make observation normalization divide by zero
+        with pytest.raises(ConfigError, match="queue_levels"):
+            SimConfig(queue_levels=1).validate()
+        SimConfig(queue_levels=2).validate()
+
+    def test_frac_levels_nonempty(self):
+        with pytest.raises(ConfigError, match="frac_levels must be nonempty"):
+            SimConfig(frac_levels=()).validate()
+        with pytest.raises(ConfigError, match="frac_levels must be nonempty"):
+            load_config(None, {"frac_levels": ""})
+
+    def test_catalog_cap(self):
+        cfg = SimConfig(num_devices=3)
+        assert cfg.catalog_size == 16 ** 3 * 5
+        with pytest.raises(ConfigError, match="max_catalog_size"):
+            cfg.validate()
+        SimConfig(num_devices=3, max_catalog_size=16 ** 3 * 5).validate()
+
 
 class TestLoadConfig:
     def test_defaults_without_file(self):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from uavmec.config import SimConfig
-from uavmec.environment import (MOVE_NAMES, MOVES, STAY, ActionVector,
-                                MecEnvironment, action_catalog,
-                                observation_size)
+from uavmec.config import MOVE_NAMES, MOVES, SimConfig
+from uavmec.environment import (STAY, ActionVector, MecEnvironment,
+                                action_catalog, observation_size)
 from uavmec.objective import reward as reward_fn
 from uavmec.queueing import QueueTriple, compute_splits, step_queues
 
@@ -40,6 +39,12 @@ class TestActionCatalog:
     def test_catalog_cap(self):
         with pytest.raises(ValueError, match="cap"):
             action_catalog(SimConfig(num_devices=3))
+
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(num_devices=1), SimConfig(num_devices=2),
+        SimConfig(num_devices=1, frac_levels=(0.0, 0.3, 0.6))])
+    def test_size_matches_config(self, cfg):
+        assert len(action_catalog(cfg)) == cfg.catalog_size
 
     def test_move_tables_consistent(self):
         assert len(MOVES) == len(MOVE_NAMES) == 5
