@@ -9,12 +9,12 @@ differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SimConfig
-from .environment import MecEnvironment, STAY
+from .environment import STAY, MecEnvironment, observation_size
 
 # Fraction tuples (x_uav, x_cloud, w_uav, w_cloud) for the fixed baselines:
 # the UAV-heavy policy pushes work to the (centrally parked) UAV, the
@@ -23,32 +23,6 @@ UAV_HEAVY_FRACS = (0.6, 0.3, 0.6, 0.3)
 CLOUD_HEAVY_FRACS = (0.6, 0.6, 0.3, 0.6)
 
 CHECKPOINT_VERSION = 1
-
-
-@dataclass
-class TrainConfig:
-    discount: float = 0.95
-    learning_rate: float = 1e-3
-    batch_size: int = 64
-    buffer_capacity: int = 10000
-    target_sync_period: int = 200
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    episodes: int = 200
-    grad_clip: float = 10.0
-    hidden_sizes: tuple = (64, 64)
-    reward_scale: float = 1e5
-
-    @classmethod
-    def from_sim_config(cls, cfg: SimConfig) -> "TrainConfig":
-        return cls(discount=cfg.discount, learning_rate=cfg.learning_rate,
-                   batch_size=cfg.batch_size,
-                   buffer_capacity=cfg.buffer_capacity,
-                   target_sync_period=cfg.target_sync_period,
-                   eps_start=cfg.eps_start, eps_end=cfg.eps_end,
-                   episodes=cfg.episodes, grad_clip=cfg.grad_clip,
-                   hidden_sizes=tuple(cfg.hidden_sizes),
-                   reward_scale=cfg.reward_scale)
 
 
 class QNetwork:
@@ -105,22 +79,30 @@ class QNetwork:
             buf = self._out_buffer = np.empty((batch_size, self.output_size))
         return buf
 
+    def hidden(self, x: np.ndarray, inputs: list = None) -> np.ndarray:
+        """Rectifier hidden layers for one observation or a batch.
+
+        With ``inputs``, the input of every hidden layer is appended to it
+        for backprop.
+        """
+        h = x
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            if inputs is not None:
+                inputs.append(h)
+            h = np.matmul(h, w)
+            h += b
+            np.maximum(h, 0.0, out=h)
+        return h
+
     def forward_cached(self, x: np.ndarray, out: np.ndarray = None):
-        """Batched forward pass keeping post-activation layers for backprop.
+        """Action values for a batch (the target pass of train_step).
 
         With ``out``, the output layer is written into it instead of into a
         fresh array; the arithmetic is the same either way.
         """
-        activations = [x]
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(h, w, out=out if i == last else None)
-            h += b
-            if i < last:
-                h = np.maximum(h, 0.0)
-            activations.append(h)
-        return h, activations
+        q = np.matmul(self.hidden(x), self.weights[-1], out=out)
+        q += self.biases[-1]
+        return q
 
 
 def forward(net: QNetwork, obs: np.ndarray) -> np.ndarray:
@@ -129,19 +111,8 @@ def forward(net: QNetwork, obs: np.ndarray) -> np.ndarray:
     if x.shape[1] != net.input_size:
         raise ValueError(f"observation width {x.shape[1]} does not match "
                          f"network input size {net.input_size}")
-    out, _ = net.forward_cached(x)
+    out = net.forward_cached(x)
     return out[0] if np.ndim(obs) == 1 else out
-
-
-def _q_values_single(net: QNetwork, obs: np.ndarray) -> np.ndarray:
-    """Forward pass for one observation without batching overhead."""
-    h = obs
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
-        if i < last:
-            np.maximum(h, 0.0, out=h)
-    return h
 
 
 def select_action(net: QNetwork, obs: np.ndarray, epsilon: float,
@@ -149,10 +120,10 @@ def select_action(net: QNetwork, obs: np.ndarray, epsilon: float,
     """Epsilon-greedy over the catalog; argmax ties break to the lowest index."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(net.output_size))
-    if obs.shape[0] != net.input_size:
-        raise ValueError(f"observation width {obs.shape[0]} does not match "
-                         f"network input size {net.input_size}")
-    return int(np.argmax(_q_values_single(net, np.asarray(obs, dtype=float))))
+    # Not forward_cached: perfbench times that method as the target pass alone.
+    q = np.matmul(net.hidden(np.asarray(obs, dtype=float)), net.weights[-1])
+    q += net.biases[-1]
+    return int(np.argmax(q))
 
 
 def sync_target(net: QNetwork, target_net: QNetwork) -> None:
@@ -193,7 +164,7 @@ class ReplayBuffer:
 
 
 def train_step(net: QNetwork, target_net: QNetwork, batch,
-               config: TrainConfig) -> float:
+               config: SimConfig) -> float:
     """One TD update: targets from the frozen net, MSE loss, clipped SGD.
 
     Returns the pre-update loss; a non-finite loss raises before any weight
@@ -201,17 +172,14 @@ def train_step(net: QNetwork, target_net: QNetwork, batch,
     """
     obs, actions, rewards, next_obs, dones = batch
     n = len(actions)
-    next_q, _ = target_net.forward_cached(next_obs,
-                                          out=target_net.output_buffer(n))
+    next_q = target_net.forward_cached(next_obs,
+                                       out=target_net.output_buffer(n))
     targets = rewards + config.discount * np.max(next_q, axis=1) * (~dones)
 
     # Forward through the hidden stack; only the chosen outputs are needed.
     num_layers = len(net.weights)
-    acts = [obs]
-    h = obs
-    for i in range(num_layers - 1):
-        h = np.maximum(h @ net.weights[i] + net.biases[i], 0.0)
-        acts.append(h)
+    acts = []
+    h = net.hidden(obs, acts)
     w_out, b_out = net.weights[-1], net.biases[-1]
     w_cols = w_out[:, actions]                      # (hidden, n)
     q_sa = np.einsum("nh,hn->n", h, w_cols) + b_out[actions]
@@ -253,12 +221,12 @@ def train_step(net: QNetwork, target_net: QNetwork, batch,
 
 
 def td_loss(net: QNetwork, target_net: QNetwork, batch,
-            config: TrainConfig) -> float:
+            config: SimConfig) -> float:
     """Loss of train_step without the parameter update (finite-difference aid)."""
     obs, actions, rewards, next_obs, dones = batch
-    next_q, _ = target_net.forward_cached(next_obs)
+    next_q = target_net.forward_cached(next_obs)
     targets = rewards + config.discount * np.max(next_q, axis=1) * (~dones)
-    out, _ = net.forward_cached(obs)
+    out = net.forward_cached(obs)
     q_sa = out[np.arange(len(actions)), actions]
     return float(np.mean((q_sa - targets) ** 2))
 
@@ -291,6 +259,11 @@ def make_policy(kind: str, env: MecEnvironment, net: QNetwork = None) -> Policy:
     if kind == "dqn":
         if net is None:
             raise ValueError("dqn policy requires a trained network")
+        want = (observation_size(env.config), n)
+        if (net.input_size, net.output_size) != want:
+            raise ValueError(f"network maps {net.input_size} inputs to "
+                             f"{net.output_size} actions; this environment "
+                             f"needs {want[0]} and {want[1]}")
         return Policy(kind=kind, n_actions=n, net=net)
     if kind == "uav_heavy":
         return Policy(kind=kind, n_actions=n,
@@ -325,49 +298,48 @@ def normalize_observation(obs: np.ndarray, config: SimConfig) -> np.ndarray:
 class TrainResult:
     net: QNetwork
     episode_rewards: list
-    losses: list = field(default_factory=list)
+    losses: list
 
 
-def train(make_env, tconfig: TrainConfig, seed=0) -> TrainResult:
+def train(config: SimConfig, seed=0) -> TrainResult:
     """Full DQN training run; fully reproducible from the seed."""
     ss = np.random.SeedSequence(seed)
     init_ss, action_ss, sample_ss, env_root = ss.spawn(4)
-    env = make_env()
-    cfg = env.config
+    env = MecEnvironment(config)
     rng_actions = np.random.default_rng(action_ss)
     rng_sample = np.random.default_rng(sample_ss)
 
-    obs_size = len(normalize_observation(env.observe(), cfg))
-    net = QNetwork(obs_size, tconfig.hidden_sizes, len(env.catalog),
+    obs_size = observation_size(config)
+    net = QNetwork(obs_size, config.hidden_sizes, len(env.catalog),
                    rng=np.random.default_rng(init_ss))
     target_net = net.copy()
-    buffer = ReplayBuffer(tconfig.buffer_capacity, obs_size)
+    buffer = ReplayBuffer(config.buffer_capacity, obs_size)
 
-    total_steps = tconfig.episodes * cfg.n_intervals
+    total_steps = config.episodes * config.n_intervals
     decay_horizon = max(1, total_steps // 2)
-    episode_seeds = env_root.spawn(tconfig.episodes)
+    episode_seeds = env_root.spawn(config.episodes)
 
     episode_rewards = []
     losses = []
     t = 0
-    for ep in range(tconfig.episodes):
-        obs = normalize_observation(env.reset(episode_seeds[ep]), cfg)
+    for ep in range(config.episodes):
+        obs = normalize_observation(env.reset(episode_seeds[ep]), config)
         ep_reward = 0.0
         while not env.done:
             frac = min(1.0, t / decay_horizon)
-            eps = tconfig.eps_start + (tconfig.eps_end - tconfig.eps_start) * frac
+            eps = config.eps_start + (config.eps_end - config.eps_start) * frac
             action = select_action(net, obs, eps, rng_actions)
             tr = env.step(action)
-            next_obs = normalize_observation(tr.next_observation, cfg)
-            buffer.push(obs, action, tr.reward / tconfig.reward_scale,
+            next_obs = normalize_observation(tr.next_observation, config)
+            buffer.push(obs, action, tr.reward / config.reward_scale,
                         next_obs, tr.done)
             obs = next_obs
             ep_reward += tr.reward
-            if buffer.size >= tconfig.batch_size:
-                batch = buffer.sample(rng_sample, tconfig.batch_size)
-                losses.append(train_step(net, target_net, batch, tconfig))
+            if buffer.size >= config.batch_size:
+                batch = buffer.sample(rng_sample, config.batch_size)
+                losses.append(train_step(net, target_net, batch, config))
             t += 1
-            if t % tconfig.target_sync_period == 0:
+            if t % config.target_sync_period == 0:
                 sync_target(net, target_net)
         episode_rewards.append(ep_reward)
     return TrainResult(net=net, episode_rewards=episode_rewards, losses=losses)

@@ -35,12 +35,6 @@ class ChannelParams:
     altitude: float      # m, UAV height above the device plane
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    gain: complex        # amplitude h
-    power_gain: float    # |h|^2
-
-
 def distance(uav_xy: Position2D, device_xy: Position2D, altitude: float) -> float:
     """Slant range between the UAV and a ground device (devices at height 0)."""
     return math.sqrt(uav_xy.displacement(device_xy) ** 2 + altitude ** 2)
@@ -66,7 +60,7 @@ def rician_sample(rng: np.random.Generator, rice_k: float, size=None):
 
 
 def channel_gain(d: float, params: ChannelParams,
-                 rng: np.random.Generator) -> ChannelRealization:
-    """One block-fading realization of the composite device-UAV channel."""
+                 rng: np.random.Generator) -> float:
+    """Power gain |h|^2 of one block-fading device-UAV channel realization."""
     amp = math.sqrt(large_scale_gain(d, params)) * rician_sample(rng, params.rice_k)
-    return ChannelRealization(gain=amp, power_gain=abs(amp) ** 2)
+    return abs(amp) ** 2

@@ -54,10 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_train(args, config) -> int:
     os.makedirs(args.out, exist_ok=True)
-    tc = ag.TrainConfig.from_sim_config(config)
-    from .environment import MecEnvironment
-    result = ag.train(lambda: MecEnvironment(config), tc, seed=args.seed)
-    path = harness.checkpoint_path(args.out, config.i_max, args.seed)
+    result = ag.train(config, args.seed)
+    path = harness.checkpoint_path(args.out, config, args.seed)
     ag.save_checkpoint(result.net, path)
     curve_path = os.path.join(args.out,
                               f"curve_{int(config.i_max)}_{args.seed}.csv")
@@ -74,7 +72,7 @@ def cmd_eval(args, config) -> int:
     os.makedirs(args.out, exist_ok=True)
     net = None
     if args.policy == "dqn":
-        path = harness.checkpoint_path(args.out, config.i_max, args.seed)
+        path = harness.checkpoint_path(args.out, config, args.seed)
         if not os.path.exists(path):
             print(f"error: no checkpoint at {path}; run 'uavmec train' first",
                   file=sys.stderr)

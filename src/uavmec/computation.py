@@ -12,14 +12,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class ComputeParams:
-    cycles_per_bit: float    # CPU cycles needed per task bit
-    local_cpu: float         # cycles/s available at one device
-    uav_cpu_total: float     # cycles/s shared by all devices at the UAV
-    cloud_cpu_total: float   # cycles/s shared by all devices at the cloud
-
-
-@dataclass(frozen=True)
 class DelayBreakdown:
     t_local_comp: float
     t_uplink_comm: float

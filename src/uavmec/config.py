@@ -147,7 +147,8 @@ class SimConfig:
             "bandwidth", "p_max", "install_delay", "cycles_per_bit",
             "local_cpu_max", "uav_cpu_total", "cloud_cpu_total",
             "reward_scale", "batch_size", "buffer_capacity",
-            "target_sync_period", "episodes",
+            "target_sync_period", "episodes", "learning_rate", "grad_clip",
+            "eval_realizations", "sweep_seeds",
         ]
         for key in positive:
             if not getattr(self, key) > 0:
@@ -163,6 +164,13 @@ class SimConfig:
                 raise ConfigError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
         if not 0.0 <= self.discount < 1.0:
             raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
+        if self.batch_size > self.buffer_capacity:
+            raise ConfigError(
+                f"batch_size {self.batch_size} exceeds buffer_capacity "
+                f"{self.buffer_capacity}; no learning update could run")
+        if not all(n > 0 for n in self.hidden_sizes):
+            raise ConfigError(
+                f"hidden_sizes must be positive, got {self.hidden_sizes}")
         if self.queue_levels < 2:
             raise ConfigError(
                 f"queue_levels must be at least 2, got {self.queue_levels}")

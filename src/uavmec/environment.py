@@ -56,8 +56,6 @@ class IntervalRecord:
 
 @dataclass
 class TransitionRecord:
-    observation: np.ndarray
-    action_index: int
     reward: float
     next_observation: np.ndarray
     done: bool
@@ -98,7 +96,6 @@ class MecEnvironment:
         self.chan_params = ch.ChannelParams(
             eta0=config.eta0, theta=config.path_loss_exp,
             rice_k=config.rician_k, altitude=config.altitude)
-        self.arrival = qs.ArrivalProcess(max_bits=config.i_max)
         self.weights = obj.RewardWeights(
             v1=config.v1, v2=config.v2, v3=config.v3, v4=config.v4,
             lyapunov_v=config.lyapunov_v,
@@ -161,7 +158,6 @@ class MecEnvironment:
             raise IndexError(f"action index {action_index} outside catalog "
                              f"of size {len(self.catalog)}")
         action = self.catalog[action_index]
-        obs_before = self.observe()
 
         # (1) UAV motion, clipped to the service area.
         prev_pos = self.uav_pos
@@ -174,7 +170,7 @@ class MecEnvironment:
         gains = np.empty(cfg.num_devices)
         for k, dev in enumerate(self.device_positions):
             d = ch.distance(self.uav_pos, dev, cfg.altitude)
-            gains[k] = ch.channel_gain(d, self.chan_params, self.rng).power_gain
+            gains[k] = ch.channel_gain(d, self.chan_params, self.rng)
         powers = np.full(cfg.num_devices, cfg.fixed_tx_power)
         snapshot = phy.UplinkSnapshot(power_gains=gains, tx_powers=powers)
         sinrs = np.array([phy.sinr(k, snapshot, cfg.noise_power)
@@ -226,7 +222,7 @@ class MecEnvironment:
             for k in range(cfg.num_devices)])
 
         # (7) queue updates with fresh arrivals, (8) accumulators.
-        arrivals = np.array([qs.draw_arrival(self.rng, self.arrival)
+        arrivals = np.array([qs.draw_arrival(self.rng, cfg.i_max)
                              for _ in range(cfg.num_devices)])
         queues_before = list(self.queues)
         self.queues = [qs.step_queues(q, s, a) for q, s, a
@@ -241,6 +237,5 @@ class MecEnvironment:
             reward_per_device=rewards, arrivals=arrivals, feasibility=report)
         self.n += 1
         return TransitionRecord(
-            observation=obs_before, action_index=action_index,
             reward=float(np.sum(rewards)), next_observation=self.observe(),
             done=self.done, record=record)

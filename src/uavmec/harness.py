@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-import math
+import hashlib
 import os
 from dataclasses import dataclass, replace
 
@@ -56,15 +56,30 @@ class ResultRow:
     terminal_uav_distance: float
 
 
-def checkpoint_path(out_dir: str, i_max: float, seed: int) -> str:
-    return os.path.join(out_dir, f"dqn_{int(i_max)}_{seed}.ckpt")
+# SimConfig fields that only choose what gets evaluated; a trained network
+# does not depend on them, so they stay out of its checkpoint key.
+_EVAL_ONLY_FIELDS = frozenset({"sweep_i_max", "sweep_seeds", "sweep_policies",
+                               "eval_realizations", "shared_model"})
+
+
+def checkpoint_path(out_dir: str, config: SimConfig, seed: int) -> str:
+    """Checkpoint file of the network trained at config from seed.
+
+    The name carries a hash of the checkpoint format version and of every
+    config field that training reads, so a cached network is never reused
+    after either changes.
+    """
+    key = [(f.name, getattr(config, f.name))
+           for f in dataclasses.fields(config)
+           if f.name not in _EVAL_ONLY_FIELDS]
+    digest = hashlib.sha256(repr((ag.CHECKPOINT_VERSION, key)).encode())
+    name = f"dqn_{int(config.i_max)}_{seed}_{digest.hexdigest()[:10]}.ckpt"
+    return os.path.join(out_dir, name)
 
 
 def train_dqn(config: SimConfig, seed: int) -> ag.QNetwork:
     """Train a DQN at the given config; reproducible from the seed."""
-    tc = ag.TrainConfig.from_sim_config(config)
-    result = ag.train(lambda: MecEnvironment(config), tc, seed=seed)
-    return result.net
+    return ag.train(config, seed).net
 
 
 def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
@@ -78,8 +93,6 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     env = MecEnvironment(config)
-    if policy == "dqn" and net is None:
-        raise ValueError("dqn evaluation requires a trained network or checkpoint")
     pol = ag.make_policy(policy, env, net=net)
 
     ss = np.random.SeedSequence(entropy=(seed, _EVAL_SALT))
@@ -145,7 +158,7 @@ def run_sweep(spec: SweepSpec, config: SimConfig, out_dir: str = None):
             points = [train_point] if spec.shared_model else spec.i_max_values
             for i_max in points:
                 cfg = replace(config, i_max=i_max).validate()
-                path = (checkpoint_path(out_dir, i_max, seed)
+                path = (checkpoint_path(out_dir, cfg, seed)
                         if out_dir is not None else None)
                 if path is not None and os.path.exists(path):
                     nets[(i_max, seed)] = ag.load_checkpoint(path)
@@ -238,15 +251,15 @@ def _check_channel_power(rng) -> bool:
 
 def _check_gradients(rng) -> bool:
     # lr=1 and a huge clip bound turn the SGD update into the raw gradient
-    tc = ag.TrainConfig(hidden_sizes=(5,), batch_size=4, grad_clip=1e12,
-                        learning_rate=1.0)
+    cfg = SimConfig(hidden_sizes=(5,), batch_size=4, grad_clip=1e12,
+                    learning_rate=1.0)
     net = ag.QNetwork(3, (5,), 4, rng=rng)
     target = net.copy()
     batch = (rng.standard_normal((4, 3)), rng.integers(0, 4, size=4),
              rng.standard_normal(4), rng.standard_normal((4, 3)),
              np.zeros(4, dtype=bool))
     trained = net.copy()
-    ag.train_step(trained, target, batch, tc)
+    ag.train_step(trained, target, batch, cfg)
     grads = [old - new for old, new
              in zip(net.parameters(), trained.parameters())]
     eps = 1e-6
@@ -254,9 +267,9 @@ def _check_gradients(rng) -> bool:
         idx = np.unravel_index(int(np.argmax(np.abs(g))), g.shape)
         orig = p[idx]
         p[idx] = orig + eps
-        up = ag.td_loss(net, target, batch, tc)
+        up = ag.td_loss(net, target, batch, cfg)
         p[idx] = orig - eps
-        down = ag.td_loss(net, target, batch, tc)
+        down = ag.td_loss(net, target, batch, cfg)
         p[idx] = orig
         fd = (up - down) / (2 * eps)
         if abs(fd - g[idx]) > 1e-4 * max(1.0, abs(fd)):

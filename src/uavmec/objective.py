@@ -18,33 +18,23 @@ from .queueing import QueueTriple, SplitAmounts
 
 @dataclass
 class PdeAccumulator:
-    """Cumulative processed bits and communication delay, total and per device.
-
-    Also keeps the per-interval aggregate history so the short-term PDE can
-    be evaluated at any past interval index.
-    """
+    """Cumulative processed bits and communication delay, total and per device."""
     num_devices: int
     cum_processed: float = 0.0
     cum_comm_delay: float = 0.0
-    per_device_processed: np.ndarray = field(default=None)
-    per_device_delay: np.ndarray = field(default=None)
-    processed_history: list = field(default_factory=list)
-    delay_history: list = field(default_factory=list)
+    per_device_processed: np.ndarray = field(init=False)
+    per_device_delay: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.per_device_processed is None:
-            self.per_device_processed = np.zeros(self.num_devices)
-        if self.per_device_delay is None:
-            self.per_device_delay = np.zeros(self.num_devices)
+        self.per_device_processed = np.zeros(self.num_devices)
+        self.per_device_delay = np.zeros(self.num_devices)
 
     def record_interval(self, b_tot: np.ndarray, t_comm: np.ndarray) -> None:
-        """Append one interval of per-device processed bits and comm delays."""
+        """Add one interval of per-device processed bits and comm delays."""
         self.cum_processed += float(np.sum(b_tot))
         self.cum_comm_delay += float(np.sum(t_comm))
         self.per_device_processed += b_tot
         self.per_device_delay += t_comm
-        self.processed_history.append(float(np.sum(b_tot)))
-        self.delay_history.append(float(np.sum(t_comm)))
 
     def device_pde(self, k: int) -> float:
         """Historical per-device PDE; 0 while the device has no delay history."""
@@ -97,26 +87,27 @@ def long_term_pde(acc: PdeAccumulator) -> float:
     return acc.cum_processed / acc.cum_comm_delay
 
 
-def short_term_pde(acc: PdeAccumulator, n: int) -> float:
-    """PDE over recorded intervals 0..n-1; 0 for empty or zero-delay history."""
-    if n <= 0:
-        return 0.0
-    num = sum(acc.processed_history[:n])
-    den = sum(acc.delay_history[:n])
+def short_term_pde(processed, delays) -> float:
+    """PDE over past intervals; 0 for empty or zero-delay history.
+
+    processed and delays hold each interval's all-device totals.
+    """
+    den = sum(delays)
     if den <= 0.0:
         return 0.0
-    return num / den
+    return sum(processed) / den
 
 
-def drift_plus_penalty_value(queues, splits, t_comms, acc: PdeAccumulator,
-                             weights: RewardWeights, interval: int) -> float:
+def drift_plus_penalty_value(queues, splits, t_comms, processed, delays,
+                             weights: RewardWeights) -> float:
     """Per-interval drift-plus-penalty objective (diagnostic / greedy oracle).
 
-    queues, splits, t_comms are per-device sequences for one interval; the
-    penalty term weighs aggregate processed bits against aggregate comm
-    delay priced at the current short-term PDE.
+    queues, splits, t_comms are per-device sequences for one interval;
+    processed and delays are the all-device totals of every earlier
+    interval. The penalty term weighs aggregate processed bits against
+    aggregate comm delay priced at the short-term PDE of that history.
     """
-    u_n = short_term_pde(acc, interval)
+    u_n = short_term_pde(processed, delays)
     b_tot = sum(processed_total(s.b_local, s.b_uav, s.b_cloud) for s in splits)
     t_sum = sum(t_comms)
     value = weights.lyapunov_v * (b_tot - u_n * t_sum)

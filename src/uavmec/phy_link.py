@@ -14,13 +14,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class LinkBudget:
-    bandwidth: float       # Hz
-    noise_power: float     # W, total over the bandwidth
-    install_delay: float   # s, UAV->cloud backhaul setup time
-
-
-@dataclass(frozen=True)
 class UplinkSnapshot:
     """Per-device channel power gains and transmit powers for one interval."""
     power_gains: np.ndarray   # |h_k|^2, unitless

@@ -39,12 +39,6 @@ class SplitAmounts:
     b_cloud: float
 
 
-@dataclass(frozen=True)
-class ArrivalProcess:
-    """i.i.d. uniform task arrivals on [0, max_bits] per device per interval."""
-    max_bits: float
-
-
 def compute_splits(q: QueueTriple, x_uav: float, x_cloud: float,
                    w_local: float, w_uav: float, w_cloud: float) -> SplitAmounts:
     """Action-driven split of the three backlogs; all fractions in [0, 1].
@@ -86,24 +80,9 @@ def step_queues(q: QueueTriple, s: SplitAmounts, arrival: float) -> QueueTriple:
     )
 
 
-def draw_arrival(rng: np.random.Generator, process: ArrivalProcess) -> float:
-    """One uniform arrival draw in bits."""
-    if process.max_bits <= 0.0:
+def draw_arrival(rng: np.random.Generator, max_bits: float) -> float:
+    """One i.i.d. uniform task arrival on [0, max_bits], in bits."""
+    if max_bits <= 0.0:
         return 0.0
-    return float(rng.uniform(0.0, process.max_bits))
+    return float(rng.uniform(0.0, max_bits))
 
-
-def running_mean_backlog(history) -> QueueTriple:
-    """Arithmetic mean backlog per tier over a recorded trajectory.
-
-    Finite-horizon estimator of the long-run expected backlog used by the
-    stability check.
-    """
-    if len(history) == 0:
-        raise ValueError("running_mean_backlog requires a nonempty history")
-    n = float(len(history))
-    return QueueTriple(
-        q_local=sum(q.q_local for q in history) / n,
-        q_uav=sum(q.q_uav for q in history) / n,
-        q_cloud=sum(q.q_cloud for q in history) / n,
-    )

@@ -4,9 +4,12 @@ One test per criterion, in order: oracle equivalences, channel statistics,
 gradient checks, queue safety, determinism, the qualitative PDE/CD trends
 against the fixed baselines, sweep monotonicity, and queue stability.
 
-The trend criteria need five fully trained networks at the default scenario;
-checkpoints are cached under tests/_acceptance_cache so repeated runs skip
-the training cost. Delete that directory to retrain from scratch.
+The trend criteria need five fully trained networks at the default scenario
+(about 4 min each); checkpoints are cached under tests/_acceptance_cache so
+repeated runs skip the training cost. A cached file is named by i_max, seed
+and a hash of the training config and agent.CHECKPOINT_VERSION, so a change
+to either trains fresh networks under new names (bump the version when a code
+change alters training). Delete the directory to retrain from scratch.
 """
 
 import math
@@ -51,7 +54,7 @@ def trained_nets(default_config):
     CACHE.mkdir(exist_ok=True)
     nets = {}
     for seed in SEEDS:
-        path = harness.checkpoint_path(str(CACHE), default_config.i_max, seed)
+        path = harness.checkpoint_path(str(CACHE), default_config, seed)
         if os.path.exists(path):
             nets[seed] = ag.load_checkpoint(path)
             continue
@@ -127,8 +130,7 @@ def test_criterion_02_reward_oracle():
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     # K = 1, v = (1, 1, 1, V): the summed reward with eta = 1 equals the
     # drift-plus-penalty value under a shared history.
-    acc = obj.PdeAccumulator(num_devices=1)
-    acc.record_interval(np.array([4000.0]), np.array([2.0]))
+    processed, delays = [4000.0], [2.0]
     weights = obj.RewardWeights(v1=1, v2=1, v3=1, v4=1, lyapunov_v=1.0)
     dpp_worst = 0.0
     for _ in range(100):
@@ -136,8 +138,10 @@ def test_criterion_02_reward_oracle():
         xu, xc, wl, wu, wc = rng.uniform(0, 1, 5)
         s = qs.compute_splits(q, xu, xc, wl, wu, wc)
         t_comm = float(rng.uniform(0.01, 3))
-        dpp = obj.drift_plus_penalty_value([q], [s], [t_comm], acc, weights, 1)
-        r = obj.reward(q, s, t_comm, obj.short_term_pde(acc, 1), weights, 1)
+        dpp = obj.drift_plus_penalty_value([q], [s], [t_comm], processed,
+                                           delays, weights)
+        r = obj.reward(q, s, t_comm, obj.short_term_pde(processed, delays),
+                       weights, 1)
         dpp_worst = max(dpp_worst, abs(dpp - r) / max(1.0, abs(dpp)))
     ok = worst < 1e-9 and dpp_worst < 1e-9
     report("criterion 2 (reward oracle)", ok,
@@ -182,7 +186,7 @@ def test_criterion_04_gradient_check():
         batch = (rng.standard_normal((n, in_size)),
                  rng.integers(0, out_size, n), rng.standard_normal(n),
                  rng.standard_normal((n, in_size)), rng.random(n) < 0.3)
-        cfg = ag.TrainConfig(discount=0.9, learning_rate=1.0, grad_clip=1e12)
+        cfg = SimConfig(discount=0.9, learning_rate=1.0, grad_clip=1e12)
         probe = net.copy()
         ag.train_step(probe, target, batch, cfg)
         h = 1e-6

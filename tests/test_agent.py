@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uavmec.agent import (CLOUD_HEAVY_FRACS, UAV_HEAVY_FRACS, Policy,
-                          QNetwork, ReplayBuffer, TrainConfig,
+                          QNetwork, ReplayBuffer,
                           baseline_action, forward, load_checkpoint,
                           make_policy, normalize_observation, save_checkpoint,
                           select_action, sync_target, td_loss, train,
@@ -100,7 +100,7 @@ class TestTrainStep:
         # every TD error is exactly -1 and the MSE is 1
         net = tiny_net()
         target = net.copy()
-        cfg = TrainConfig(discount=0.0, learning_rate=0.0)
+        cfg = SimConfig(discount=0.0, learning_rate=0.0)
         obs = np.zeros((4, 3))
         batch = (obs, np.zeros(4, dtype=np.int64), np.ones(4), obs,
                  np.zeros(4, dtype=bool))
@@ -109,7 +109,7 @@ class TestTrainStep:
     def test_zero_error_leaves_weights_untouched(self):
         net = tiny_net()
         target = net.copy()
-        cfg = TrainConfig(discount=0.0, learning_rate=0.1)
+        cfg = SimConfig(discount=0.0, learning_rate=0.1)
         obs = np.ones((4, 3))
         batch = (obs, np.zeros(4, dtype=np.int64), np.zeros(4), obs,
                  np.zeros(4, dtype=bool))
@@ -121,7 +121,7 @@ class TestTrainStep:
     def test_loss_is_pre_update(self):
         net = tiny_net()
         target = net.copy()
-        cfg = TrainConfig(discount=0.9, learning_rate=0.05)
+        cfg = SimConfig(discount=0.9, learning_rate=0.05)
         batch = random_batch(np.random.default_rng(6), net)
         want = td_loss(net, target, batch, cfg)
         assert train_step(net, target, batch, cfg) == pytest.approx(want)
@@ -132,7 +132,7 @@ class TestTrainStep:
         for w in net.weights:
             w += rng.standard_normal(w.shape) * 0.1
         target = net.copy()
-        cfg = TrainConfig(discount=0.9, learning_rate=0.01)
+        cfg = SimConfig(discount=0.9, learning_rate=0.01)
         batch = random_batch(rng, net)
         before = train_step(net, target, batch, cfg)
         after = td_loss(net, target, batch, cfg)
@@ -146,7 +146,7 @@ class TestTrainStep:
         target = net.copy()
         batch = random_batch(rng, net, n=12)
         # lr = 1 with a huge clip makes (old - new) equal the raw gradient
-        cfg = TrainConfig(discount=0.9, learning_rate=1.0, grad_clip=1e12)
+        cfg = SimConfig(discount=0.9, learning_rate=1.0, grad_clip=1e12)
         probe = net.copy()
         train_step(probe, target, batch, cfg)
         h = 1e-6
@@ -166,7 +166,7 @@ class TestTrainStep:
     def test_grad_clip_caps_update_norm(self):
         net = tiny_net()
         target = net.copy()
-        cfg = TrainConfig(discount=0.0, learning_rate=1.0, grad_clip=0.01)
+        cfg = SimConfig(discount=0.0, learning_rate=1.0, grad_clip=0.01)
         obs = np.ones((4, 3))
         batch = (obs, np.zeros(4, dtype=np.int64), np.full(4, 100.0), obs,
                  np.zeros(4, dtype=bool))
@@ -179,7 +179,7 @@ class TestTrainStep:
     def test_nonfinite_loss_raises_before_update(self):
         net = tiny_net()
         target = net.copy()
-        cfg = TrainConfig(discount=0.0, learning_rate=0.1)
+        cfg = SimConfig(discount=0.0, learning_rate=0.1)
         obs = np.ones((2, 3))
         batch = (obs, np.zeros(2, dtype=np.int64), np.array([np.inf, 1.0]),
                  obs, np.zeros(2, dtype=bool))
@@ -212,7 +212,7 @@ class TestTargetWorkspace:
         return seen
 
     def test_matches_allocating_forward(self, monkeypatch):
-        cfg = TrainConfig(discount=0.9, learning_rate=0.01)
+        cfg = SimConfig(discount=0.9, learning_rate=0.01)
         rng = np.random.default_rng(11)
         batches = [random_batch(rng, self._nets()[0], n=64) for _ in range(12)]
 
@@ -238,7 +238,7 @@ class TestTargetWorkspace:
         net, target = self._nets(output_size=5)
         seen = self._spy(monkeypatch)
         rng = np.random.default_rng(12)
-        cfg = TrainConfig()
+        cfg = SimConfig()
         for n in (16, 16, 8):
             train_step(net, target, random_batch(rng, net, n=n), cfg)
         assert seen[0] is seen[1]
@@ -249,7 +249,7 @@ class TestTargetWorkspace:
     def test_forward_result_not_overwritten(self):
         net, target = self._nets()
         rng = np.random.default_rng(13)
-        cfg = TrainConfig()
+        cfg = SimConfig()
         batch = random_batch(rng, net, n=64)
         q = forward(target, batch[3])
         snapshot = q.copy()
@@ -264,7 +264,7 @@ class TestTargetWorkspace:
         seen = self._spy(monkeypatch)
         rng = np.random.default_rng(14)
         batch = random_batch(rng, net)
-        cfg = TrainConfig(learning_rate=0.0)
+        cfg = SimConfig(learning_rate=0.0)
         loss = train_step(net, target, batch, cfg)
         path = tmp_path / "target.ckpt"
         save_checkpoint(target, str(path))
@@ -328,6 +328,15 @@ class TestPolicies:
         with pytest.raises(ValueError, match="requires a trained network"):
             make_policy("dqn", self.env)
 
+    def test_dqn_net_must_match_env(self):
+        # a head narrower than the catalog would pick wrong actions silently
+        for net in (tiny_net(input_size=6, output_size=5),
+                    tiny_net(input_size=5, output_size=1280)):
+            with pytest.raises(ValueError, match="needs 6 and 1280"):
+                make_policy("dqn", self.env, net)
+        net = tiny_net(input_size=6, output_size=1280)
+        assert make_policy("dqn", self.env, net).net is net
+
     def test_uav_heavy_decodes(self):
         pol = make_policy("uav_heavy", self.env)
         action = self.env.catalog[pol.fixed_index]
@@ -375,41 +384,38 @@ class TestNormalizeObservation:
 
 
 class TestTraining:
-    def _tconfig(self):
-        return TrainConfig(episodes=3, batch_size=16, buffer_capacity=500,
-                           target_sync_period=20)
-
-    def _make_env(self):
-        return MecEnvironment(SimConfig(num_devices=1, n_intervals=40), seed=0)
+    def _config(self):
+        return SimConfig(num_devices=1, n_intervals=40, episodes=3,
+                         batch_size=16, buffer_capacity=500,
+                         target_sync_period=20)
 
     def test_reproducible(self):
-        a = train(self._make_env, self._tconfig(), seed=5)
-        b = train(self._make_env, self._tconfig(), seed=5)
+        a = train(self._config(), seed=5)
+        b = train(self._config(), seed=5)
         assert a.episode_rewards == b.episode_rewards
         assert a.losses == b.losses
         for p, q in zip(a.net.parameters(), b.net.parameters()):
             assert np.array_equal(p, q)
 
     def test_seeds_differ(self):
-        a = train(self._make_env, self._tconfig(), seed=5)
-        b = train(self._make_env, self._tconfig(), seed=6)
+        a = train(self._config(), seed=5)
+        b = train(self._config(), seed=6)
         assert a.episode_rewards != b.episode_rewards
 
     def test_shapes_and_counts(self):
-        tc = self._tconfig()
-        res = train(self._make_env, tc, seed=0)
-        total = tc.episodes * 40
-        assert len(res.episode_rewards) == tc.episodes
+        cfg = self._config()
+        res = train(cfg, seed=0)
+        total = cfg.episodes * 40
+        assert len(res.episode_rewards) == cfg.episodes
         # training starts once the buffer holds one batch
-        assert len(res.losses) == total - (tc.batch_size - 1)
+        assert len(res.losses) == total - (cfg.batch_size - 1)
         assert res.net.output_size == 80
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        res = train(lambda: MecEnvironment(
-            SimConfig(num_devices=1, n_intervals=20), seed=0),
-            TrainConfig(episodes=2, batch_size=8), seed=1)
+        res = train(SimConfig(num_devices=1, n_intervals=20, episodes=2,
+                              batch_size=8), seed=1)
         path = tmp_path / "model.ckpt"
         save_checkpoint(res.net, str(path))
         loaded = load_checkpoint(str(path))

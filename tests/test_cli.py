@@ -16,7 +16,7 @@ class TestTrain:
     def test_writes_checkpoint_and_curve(self, tmp_path, capsys):
         rc = main(["train", "--seed", "1", "--out", str(tmp_path)] + FAST)
         assert rc == 0
-        assert (tmp_path / "dqn_250000_1.ckpt").exists()
+        assert len(list(tmp_path.glob("dqn_250000_1_*.ckpt"))) == 1
         curve = tmp_path / "curve_250000_1.csv"
         lines = curve.read_text().splitlines()
         assert lines[0] == "episode,cumulative_reward"

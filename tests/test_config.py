@@ -62,6 +62,24 @@ class TestValidate:
         with pytest.raises(ConfigError, match="num_devices"):
             SimConfig(num_devices=0).validate()
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"learning_rate": -1e-3}, "learning_rate"),
+        ({"grad_clip": 0.0}, "grad_clip"),
+        ({"grad_clip": -1.0}, "grad_clip"),
+        ({"eval_realizations": 0}, "eval_realizations"),
+        ({"sweep_seeds": 0}, "sweep_seeds"),
+        ({"batch_size": 65, "buffer_capacity": 64}, "exceeds buffer_capacity"),
+        ({"hidden_sizes": (64, 0)}, "hidden_sizes"),
+    ])
+    def test_learner_values(self, overrides, match):
+        # each of these trains without learning, diverges or fails late
+        with pytest.raises(ConfigError, match=match):
+            SimConfig(**overrides).validate()
+
+    def test_batch_may_fill_the_buffer(self):
+        SimConfig(batch_size=64, buffer_capacity=64).validate()
+
     def test_unit_interval_fields(self):
         with pytest.raises(ConfigError, match="w_local"):
             SimConfig(w_local=1.5).validate()

@@ -1,8 +1,11 @@
 import dataclasses
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from uavmec import agent as ag
 from uavmec.config import SimConfig
 from uavmec.harness import (CSV_HEADER, TRAJECTORY_HEADER, ResultRow,
                             SweepSpec, checkpoint_path, dump_trajectory,
@@ -32,7 +35,25 @@ class TestSweepSpec:
 
 class TestCheckpointPath:
     def test_layout(self):
-        assert checkpoint_path("out", 250000.0, 3) == "out/dqn_250000_3.ckpt"
+        path = checkpoint_path("out", SimConfig(), 3)
+        assert re.fullmatch(r"out/dqn_250000_3_[0-9a-f]{10}\.ckpt", path)
+
+    def test_training_fields_change_the_key(self):
+        base = checkpoint_path("out", SimConfig(), 0)
+        assert checkpoint_path("out", SimConfig(learning_rate=2e-3), 0) != base
+        assert checkpoint_path("out", SimConfig(), 1) != base
+
+    def test_eval_fields_keep_the_key(self):
+        base = checkpoint_path("out", SimConfig(), 0)
+        for cfg in (SimConfig(eval_realizations=5),
+                    SimConfig(sweep_seeds=1, sweep_i_max=(1e5,),
+                              sweep_policies=("dqn",), shared_model=True)):
+            assert checkpoint_path("out", cfg, 0) == base
+
+    def test_version_changes_the_key(self, monkeypatch):
+        base = checkpoint_path("out", SimConfig(), 0)
+        monkeypatch.setattr(ag, "CHECKPOINT_VERSION", 2)
+        assert checkpoint_path("out", SimConfig(), 0) != base
 
 
 class TestRunEval:
@@ -112,7 +133,8 @@ class TestRunSweep:
         spec = SweepSpec(i_max_values=(2.5e5,), seeds=(0,),
                          policies=("dqn",), realizations=1)
         rows1 = run_sweep(spec, cfg, out_dir=str(tmp_path))
-        assert (tmp_path / "dqn_250000_0.ckpt").exists()
+        assert [p.name for p in tmp_path.glob("*.ckpt")] == [
+            checkpoint_path("", replace(cfg, i_max=2.5e5), 0)]
         rows2 = run_sweep(spec, cfg, out_dir=str(tmp_path))
         assert rows1 == rows2
 
@@ -122,7 +144,7 @@ class TestRunSweep:
                          policies=("dqn",), realizations=1, shared_model=True)
         rows = run_sweep(spec, cfg, out_dir=str(tmp_path))
         ckpts = sorted(p.name for p in tmp_path.glob("*.ckpt"))
-        assert ckpts == ["dqn_200000_0.ckpt"]
+        assert ckpts == [checkpoint_path("", replace(cfg, i_max=2e5), 0)]
         assert len(rows) == 2
 
 

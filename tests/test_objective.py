@@ -38,14 +38,14 @@ class TestPdeAccumulator:
     def test_empty(self):
         acc = PdeAccumulator(num_devices=2)
         assert long_term_pde(acc) == 0.0
-        assert short_term_pde(acc, 0) == 0.0
+        assert short_term_pde([], []) == 0.0
         assert acc.device_pde(0) == 0.0
 
     def test_single_interval(self):
         acc = PdeAccumulator(num_devices=2)
         acc.record_interval(np.array([450.0, 50.0]), np.array([0.5, 0.5]))
         assert long_term_pde(acc) == pytest.approx(500.0)
-        assert short_term_pde(acc, 1) == pytest.approx(500.0)
+        assert short_term_pde([500.0], [1.0]) == pytest.approx(500.0)
         assert acc.device_pde(0) == pytest.approx(900.0)
         assert acc.device_pde(1) == pytest.approx(100.0)
 
@@ -56,54 +56,52 @@ class TestPdeAccumulator:
         assert acc.device_pde(0) == 0.0
 
     def test_short_term_prefix(self):
-        acc = PdeAccumulator(num_devices=1)
-        acc.record_interval(np.array([100.0]), np.array([1.0]))
-        acc.record_interval(np.array([300.0]), np.array([1.0]))
-        assert short_term_pde(acc, 1) == pytest.approx(100.0)
-        assert short_term_pde(acc, 2) == pytest.approx(200.0)
+        assert short_term_pde([100.0], [1.0]) == pytest.approx(100.0)
+        assert short_term_pde([100.0, 300.0], [1.0, 1.0]) == pytest.approx(200.0)
 
     def test_cumulative_matches_history(self):
         rng = np.random.default_rng(3)
         acc = PdeAccumulator(num_devices=3)
+        processed, delays = [], []
         for _ in range(50):
-            acc.record_interval(rng.uniform(0, 1e4, 3), rng.uniform(0, 2, 3))
-        assert acc.cum_processed == pytest.approx(sum(acc.processed_history))
-        assert acc.cum_comm_delay == pytest.approx(sum(acc.delay_history))
+            b_tot, t_comm = rng.uniform(0, 1e4, 3), rng.uniform(0, 2, 3)
+            acc.record_interval(b_tot, t_comm)
+            processed.append(float(np.sum(b_tot)))
+            delays.append(float(np.sum(t_comm)))
+        assert acc.cum_processed == pytest.approx(sum(processed))
+        assert acc.cum_comm_delay == pytest.approx(sum(delays))
         assert acc.cum_processed == pytest.approx(
             float(np.sum(acc.per_device_processed)))
 
 
 class TestDriftPlusPenalty:
     def test_all_zero(self):
-        acc = PdeAccumulator(num_devices=1)
         zero_q = QueueTriple(0, 0, 0)
         zero_s = SplitAmounts(0, 0, 0, 0, 0)
-        val = drift_plus_penalty_value([zero_q], [zero_s], [0.0], acc,
-                                       UNIT_WEIGHTS, interval=0)
+        val = drift_plus_penalty_value([zero_q], [zero_s], [0.0], [], [],
+                                       UNIT_WEIGHTS)
         assert val == 0.0
 
     def test_worked_example(self):
-        acc = PdeAccumulator(num_devices=1)
-        val = drift_plus_penalty_value([WORKED_Q], [WORKED_S], [0.5], acc,
-                                       UNIT_WEIGHTS, interval=0)
+        val = drift_plus_penalty_value([WORKED_Q], [WORKED_S], [0.5], [], [],
+                                       UNIT_WEIGHTS)
         # 450 + 720000 - 120000 - 6000
         assert val == pytest.approx(594450.0)
 
     def test_zero_v_removes_penalty_term(self):
-        acc = PdeAccumulator(num_devices=1)
-        acc.record_interval(np.array([100.0]), np.array([1.0]))
         w = RewardWeights(v1=1, v2=1, v3=1, v4=1, lyapunov_v=0.0)
-        a = drift_plus_penalty_value([WORKED_Q], [WORKED_S], [0.5], acc, w, 1)
-        b = drift_plus_penalty_value([WORKED_Q], [WORKED_S], [99.0], acc, w, 1)
+        a = drift_plus_penalty_value([WORKED_Q], [WORKED_S], [0.5], [100.0],
+                                     [1.0], w)
+        b = drift_plus_penalty_value([WORKED_Q], [WORKED_S], [99.0], [100.0],
+                                     [1.0], w)
         assert a == b == pytest.approx(594000.0)
 
     def test_matches_reward_sum_for_unit_weights(self):
         # with eta = 1 everywhere, shared history and V = 1 the
         # drift-plus-penalty value equals the summed per-device rewards
         rng = np.random.default_rng(8)
-        acc = PdeAccumulator(num_devices=1)
-        acc.record_interval(np.array([5000.0]), np.array([2.0]))
-        hist = short_term_pde(acc, 1)
+        processed, delays = [5000.0], [2.0]
+        hist = short_term_pde(processed, delays)
         for _ in range(200):
             q = QueueTriple(*rng.uniform(0, 1e5, 3))
             xu, xc, wl, wu, wc = rng.uniform(0, 1, 5)
@@ -113,8 +111,8 @@ class TestDriftPlusPenalty:
                              b_uav=wu * (1 - xc) * q.q_uav,
                              b_cloud=wc * q.q_cloud)
             t_comm = float(rng.uniform(0, 3))
-            dpp = drift_plus_penalty_value([q], [s], [t_comm], acc,
-                                           UNIT_WEIGHTS, interval=1)
+            dpp = drift_plus_penalty_value([q], [s], [t_comm], processed,
+                                           delays, UNIT_WEIGHTS)
             r = reward(q, s, t_comm, hist, UNIT_WEIGHTS, eta=1)
             assert r == pytest.approx(dpp, rel=1e-12, abs=1e-9)
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavmec.queueing import (ArrivalProcess, QueueTriple, SplitAmounts,
-                             compute_splits, draw_arrival,
-                             running_mean_backlog, step_queues, update_cloud,
+from uavmec.queueing import (QueueTriple, SplitAmounts, compute_splits,
+                             draw_arrival, step_queues, update_cloud,
                              update_local, update_uav)
 
 fractions = st.floats(0.0, 1.0)
@@ -116,42 +115,16 @@ class TestOracleEquivalence:
 class TestArrivals:
     def test_zero_budget(self):
         rng = np.random.default_rng(0)
-        assert draw_arrival(rng, ArrivalProcess(0.0)) == 0.0
+        assert draw_arrival(rng, 0.0) == 0.0
 
     def test_uniform_mean_and_range(self):
         rng = np.random.default_rng(5)
-        proc = ArrivalProcess(2.5e5)
-        draws = np.array([draw_arrival(rng, proc) for _ in range(100_000)])
+        draws = np.array([draw_arrival(rng, 2.5e5) for _ in range(100_000)])
         assert np.all((draws >= 0) & (draws <= 2.5e5))
         assert 1.24e5 <= draws.mean() <= 1.26e5
 
     def test_determinism(self):
-        proc = ArrivalProcess(2.5e5)
-        a = [draw_arrival(np.random.default_rng(9), proc) for _ in range(5)]
-        b = [draw_arrival(np.random.default_rng(9), proc) for _ in range(5)]
+        a = [draw_arrival(np.random.default_rng(9), 2.5e5) for _ in range(5)]
+        b = [draw_arrival(np.random.default_rng(9), 2.5e5) for _ in range(5)]
         assert a == b
 
-
-class TestRunningMeanBacklog:
-    def test_constant_history(self):
-        hist = [QueueTriple(100, 100, 100)] * 7
-        mean = running_mean_backlog(hist)
-        assert (mean.q_local, mean.q_uav, mean.q_cloud) == (100, 100, 100)
-
-    def test_two_point_history(self):
-        hist = [QueueTriple(0, 0, 0), QueueTriple(100, 50, 10)]
-        mean = running_mean_backlog(hist)
-        assert (mean.q_local, mean.q_uav, mean.q_cloud) == (50, 25, 5)
-
-    def test_empty_history_raises(self):
-        with pytest.raises(ValueError):
-            running_mean_backlog([])
-
-    def test_iid_history_statistics(self):
-        rng = np.random.default_rng(11)
-        values = rng.uniform(0, 1000, size=10_000)
-        hist = [QueueTriple(v, 0, 0) for v in values]
-        mean = running_mean_backlog(hist)
-        sigma = np.std(values) / np.sqrt(len(values))
-        assert abs(mean.q_local - values.mean()) < 1e-9
-        assert abs(mean.q_local - 500.0) < 3 * sigma + abs(values.mean() - 500)
