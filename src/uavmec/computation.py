@@ -2,13 +2,14 @@
 
 Local computing overlaps the device->UAV uplink, and UAV computing overlaps
 the UAV->cloud transfer, so the stage delays combine as maxima; the cloud
-computes last.
+computes last. Every function is element-wise over floats or (K,) arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -19,22 +20,26 @@ class DelayBreakdown:
     t_cloud_comm: float
     t_cloud_comp: float
 
-    @property
-    def t_total(self) -> float:
-        return total_task_delay(self)
+
+def work_delay(work, capacity, amount):
+    """work / capacity; 0 where amount <= 0, else inf at zero capacity.
+
+    Sentinel entries are never divided, so nothing raises or warns.
+    """
+    busy = np.greater(amount, 0.0)
+    out = np.where(busy, np.inf, 0.0)
+    np.divide(work, capacity, out=out,
+              where=busy & np.greater(capacity, 0.0))
+    return out[()]
 
 
-def comp_delay(bits: float, cpu: float, cycles_per_bit: float) -> float:
+def comp_delay(bits, cpu, cycles_per_bit):
     """Processing delay bits*C/cpu in seconds; 0 for no work, inf at zero CPU."""
-    if bits <= 0.0:
-        return 0.0
-    if cpu <= 0.0:
-        return math.inf
-    return bits * cycles_per_bit / cpu
+    return work_delay(np.multiply(bits, cycles_per_bit), cpu, bits)
 
 
-def total_task_delay(b: DelayBreakdown) -> float:
+def total_task_delay(b: DelayBreakdown):
     """End-to-end delay with local/uplink and UAV/backhaul stages overlapped."""
-    return (max(b.t_local_comp, b.t_uplink_comm)
-            + max(b.t_uav_comp, b.t_cloud_comm)
+    return (np.maximum(b.t_local_comp, b.t_uplink_comm)
+            + np.maximum(b.t_uav_comp, b.t_cloud_comm)
             + b.t_cloud_comp)

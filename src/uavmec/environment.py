@@ -8,7 +8,6 @@ evaluation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import computation as comp
 from . import objective as obj
 from . import phy_link as phy
 from . import queueing as qs
-from .config import MOVES, SimConfig
+from .config import MOVES, ConfigError, SimConfig
 
 STAY = 0
 
@@ -36,22 +35,21 @@ class ActionVector:
 
 @dataclass
 class IntervalRecord:
-    """Everything computed during one interval, for metrics and replay."""
+    """One interval's values for metrics and replay; (K,) arrays per device."""
     interval: int
     uav_pos: ch.Position2D
-    queues_before: list
-    splits: list
+    queues_before: qs.QueueTriple
+    splits: qs.SplitAmounts
     power_gains: np.ndarray
     sinrs: np.ndarray
     rates: np.ndarray
-    delays: list
+    delays: comp.DelayBreakdown
     t_comm: np.ndarray
     b_tot: np.ndarray
     eta: np.ndarray
     hist_pde: np.ndarray
     reward_per_device: np.ndarray
     arrivals: np.ndarray
-    feasibility: obj.FeasibilityReport
 
 
 @dataclass
@@ -88,24 +86,58 @@ def observation_size(config: SimConfig) -> int:
 
 
 class MecEnvironment:
-    """Discrete-interval simulator of the three-tier offloading network."""
+    """Discrete-interval simulator of the three-tier offloading network.
 
-    def __init__(self, config: SimConfig, seed=None):
+    Per-device state is held as (K,) arrays and each stage of step() is one
+    element-wise call; the channel draw and the rate stay per device so that
+    their floats match the scalar math bit for bit.
+    """
+
+    def __init__(self, config: SimConfig, seed=0):
         self.config = config
         self.catalog = action_catalog(config)
+        # fractions[i]: catalog entry i's x_uav, x_cloud, w_uav, w_cloud rows
+        self.fractions = np.array(
+            [a.device_fractions for a in self.catalog]).transpose(0, 2, 1)
         self.chan_params = ch.ChannelParams(
             eta0=config.eta0, theta=config.path_loss_exp,
             rice_k=config.rician_k, altitude=config.altitude)
-        self.weights = obj.RewardWeights(
-            v1=config.v1, v2=config.v2, v3=config.v3, v4=config.v4,
-            lyapunov_v=config.lyapunov_v,
-            violation_penalty=config.violation_penalty)
         self._step_len = config.v_max * config.tau
+        self._tx_powers = np.full(config.num_devices, config.fixed_tx_power)
+        # Per-device CPU of the local, UAV and cloud tiers, one row each.
+        self._tier_cpus = np.array([[config.local_cpu_max],
+                                    [config.uav_cpu_per_device],
+                                    [config.cloud_cpu_per_device]])
+        self._check_constraints()
         self.reset(seed)
+
+    def _check_constraints(self) -> None:
+        """Raise ConfigError naming each of c1-c9 that the config violates.
+
+        Every step takes its fractions from the catalog, the fixed powers and
+        CPU shares and one clipped move, so one check here covers all steps.
+        """
+        cfg = self.config
+        rows = self.fractions.transpose(0, 2, 1).reshape(-1, 4)
+        cpu_local, cpu_uav, cpu_cloud = np.broadcast_to(
+            self._tier_cpus, (3, cfg.num_devices))
+        centre = ch.Position2D(*cfg.area_center)
+        report = obj.check_feasibility(
+            fractions=np.insert(rows, 2, cfg.w_local, axis=1),
+            tx_powers=self._tx_powers, cpu_local=cpu_local, cpu_uav=cpu_uav,
+            cpu_cloud=cpu_cloud,
+            prev_pos=centre, new_pos=self._move(centre, 1),  # one +x move
+            total_delays=np.zeros(cfg.num_devices), config=cfg)
+        failed = [name for name, ok in vars(report).items()
+                  if name.startswith("c") and name != "c10_delay" and not ok]
+        if failed:
+            raise ConfigError(
+                f"configuration violates {', '.join(failed)}; validate() "
+                f"rejects such values")
 
     # -- lifecycle ---------------------------------------------------------
 
-    def reset(self, seed=None) -> np.ndarray:
+    def reset(self, seed) -> np.ndarray:
         cfg = self.config
         self.rng = np.random.default_rng(seed)
         self.n = 0
@@ -114,27 +146,21 @@ class MecEnvironment:
                           self.rng.uniform(0.0, cfg.area_size))
             for _ in range(cfg.num_devices)]
         self.uav_pos = ch.Position2D(*cfg.area_center)
-        self.queues = [qs.QueueTriple(0.0, 0.0, 0.0)
-                       for _ in range(cfg.num_devices)]
+        self.queues = qs.QueueTriple(*np.zeros((3, cfg.num_devices)))
         self.acc = obj.PdeAccumulator(num_devices=cfg.num_devices)
         return self.observe()
 
     def observe(self) -> np.ndarray:
-        """Discretize each backlog into queue_levels buckets (clipped at cap)."""
+        """Backlog levels in queue_levels buckets (clipped at cap); device-major
+        (local, UAV, cloud of device 0, then of device 1, ...)."""
         cfg = self.config
+        q = self.queues
+        backlog = np.array((q.q_local, q.q_uav, q.q_cloud)).T.ravel()
         top = cfg.queue_levels - 1
         cap = cfg.queue_cap
-        levels = []
-        for q in self.queues:
-            for backlog in (q.q_local, q.q_uav, q.q_cloud):
-                if backlog <= 0.0:
-                    levels.append(0)
-                elif cap <= 0.0:
-                    levels.append(top)
-                else:
-                    levels.append(min(top, math.floor(
-                        cfg.queue_levels * backlog / cap)))
-        out = np.array(levels, dtype=float)
+        levels = (np.minimum(top, np.floor(cfg.queue_levels * backlog / cap))
+                  if cap > 0.0 else top)
+        out = np.where(backlog <= 0.0, 0.0, levels)
         if cfg.include_uav_position:
             out = np.concatenate([out, [self.uav_pos.x / cfg.area_size,
                                         self.uav_pos.y / cfg.area_size]])
@@ -150,6 +176,14 @@ class MecEnvironment:
 
     # -- transition --------------------------------------------------------
 
+    def _move(self, pos: ch.Position2D, move: int) -> ch.Position2D:
+        """Position one interval's move away from pos, clipped to the area."""
+        size = self.config.area_size
+        dx, dy = MOVES[move]
+        return ch.Position2D(
+            min(size, max(0.0, pos.x + dx * self._step_len)),
+            min(size, max(0.0, pos.y + dy * self._step_len)))
+
     def step(self, action_index: int) -> TransitionRecord:
         cfg = self.config
         if self.done:
@@ -157,84 +191,56 @@ class MecEnvironment:
         if not 0 <= action_index < len(self.catalog):
             raise IndexError(f"action index {action_index} outside catalog "
                              f"of size {len(self.catalog)}")
-        action = self.catalog[action_index]
+        x_uav, x_cloud, w_uav, w_cloud = self.fractions[action_index]
+        move = self.catalog[action_index].move
 
         # (1) UAV motion, clipped to the service area.
-        prev_pos = self.uav_pos
-        dx, dy = MOVES[action.move]
-        self.uav_pos = ch.Position2D(
-            min(cfg.area_size, max(0.0, prev_pos.x + dx * self._step_len)),
-            min(cfg.area_size, max(0.0, prev_pos.y + dy * self._step_len)))
+        self.uav_pos = self._move(self.uav_pos, move)
 
         # (2)-(3) fresh block-fading channels, SINR, rates.
-        gains = np.empty(cfg.num_devices)
-        for k, dev in enumerate(self.device_positions):
-            d = ch.distance(self.uav_pos, dev, cfg.altitude)
-            gains[k] = ch.channel_gain(d, self.chan_params, self.rng)
-        powers = np.full(cfg.num_devices, cfg.fixed_tx_power)
-        snapshot = phy.UplinkSnapshot(power_gains=gains, tx_powers=powers)
-        sinrs = np.array([phy.sinr(k, snapshot, cfg.noise_power)
-                          for k in range(cfg.num_devices)])
+        gains = np.array([
+            ch.channel_gain(ch.distance(self.uav_pos, dev, cfg.altitude),
+                            self.chan_params, self.rng)
+            for dev in self.device_positions])
+        sinrs = phy.sinr(gains, self._tx_powers, cfg.noise_power)
         rates = np.array([phy.rate(g, cfg.bandwidth) for g in sinrs])
 
         # (4) split amounts from start-of-interval backlogs.
-        splits = []
-        for k, q in enumerate(self.queues):
-            x_uav, x_cloud, w_uav, w_cloud = action.device_fractions[k]
-            splits.append(qs.compute_splits(q, x_uav, x_cloud,
-                                            cfg.w_local, w_uav, w_cloud))
+        queues = self.queues
+        splits = qs.compute_splits(queues, x_uav, x_cloud, cfg.w_local,
+                                   w_uav, w_cloud)
 
         # (5) delays and the per-device delay-bound indicator.
-        delays = []
-        t_comm = np.empty(cfg.num_devices)
-        for k, s in enumerate(splits):
-            x_cloud = action.device_fractions[k][1]
-            b = comp.DelayBreakdown(
-                t_local_comp=comp.comp_delay(s.b_local, cfg.local_cpu_max,
-                                             cfg.cycles_per_bit),
-                t_uplink_comm=phy.uplink_comm_delay(s.d_uav, rates[k]),
-                t_uav_comp=comp.comp_delay(s.b_uav, cfg.uav_cpu_per_device,
-                                           cfg.cycles_per_bit),
-                t_cloud_comm=phy.cloud_comm_delay(x_cloud, cfg.install_delay),
-                t_cloud_comp=comp.comp_delay(s.b_cloud, cfg.cloud_cpu_per_device,
-                                             cfg.cycles_per_bit),
-            )
-            delays.append(b)
-            t_comm[k] = phy.total_comm_delay(b.t_uplink_comm, b.t_cloud_comm)
-        report = obj.check_feasibility(
-            fractions=[(f[0], f[1], cfg.w_local, f[2], f[3])
-                       for f in action.device_fractions],
-            tx_powers=powers,
-            cpu_local=np.full(cfg.num_devices, cfg.local_cpu_max),
-            cpu_uav=np.full(cfg.num_devices, cfg.uav_cpu_per_device),
-            cpu_cloud=np.full(cfg.num_devices, cfg.cloud_cpu_per_device),
-            prev_pos=prev_pos, new_pos=self.uav_pos,
-            total_delays=[b.t_total for b in delays], config=cfg)
+        t_local, t_uav, t_cloud = comp.comp_delay(
+            np.array((splits.b_local, splits.b_uav, splits.b_cloud)),
+            self._tier_cpus, cfg.cycles_per_bit)
+        delays = comp.DelayBreakdown(
+            t_local_comp=t_local,
+            t_uplink_comm=phy.uplink_comm_delay(splits.d_uav, rates),
+            t_uav_comp=t_uav,
+            t_cloud_comm=phy.cloud_comm_delay(x_cloud, cfg.install_delay),
+            t_cloud_comp=t_cloud,
+        )
+        t_comm = phy.total_comm_delay(delays.t_uplink_comm,
+                                      delays.t_cloud_comm)
+        eta = (comp.total_task_delay(delays) <= cfg.tau).astype(int)
 
         # (6) reward against the accumulator state up to interval n-1.
-        hist_pde = np.array([self.acc.device_pde(k)
-                             for k in range(cfg.num_devices)])
-        b_tot = np.array([obj.processed_total(s.b_local, s.b_uav, s.b_cloud)
-                          for s in splits])
-        rewards = np.array([
-            obj.reward(self.queues[k], splits[k], t_comm[k], hist_pde[k],
-                       self.weights, int(report.eta[k]))
-            for k in range(cfg.num_devices)])
+        hist_pde = self.acc.device_pde()
+        b_tot = obj.processed_total(splits.b_local, splits.b_uav,
+                                    splits.b_cloud)
+        rewards = obj.reward(queues, splits, t_comm, hist_pde, cfg, eta)
 
         # (7) queue updates with fresh arrivals, (8) accumulators.
-        arrivals = np.array([qs.draw_arrival(self.rng, cfg.i_max)
-                             for _ in range(cfg.num_devices)])
-        queues_before = list(self.queues)
-        self.queues = [qs.step_queues(q, s, a) for q, s, a
-                       in zip(self.queues, splits, arrivals)]
+        arrivals = qs.draw_arrival(self.rng, cfg.i_max, cfg.num_devices)
+        self.queues = qs.step_queues(queues, splits, arrivals)
         self.acc.record_interval(b_tot, t_comm)
 
         record = IntervalRecord(
-            interval=self.n, uav_pos=self.uav_pos,
-            queues_before=queues_before, splits=splits, power_gains=gains,
-            sinrs=sinrs, rates=rates, delays=delays, t_comm=t_comm,
-            b_tot=b_tot, eta=report.eta.copy(), hist_pde=hist_pde,
-            reward_per_device=rewards, arrivals=arrivals, feasibility=report)
+            interval=self.n, uav_pos=self.uav_pos, queues_before=queues,
+            splits=splits, power_gains=gains, sinrs=sinrs, rates=rates,
+            delays=delays, t_comm=t_comm, b_tot=b_tot, eta=eta,
+            hist_pde=hist_pde, reward_per_device=rewards, arrivals=arrivals)
         self.n += 1
         return TransitionRecord(
             reward=float(np.sum(rewards)), next_observation=self.observe(),

@@ -100,15 +100,12 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     policy_rng = np.random.default_rng(episode_seeds[-1])
 
     acc = obj.PdeAccumulator(num_devices=config.num_devices)
-    cd_sum = pd_sum = 0.0
     ql_sum = qu_sum = qc_sum = 0.0
     violations = 0.0
     terminal_dist = 0.0
-    n_dev_intervals = 0
-    records = []
     for r in range(realizations):
         observation = env.reset(episode_seeds[r])
-        episode_records = []
+        records = []
         while not env.done:
             o = ag.normalize_observation(observation, config)
             action = ag.baseline_action(pol, o, policy_rng)
@@ -116,24 +113,23 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
             observation = tr.next_observation
             rec = tr.record
             acc.record_interval(rec.b_tot, rec.t_comm)
-            cd_sum += float(np.sum(rec.t_comm))
-            pd_sum += float(np.sum(rec.b_tot))
-            for q in rec.queues_before:
-                ql_sum += q.q_local
-                qu_sum += q.q_uav
-                qc_sum += q.q_cloud
+            # Device by device: a pairwise np.sum would round differently.
+            q = rec.queues_before
+            for k in range(config.num_devices):
+                ql_sum += q.q_local[k]
+                qu_sum += q.q_uav[k]
+                qc_sum += q.q_cloud[k]
             violations += float(np.sum(1 - rec.eta))
-            n_dev_intervals += config.num_devices
             if collect_records:
-                episode_records.append(rec)
+                records.append(rec)
         terminal_dist += env.terminal_distance()
-        records = episode_records
     n_intervals = realizations * config.n_intervals
+    n_dev_intervals = n_intervals * config.num_devices
     row = ResultRow(
         policy=policy, i_max=config.i_max, seed=seed,
         mean_pde=obj.long_term_pde(acc),
-        mean_cd=cd_sum / n_intervals,
-        mean_pd=pd_sum / n_intervals,
+        mean_cd=acc.cum_comm_delay / n_intervals,
+        mean_pd=acc.cum_processed / n_intervals,
         mean_ql=ql_sum / n_dev_intervals,
         mean_qu=qu_sum / n_dev_intervals,
         mean_qc=qc_sum / n_dev_intervals,
@@ -207,10 +203,11 @@ def dump_trajectory(records, path: str) -> None:
     """Per-interval, per-device trajectory CSV for one episode."""
     lines = [TRAJECTORY_HEADER]
     for rec in records:
-        for k, q in enumerate(rec.queues_before):
+        q = rec.queues_before
+        for k in range(len(q.q_local)):
             lines.append(",".join([
                 str(rec.interval), str(k),
-                _fmt(q.q_local), _fmt(q.q_uav), _fmt(q.q_cloud),
+                _fmt(q.q_local[k]), _fmt(q.q_uav[k]), _fmt(q.q_cloud[k]),
                 _fmt(rec.reward_per_device[k]), str(int(rec.eta[k])),
                 _fmt(rec.t_comm[k]), _fmt(rec.b_tot[k])]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

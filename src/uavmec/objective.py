@@ -3,7 +3,9 @@
 The system utility is Processed-Data Efficiency (PDE): aggregate processed
 bits divided by aggregate communication delay. The per-interval reward
 combines weighted queue-drain terms with a PDE-improvement term that is
-gated by the per-device delay-bound indicator eta.
+gated by the per-device delay-bound indicator eta. The constraint set c1-c9
+holds by construction on every step, so the environment checks it once,
+when it is built.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SimConfig
 from .queueing import QueueTriple, SplitAmounts
 
 
@@ -36,21 +39,12 @@ class PdeAccumulator:
         self.per_device_processed += b_tot
         self.per_device_delay += t_comm
 
-    def device_pde(self, k: int) -> float:
-        """Historical per-device PDE; 0 while the device has no delay history."""
-        if self.per_device_delay[k] <= 0.0:
-            return 0.0
-        return self.per_device_processed[k] / self.per_device_delay[k]
-
-
-@dataclass(frozen=True)
-class RewardWeights:
-    v1: float = 1e-6
-    v2: float = 1e-6
-    v3: float = 1e-6
-    v4: float = 1.0
-    lyapunov_v: float = 1.0
-    violation_penalty: float = 0.0
+    def device_pde(self) -> np.ndarray:
+        """Historical PDE of every device; 0 for a device with no delay yet."""
+        out = np.zeros(self.num_devices)
+        np.divide(self.per_device_processed, self.per_device_delay, out=out,
+                  where=self.per_device_delay > 0.0)
+        return out
 
 
 @dataclass
@@ -75,8 +69,8 @@ class FeasibilityReport:
                     self.c10_delay])
 
 
-def processed_total(b_local: float, b_uav: float, b_cloud: float) -> float:
-    """Bits processed for one device in one interval, summed over tiers."""
+def processed_total(b_local, b_uav, b_cloud):
+    """Bits processed per device in one interval, summed over tiers."""
     return b_local + b_uav + b_cloud
 
 
@@ -99,7 +93,7 @@ def short_term_pde(processed, delays) -> float:
 
 
 def drift_plus_penalty_value(queues, splits, t_comms, processed, delays,
-                             weights: RewardWeights) -> float:
+                             config: SimConfig) -> float:
     """Per-interval drift-plus-penalty objective (diagnostic / greedy oracle).
 
     queues, splits, t_comms are per-device sequences for one interval;
@@ -110,7 +104,7 @@ def drift_plus_penalty_value(queues, splits, t_comms, processed, delays,
     u_n = short_term_pde(processed, delays)
     b_tot = sum(processed_total(s.b_local, s.b_uav, s.b_cloud) for s in splits)
     t_sum = sum(t_comms)
-    value = weights.lyapunov_v * (b_tot - u_n * t_sum)
+    value = config.lyapunov_v * (b_tot - u_n * t_sum)
     for q, s in zip(queues, splits):
         value += q.q_local * (s.b_local + s.d_uav)
         value -= q.q_uav * (s.d_uav - s.b_uav - s.d_cloud)
@@ -118,31 +112,31 @@ def drift_plus_penalty_value(queues, splits, t_comms, processed, delays,
     return value
 
 
-def reward(q: QueueTriple, s: SplitAmounts, t_comm: float, hist_pde: float,
-           weights: RewardWeights, eta: int) -> float:
-    """Per-device reward for one interval.
+def reward(q: QueueTriple, s: SplitAmounts, t_comm, hist_pde,
+           config: SimConfig, eta):
+    """Per-device reward for one interval, element-wise over devices.
 
     Queue-drain terms are always active; the PDE-improvement term only
-    counts when the device met the delay bound (eta = 1), so an infinite
-    delay sentinel never propagates into the reward.
+    counts where the device met the delay bound (eta = 1), and the delay is
+    masked out elsewhere, so an infinite delay sentinel never propagates
+    into the reward.
     """
-    r = (weights.v1 * q.q_local * (s.b_local + s.d_uav)
-         - weights.v2 * q.q_uav * (s.d_uav - s.b_uav - s.d_cloud)
-         - weights.v3 * q.q_cloud * (s.d_cloud - s.b_cloud))
-    if eta:
-        b_tot = processed_total(s.b_local, s.b_uav, s.b_cloud)
-        r += weights.v4 * (b_tot - t_comm * hist_pde)
-    else:
-        r -= weights.violation_penalty
-    return r
+    r = (config.v1 * q.q_local * (s.b_local + s.d_uav)
+         - config.v2 * q.q_uav * (s.d_uav - s.b_uav - s.d_cloud)
+         - config.v3 * q.q_cloud * (s.d_cloud - s.b_cloud))
+    met = np.asarray(eta, dtype=bool)
+    t_met = np.where(met, t_comm, 0.0)
+    b_tot = processed_total(s.b_local, s.b_uav, s.b_cloud)
+    return r + np.where(met, config.v4 * (b_tot - t_met * hist_pde),
+                        -config.violation_penalty)
 
 
 def check_feasibility(fractions, tx_powers, cpu_local, cpu_uav, cpu_cloud,
                       prev_pos, new_pos, total_delays, config) -> FeasibilityReport:
-    """Evaluate the per-interval constraint set.
+    """Evaluate the constraint set c1-c10 for one set of decisions.
 
     fractions: per-device (x_uav, x_cloud, w_local, w_uav, w_cloud) tuples.
-    prev_pos/new_pos: UAV positions before and after the interval's move.
+    prev_pos/new_pos: UAV positions before and after one interval's move.
     total_delays: per-device end-to-end task delays in seconds.
     Infeasibility is reported, never repaired.
     """

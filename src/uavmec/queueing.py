@@ -5,6 +5,7 @@ the cloud. Split amounts are computed from start-of-interval backlogs; bits
 offloaded in an interval are credited downstream within the same interval's
 update, and fresh arrivals are appended after service. Backlogs are
 real-valued bits; fractional bits are fine since every law is linear.
+Every law is element-wise: a field holds one device's float or a (K,) array.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QueueTriple:
-    """Backlogs in bits for one device at the three tiers."""
+    """Backlogs in bits at the three tiers."""
     q_local: float
     q_uav: float
     q_cloud: float
@@ -24,7 +25,7 @@ class QueueTriple:
 
 @dataclass(frozen=True)
 class SplitAmounts:
-    """Bits moved or processed during one interval, for one device.
+    """Bits moved or processed during one interval.
 
     d_uav:   local queue -> UAV queue
     b_local: processed at the device
@@ -39,8 +40,8 @@ class SplitAmounts:
     b_cloud: float
 
 
-def compute_splits(q: QueueTriple, x_uav: float, x_cloud: float,
-                   w_local: float, w_uav: float, w_cloud: float) -> SplitAmounts:
+def compute_splits(q: QueueTriple, x_uav, x_cloud, w_local, w_uav,
+                   w_cloud) -> SplitAmounts:
     """Action-driven split of the three backlogs; all fractions in [0, 1].
 
     Offloading is taken off the top of a queue; the processing fraction then
@@ -56,22 +57,22 @@ def compute_splits(q: QueueTriple, x_uav: float, x_cloud: float,
     )
 
 
-def update_local(q_local: float, s: SplitAmounts, arrival: float) -> float:
+def update_local(q_local, s: SplitAmounts, arrival):
     """Device backlog: drain offloaded + locally processed bits, then arrivals."""
-    return max(0.0, q_local - s.d_uav - s.b_local) + arrival
+    return np.maximum(0.0, q_local - s.d_uav - s.b_local) + arrival
 
 
-def update_uav(q_uav: float, s: SplitAmounts) -> float:
+def update_uav(q_uav, s: SplitAmounts):
     """UAV backlog: drain cloud-offloaded + processed bits, credit device inflow."""
-    return max(0.0, q_uav - s.d_cloud - s.b_uav) + s.d_uav
+    return np.maximum(0.0, q_uav - s.d_cloud - s.b_uav) + s.d_uav
 
 
-def update_cloud(q_cloud: float, s: SplitAmounts) -> float:
+def update_cloud(q_cloud, s: SplitAmounts):
     """Cloud backlog: drain processed bits, credit UAV inflow."""
-    return max(0.0, q_cloud - s.b_cloud) + s.d_cloud
+    return np.maximum(0.0, q_cloud - s.b_cloud) + s.d_cloud
 
 
-def step_queues(q: QueueTriple, s: SplitAmounts, arrival: float) -> QueueTriple:
+def step_queues(q: QueueTriple, s: SplitAmounts, arrival) -> QueueTriple:
     """One synchronous update of all three tiers from the same snapshot."""
     return QueueTriple(
         q_local=update_local(q.q_local, s, arrival),
@@ -80,9 +81,12 @@ def step_queues(q: QueueTriple, s: SplitAmounts, arrival: float) -> QueueTriple:
     )
 
 
-def draw_arrival(rng: np.random.Generator, max_bits: float) -> float:
-    """One i.i.d. uniform task arrival on [0, max_bits], in bits."""
-    if max_bits <= 0.0:
-        return 0.0
-    return float(rng.uniform(0.0, max_bits))
+def draw_arrival(rng: np.random.Generator, max_bits: float, size=None):
+    """I.i.d. uniform task arrivals on [0, max_bits], in bits.
 
+    A float, or ``size`` draws equal to as many scalar draws; nothing is
+    drawn when max_bits <= 0.
+    """
+    if max_bits <= 0.0:
+        return 0.0 if size is None else np.zeros(size)
+    return rng.uniform(0.0, max_bits, size)

@@ -120,7 +120,7 @@ def test_criterion_02_reward_oracle():
         hist = float(rng.uniform(0, 1e5))
         v1, v2, v3, v4 = rng.uniform(0, 2, 4)
         eta = int(rng.integers(0, 2))
-        w = obj.RewardWeights(v1=v1, v2=v2, v3=v3, v4=v4)
+        w = SimConfig(v1=v1, v2=v2, v3=v3, v4=v4)
         got = obj.reward(q, s, t_comm, hist, w, eta)
         b_tot = s.b_local + s.b_uav + s.b_cloud
         want = (v1 * q.q_local * (s.b_local + s.d_uav)
@@ -131,7 +131,7 @@ def test_criterion_02_reward_oracle():
     # K = 1, v = (1, 1, 1, V): the summed reward with eta = 1 equals the
     # drift-plus-penalty value under a shared history.
     processed, delays = [4000.0], [2.0]
-    weights = obj.RewardWeights(v1=1, v2=1, v3=1, v4=1, lyapunov_v=1.0)
+    weights = SimConfig(v1=1, v2=1, v3=1, v4=1, lyapunov_v=1.0)
     dpp_worst = 0.0
     for _ in range(100):
         q = qs.QueueTriple(*rng.uniform(0, 1e5, 3))
@@ -317,7 +317,7 @@ def test_criterion_10_queue_stability(default_config, trained_nets):
     worst = -math.inf
     for k in range(default_config.num_devices):
         for tier in ("q_local", "q_uav", "q_cloud"):
-            series = np.array([getattr(r.queues_before[k], tier)
+            series = np.array([getattr(r.queues_before, tier)[k]
                                for r in records])
             running_mean = np.cumsum(series) / np.arange(1, n + 1)
             tail = running_mean[tail_start:]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +26,19 @@ class TestCompDelay:
             base / factor)
 
 
+    def test_device_arrays_keep_sentinels(self):
+        bits = np.array([0.0, 5000.0, 100.0, 0.0])
+        cpu = np.array([0.0, 5.12e6, 0.0, 1e6])
+        got = comp_delay(bits, cpu, 1024.0)
+        assert got.tolist() == [0.0, pytest.approx(1.0), math.inf, 0.0]
+
+    def test_device_arrays_match_scalars(self):
+        bits = np.array([0.0, 7.0, 1e5])
+        got = comp_delay(bits, 3e6, 1024.0)
+        assert got.tolist() == [comp_delay(float(b), 3e6, 1024.0)
+                                for b in bits]
+
+
 class TestTotalTaskDelay:
     def test_all_zero(self):
         assert total_task_delay(DelayBreakdown(0, 0, 0, 0, 0)) == 0.0
@@ -46,3 +60,11 @@ class TestTotalTaskDelay:
             bumped = list(fields)
             bumped[i] += 1.0
             assert total_task_delay(DelayBreakdown(*bumped)) >= base
+
+    def test_device_arrays(self):
+        b = DelayBreakdown(np.array([0.3, 0.2]), np.array([0.2, 0.9]),
+                           np.array([0.1, 0.0]), np.array([0.25, 0.0]),
+                           np.array([0.05, math.inf]))
+        assert total_task_delay(b).tolist() == [
+            total_task_delay(DelayBreakdown(0.3, 0.2, 0.1, 0.25, 0.05)),
+            math.inf]

@@ -96,7 +96,7 @@ class TestRunEval:
         assert row.mean_pd == pytest.approx(pd_total / n, rel=1e-12)
         assert row.mean_cd == pytest.approx(cd_total / n, rel=1e-12)
         assert row.mean_pde == pytest.approx(pd_total / cd_total, rel=1e-12)
-        ql = sum(q.q_local for r in records for q in r.queues_before)
+        ql = sum(r.queues_before.q_local[k] for r in records for k in range(2))
         assert row.mean_ql == pytest.approx(ql / (n * 2), rel=1e-12)
         viols = sum(int(np.sum(1 - r.eta)) for r in records)
         assert row.c10_violation_rate == pytest.approx(viols / (n * 2))
@@ -214,7 +214,7 @@ class TestTrajectoryDump:
         for rec, line in zip(records, lines):
             f = line.split(",")
             assert int(f[0]) == rec.interval
-            assert float(f[2]) == pytest.approx(rec.queues_before[0].q_local,
+            assert float(f[2]) == pytest.approx(rec.queues_before.q_local[0],
                                                 rel=1e-5)
             assert int(f[6]) == int(rec.eta[0])
 

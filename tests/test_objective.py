@@ -5,7 +5,7 @@ import pytest
 
 from uavmec.channel import Position2D
 from uavmec.config import SimConfig
-from uavmec.objective import (FeasibilityReport, PdeAccumulator, RewardWeights,
+from uavmec.objective import (FeasibilityReport, PdeAccumulator,
                               check_feasibility, drift_plus_penalty_value,
                               long_term_pde, processed_total, reward,
                               short_term_pde)
@@ -14,7 +14,7 @@ from uavmec.queueing import QueueTriple, SplitAmounts
 WORKED_Q = QueueTriple(1000.0, 500.0, 200.0)
 WORKED_S = SplitAmounts(d_uav=600.0, b_local=120.0, d_cloud=150.0,
                         b_uav=210.0, b_cloud=120.0)
-UNIT_WEIGHTS = RewardWeights(v1=1.0, v2=1.0, v3=1.0, v4=1.0, lyapunov_v=1.0)
+UNIT_WEIGHTS = SimConfig(v1=1.0, v2=1.0, v3=1.0, v4=1.0, lyapunov_v=1.0)
 
 
 def reward_oracle(q, s, t_comm, hist_pde, v1, v2, v3, v4, eta):
@@ -39,21 +39,28 @@ class TestPdeAccumulator:
         acc = PdeAccumulator(num_devices=2)
         assert long_term_pde(acc) == 0.0
         assert short_term_pde([], []) == 0.0
-        assert acc.device_pde(0) == 0.0
+        assert acc.device_pde()[0] == 0.0
 
     def test_single_interval(self):
         acc = PdeAccumulator(num_devices=2)
         acc.record_interval(np.array([450.0, 50.0]), np.array([0.5, 0.5]))
         assert long_term_pde(acc) == pytest.approx(500.0)
         assert short_term_pde([500.0], [1.0]) == pytest.approx(500.0)
-        assert acc.device_pde(0) == pytest.approx(900.0)
-        assert acc.device_pde(1) == pytest.approx(100.0)
+        assert acc.device_pde()[0] == pytest.approx(900.0)
+        assert acc.device_pde()[1] == pytest.approx(100.0)
+
+    def test_every_device_at_once(self):
+        acc = PdeAccumulator(num_devices=3)
+        assert acc.device_pde().tolist() == [0.0, 0.0, 0.0]
+        acc.record_interval(np.array([450.0, 50.0, 9.0]),
+                            np.array([0.5, 0.25, 0.0]))
+        assert acc.device_pde().tolist() == [900.0, 200.0, 0.0]
 
     def test_zero_delay_with_processed_bits(self):
         acc = PdeAccumulator(num_devices=1)
         acc.record_interval(np.array([100.0]), np.array([0.0]))
         assert long_term_pde(acc) == math.inf
-        assert acc.device_pde(0) == 0.0
+        assert acc.device_pde()[0] == 0.0
 
     def test_short_term_prefix(self):
         assert short_term_pde([100.0], [1.0]) == pytest.approx(100.0)
@@ -89,7 +96,7 @@ class TestDriftPlusPenalty:
         assert val == pytest.approx(594450.0)
 
     def test_zero_v_removes_penalty_term(self):
-        w = RewardWeights(v1=1, v2=1, v3=1, v4=1, lyapunov_v=0.0)
+        w = SimConfig(v1=1, v2=1, v3=1, v4=1, lyapunov_v=0.0)
         a = drift_plus_penalty_value([WORKED_Q], [WORKED_S], [0.5], [100.0],
                                      [1.0], w)
         b = drift_plus_penalty_value([WORKED_Q], [WORKED_S], [99.0], [100.0],
@@ -137,7 +144,7 @@ class TestReward:
         assert r == pytest.approx(594000.0)
 
     def test_violation_penalty(self):
-        w = RewardWeights(v1=1, v2=1, v3=1, v4=1, violation_penalty=1000.0)
+        w = SimConfig(v1=1, v2=1, v3=1, v4=1, violation_penalty=1000.0)
         r = reward(WORKED_Q, WORKED_S, 0.5, 0.0, w, eta=0)
         assert r == pytest.approx(593000.0)
 
@@ -150,13 +157,33 @@ class TestReward:
             hist = float(rng.uniform(0, 1e5))
             v1, v2, v3, v4 = rng.uniform(0, 2, 4)
             eta = int(rng.integers(0, 2))
-            w = RewardWeights(v1=v1, v2=v2, v3=v3, v4=v4)
+            w = SimConfig(v1=v1, v2=v2, v3=v3, v4=v4)
             got = reward(q, s, t_comm, hist, w, eta)
             want = reward_oracle(q, s, t_comm, hist, v1, v2, v3, v4, eta)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
+    def test_device_arrays_match_scalars(self):
+        # eta masks the PDE term per device; an infinite delay at eta = 0
+        # must not leak into the reward
+        rng = np.random.default_rng(22)
+        k = 6
+        q = QueueTriple(*rng.uniform(0, 1e6, (3, k)))
+        s = SplitAmounts(*rng.uniform(0, 1e5, (5, k)))
+        t_comm = rng.uniform(0, 5, k)
+        t_comm[[1, 4]] = math.inf
+        hist = rng.uniform(0, 1e5, k)
+        eta = np.array([1, 0, 1, 0, 0, 1])
+        w = SimConfig(v1=0.5, v2=1.5, v3=1.0, v4=2.0, violation_penalty=7.0)
+        got = reward(q, s, t_comm, hist, w, eta)
+        assert np.all(np.isfinite(got))
+        for i in range(k):
+            qi = QueueTriple(q.q_local[i], q.q_uav[i], q.q_cloud[i])
+            si = SplitAmounts(s.d_uav[i], s.b_local[i], s.d_cloud[i],
+                              s.b_uav[i], s.b_cloud[i])
+            assert got[i] == reward(qi, si, t_comm[i], hist[i], w, eta[i])
+
     def test_weight_scaling(self):
-        w2 = RewardWeights(v1=2.0, v2=2.0, v3=2.0, v4=2.0)
+        w2 = SimConfig(v1=2.0, v2=2.0, v3=2.0, v4=2.0)
         r1 = reward(WORKED_Q, WORKED_S, 0.5, 0.0, UNIT_WEIGHTS, eta=1)
         r2 = reward(WORKED_Q, WORKED_S, 0.5, 0.0, w2, eta=1)
         assert r2 == pytest.approx(2.0 * r1)

@@ -4,38 +4,46 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uavmec.phy_link import (UplinkSnapshot, cloud_comm_delay, rate, sinr,
-                             total_comm_delay, uplink_comm_delay)
+from uavmec.phy_link import (cloud_comm_delay, rate, sinr, total_comm_delay,
+                             uplink_comm_delay)
 
 
-def snapshot(gains, powers):
-    return UplinkSnapshot(power_gains=np.array(gains, dtype=float),
-                          tx_powers=np.array(powers, dtype=float))
+def sinr0(gains, powers, noise):
+    """SINR of device 0."""
+    return sinr(np.array(gains, dtype=float), np.array(powers, dtype=float),
+                noise)[0]
 
 
 class TestSinr:
     def test_single_device(self):
-        assert sinr(0, snapshot([1e-8], [0.1]), 1e-9) == pytest.approx(1.0)
+        assert sinr0([1e-8], [0.1], 1e-9) == pytest.approx(1.0)
 
     def test_two_equal_devices(self):
-        s = snapshot([1e-8, 1e-8], [0.1, 0.1])
-        assert sinr(0, s, 1e-9) == pytest.approx(0.5)
+        assert sinr0([1e-8, 1e-8], [0.1, 0.1], 1e-9) == pytest.approx(0.5)
 
     def test_zero_power(self):
-        s = snapshot([1e-8, 1e-8], [0.0, 0.1])
-        assert sinr(0, s, 1e-9) == 0.0
+        assert sinr0([1e-8, 1e-8], [0.0, 0.1], 1e-9) == 0.0
 
     def test_scale_invariance(self):
-        s1 = snapshot([1e-8, 2e-8], [0.1, 0.05])
-        s2 = snapshot([7e-8, 14e-8], [0.1, 0.05])
-        assert sinr(0, s1, 1e-9) == pytest.approx(sinr(0, s2, 7e-9))
+        assert sinr0([1e-8, 2e-8], [0.1, 0.05], 1e-9) == pytest.approx(
+            sinr0([7e-8, 14e-8], [0.1, 0.05], 7e-9))
 
     @given(st.floats(1e-12, 1e-6), st.floats(1e-12, 1e-6),
            st.floats(1e-12, 1e-6))
     def test_interferer_never_helps(self, g0, g1, g2):
-        base = sinr(0, snapshot([g0, g1], [0.1, 0.1]), 1e-9)
-        more = sinr(0, snapshot([g0, g1, g2], [0.1, 0.1, 0.1]), 1e-9)
+        base = sinr0([g0, g1], [0.1, 0.1], 1e-9)
+        more = sinr0([g0, g1, g2], [0.1, 0.1, 0.1], 1e-9)
         assert more <= base
+
+
+    def test_every_device_at_once(self):
+        gains = np.array([1e-8, 3e-8, 2e-9])
+        powers = np.array([0.1, 0.05, 0.1])
+        got = sinr(gains, powers, 1e-9)
+        received = gains * powers
+        for k in range(3):
+            interference = float(np.sum(received)) - received[k]
+            assert got[k] == received[k] / (interference + 1e-9)
 
 
 class TestRate:
@@ -65,6 +73,13 @@ class TestDelays:
 
     def test_zero_rate_sentinel(self):
         assert uplink_comm_delay(1000.0, 0.0) == math.inf
+
+    def test_device_arrays_keep_sentinels(self):
+        got = uplink_comm_delay(np.array([0.0, 180e3, 10.0, 0.0]),
+                                np.array([0.0, 180e3, 0.0, 5.0]))
+        assert got.tolist() == [0.0, pytest.approx(1.0), math.inf, 0.0]
+        assert cloud_comm_delay(np.array([0.0, 0.3]), 0.25).tolist() == [
+            0.0, 0.25]
 
     def test_cloud_delay_gate(self):
         assert cloud_comm_delay(0.0, 0.25) == 0.0

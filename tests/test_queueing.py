@@ -128,3 +128,30 @@ class TestArrivals:
         b = [draw_arrival(np.random.default_rng(9), 2.5e5) for _ in range(5)]
         assert a == b
 
+    def test_vector_draw_matches_scalar_draws(self):
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            scalar = [draw_arrival(a, 2.5e5) for _ in range(3)]
+            assert draw_arrival(b, 2.5e5, 3).tolist() == scalar
+            assert a.random() == b.random()
+
+    def test_zero_budget_draws_nothing(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert draw_arrival(a, 0.0, 2).tolist() == [0.0, 0.0]
+        assert a.random() == b.random()
+
+
+class TestDeviceArrays:
+    def test_step_matches_per_device_scalars(self):
+        rng = np.random.default_rng(31)
+        k = 5
+        q = QueueTriple(*rng.uniform(0, 1e6, (3, k)))
+        xu, xc, wu, wc = rng.uniform(0, 1, (4, k))
+        arrivals = rng.uniform(0, 2.5e5, k)
+        s = compute_splits(q, xu, xc, 0.3, wu, wc)
+        nxt = step_queues(q, s, arrivals)
+        for i in range(k):
+            qi = QueueTriple(q.q_local[i], q.q_uav[i], q.q_cloud[i])
+            want = oracle_step(qi, xu[i], xc[i], 0.3, wu[i], wc[i],
+                               arrivals[i])
+            assert (nxt.q_local[i], nxt.q_uav[i], nxt.q_cloud[i]) == want
