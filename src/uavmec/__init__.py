@@ -1,13 +1,12 @@
 """Three-tier IoT/UAV/cloud edge-computing simulator with a DQN allocator."""
 
 from .config import ConfigError, SimConfig, load_config
-from .environment import ActionVector, MecEnvironment, action_catalog
+from .environment import MecEnvironment, action_catalog
 
 __all__ = [
     "ConfigError",
     "SimConfig",
     "load_config",
-    "ActionVector",
     "MecEnvironment",
     "action_catalog",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimConfig
+from .config import POLICY_KINDS, SimConfig
 from .environment import STAY, MecEnvironment, observation_size
 
 # Fraction tuples (x_uav, x_cloud, w_uav, w_cloud) for the fixed baselines:
@@ -242,20 +242,21 @@ class Policy:
     fixed_index: int = None
 
     def __post_init__(self):
-        if self.kind not in ("dqn", "random", "uav_heavy", "cloud_heavy"):
+        if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
 
 
 def _fixed_catalog_index(env: MecEnvironment, fracs: tuple) -> int:
-    target = tuple(fracs for _ in range(env.config.num_devices))
-    for i, a in enumerate(env.catalog):
-        if a.device_fractions == target and a.move == STAY:
-            return i
-    raise ValueError(f"fraction tuple {fracs} not present in the catalog")
+    """First catalog entry with fracs on every device and the UAV staying."""
+    match = np.all(env.fractions == np.reshape(fracs, (4, 1)), axis=(1, 2))
+    hits = np.flatnonzero(match & (env.moves == STAY))
+    if len(hits) == 0:
+        raise ValueError(f"fraction tuple {fracs} not present in the catalog")
+    return int(hits[0])
 
 
 def make_policy(kind: str, env: MecEnvironment, net: QNetwork = None) -> Policy:
-    n = len(env.catalog)
+    n = len(env.moves)
     if kind == "dqn":
         if net is None:
             raise ValueError("dqn policy requires a trained network")
@@ -310,7 +311,7 @@ def train(config: SimConfig, seed=0) -> TrainResult:
     rng_sample = np.random.default_rng(sample_ss)
 
     obs_size = observation_size(config)
-    net = QNetwork(obs_size, config.hidden_sizes, len(env.catalog),
+    net = QNetwork(obs_size, config.hidden_sizes, len(env.moves),
                    rng=np.random.default_rng(init_ss))
     target_net = net.copy()
     buffer = ReplayBuffer(config.buffer_capacity, obs_size)

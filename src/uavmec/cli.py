@@ -8,7 +8,7 @@ import sys
 
 from . import agent as ag
 from . import harness
-from .config import ConfigError, load_config
+from .config import POLICY_KINDS, ConfigError, load_config
 
 
 def _parse_overrides(pairs):
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one frozen policy")
     common(p_eval)
     p_eval.add_argument("--policy", required=True,
-                        choices=["dqn", "random", "uav_heavy", "cloud_heavy"])
+                        choices=POLICY_KINDS)
     p_eval.add_argument("--dump-trajectory", action="store_true",
                         help="also write a per-interval trajectory CSV")
 
@@ -81,12 +81,12 @@ def cmd_eval(args, config) -> int:
     row, records = harness.run_eval(args.policy, config, args.seed,
                                     config.eval_realizations, net=net,
                                     collect_records=True)
-    out_path = os.path.join(
-        args.out, f"eval_{args.policy}_{int(config.i_max)}_{args.seed}.csv")
+    name = f"{args.policy}_{int(config.i_max)}_{args.seed}.csv"
+    out_path = os.path.join(args.out, f"eval_{name}")
     harness.emit_csv([row], out_path)
     print(f"wrote {out_path}")
     if args.dump_trajectory:
-        traj_path = out_path.replace("eval_", "trajectory_")
+        traj_path = os.path.join(args.out, f"trajectory_{name}")
         harness.dump_trajectory(records, traj_path)
         print(f"wrote {traj_path}")
     return 0

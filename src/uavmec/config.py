@@ -19,6 +19,9 @@ class ConfigError(ValueError):
 MOVES = ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 MOVE_NAMES = ("stay", "+x", "-x", "+y", "-y")
 
+# Evaluable policies: the DQN and the three baselines.
+POLICY_KINDS = ("dqn", "random", "uav_heavy", "cloud_heavy")
+
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -157,7 +160,7 @@ class SimConfig:
                   "v3", "v4", "lyapunov_v", "violation_penalty", "q_cap",
                   "tx_power", "noise_power_override_w"]
         for key in nonneg:
-            if getattr(self, key) < 0:
+            if not getattr(self, key) >= 0:  # also false for NaN
                 raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)}")
         for key in ["w_local", "eps_start", "eps_end"]:
             if not 0.0 <= getattr(self, key) <= 1.0:
@@ -188,6 +191,11 @@ class SimConfig:
                 f"tx_power {self.tx_power} exceeds p_max {self.p_max}")
         if len(self.sweep_i_max) == 0 or len(self.sweep_policies) == 0:
             raise ConfigError("sweep_i_max and sweep_policies must be nonempty")
+        for kind in self.sweep_policies:
+            if kind not in POLICY_KINDS:
+                raise ConfigError(
+                    f"unknown policy {kind!r} in sweep_policies; choose "
+                    f"from {', '.join(POLICY_KINDS)}")
         if not math.isfinite(self.eta0_db):
             raise ConfigError("eta0_db must be finite")
         return self

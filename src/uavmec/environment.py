@@ -17,20 +17,9 @@ from . import computation as comp
 from . import objective as obj
 from . import phy_link as phy
 from . import queueing as qs
-from .config import MOVES, ConfigError, SimConfig
+from .config import MOVES, SimConfig
 
 STAY = 0
-
-
-@dataclass(frozen=True)
-class ActionVector:
-    """Joint action: per-device fraction tuples plus one shared UAV move.
-
-    device_fractions holds (x_uav, x_cloud, w_uav, w_cloud) per device; the
-    local processing fraction is a fixed config constant, not an action.
-    """
-    device_fractions: tuple
-    move: int
 
 
 @dataclass
@@ -61,11 +50,12 @@ class TransitionRecord:
 
 
 def action_catalog(config: SimConfig):
-    """Enumerate the full joint action space in a stable lexicographic order.
+    """The full joint action space as (fractions, moves) tables.
 
-    Per-device combinations iterate fastest over the last device and the
-    fraction tuple (x_uav, x_cloud, w_uav, w_cloud); the five UAV moves
-    iterate innermost.
+    fractions[i] holds entry i's x_uav, x_cloud, w_uav, w_cloud rows over the
+    K devices, shape (n, 4, K); w_local is a config constant, not an action.
+    moves[i] is its UAV move, shape (n,). The order is lexicographic: the last
+    device's fraction tuple varies fastest, the five UAV moves innermost.
     """
     size = config.catalog_size
     if size > config.max_catalog_size:
@@ -73,12 +63,12 @@ def action_catalog(config: SimConfig):
             f"joint action catalog has {size} entries, above the configured "
             f"cap {config.max_catalog_size}; a factorized action space is "
             f"out of scope, reduce num_devices or frac_levels")
-    per_device = list(itertools.product(config.frac_levels, repeat=4))
-    catalog = []
-    for fracs in itertools.product(per_device, repeat=config.num_devices):
-        for move in range(len(MOVES)):
-            catalog.append(ActionVector(device_fractions=fracs, move=move))
-    return catalog
+    k = config.num_devices
+    grid = np.array(list(itertools.product(config.frac_levels, repeat=4 * k)))
+    fractions = np.repeat(grid.reshape(-1, k, 4).transpose(0, 2, 1),
+                          len(MOVES), axis=0)
+    moves = np.tile(np.arange(len(MOVES)), len(grid))
+    return fractions, moves
 
 
 def observation_size(config: SimConfig) -> int:
@@ -94,11 +84,11 @@ class MecEnvironment:
     """
 
     def __init__(self, config: SimConfig, seed=0):
-        self.config = config
-        self.catalog = action_catalog(config)
-        # fractions[i]: catalog entry i's x_uav, x_cloud, w_uav, w_cloud rows
-        self.fractions = np.array(
-            [a.device_fractions for a in self.catalog]).transpose(0, 2, 1)
+        # validate() is the only gate: under a config it accepts, c1-c4 are
+        # its own checks and c5-c9 hold by the equal CPU shares and the
+        # clipped _move below, on every step.
+        self.config = config.validate()
+        self.fractions, self.moves = action_catalog(config)
         self.chan_params = ch.ChannelParams(
             eta0=config.eta0, theta=config.path_loss_exp,
             rice_k=config.rician_k, altitude=config.altitude)
@@ -108,32 +98,7 @@ class MecEnvironment:
         self._tier_cpus = np.array([[config.local_cpu_max],
                                     [config.uav_cpu_per_device],
                                     [config.cloud_cpu_per_device]])
-        self._check_constraints()
         self.reset(seed)
-
-    def _check_constraints(self) -> None:
-        """Raise ConfigError naming each of c1-c9 that the config violates.
-
-        Every step takes its fractions from the catalog, the fixed powers and
-        CPU shares and one clipped move, so one check here covers all steps.
-        """
-        cfg = self.config
-        rows = self.fractions.transpose(0, 2, 1).reshape(-1, 4)
-        cpu_local, cpu_uav, cpu_cloud = np.broadcast_to(
-            self._tier_cpus, (3, cfg.num_devices))
-        centre = ch.Position2D(*cfg.area_center)
-        report = obj.check_feasibility(
-            fractions=np.insert(rows, 2, cfg.w_local, axis=1),
-            tx_powers=self._tx_powers, cpu_local=cpu_local, cpu_uav=cpu_uav,
-            cpu_cloud=cpu_cloud,
-            prev_pos=centre, new_pos=self._move(centre, 1),  # one +x move
-            total_delays=np.zeros(cfg.num_devices), config=cfg)
-        failed = [name for name, ok in vars(report).items()
-                  if name.startswith("c") and name != "c10_delay" and not ok]
-        if failed:
-            raise ConfigError(
-                f"configuration violates {', '.join(failed)}; validate() "
-                f"rejects such values")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -188,14 +153,13 @@ class MecEnvironment:
         cfg = self.config
         if self.done:
             raise RuntimeError("step() called on a finished episode")
-        if not 0 <= action_index < len(self.catalog):
+        if not 0 <= action_index < len(self.moves):
             raise IndexError(f"action index {action_index} outside catalog "
-                             f"of size {len(self.catalog)}")
+                             f"of size {len(self.moves)}")
         x_uav, x_cloud, w_uav, w_cloud = self.fractions[action_index]
-        move = self.catalog[action_index].move
 
         # (1) UAV motion, clipped to the service area.
-        self.uav_pos = self._move(self.uav_pos, move)
+        self.uav_pos = self._move(self.uav_pos, self.moves[action_index])
 
         # (2)-(3) fresh block-fading channels, SINR, rates.
         gains = np.array([

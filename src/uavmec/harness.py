@@ -99,7 +99,7 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     episode_seeds = ss.spawn(realizations + 1)
     policy_rng = np.random.default_rng(episode_seeds[-1])
 
-    acc = obj.PdeAccumulator(num_devices=config.num_devices)
+    pd_sum = cd_sum = 0.0
     ql_sum = qu_sum = qc_sum = 0.0
     violations = 0.0
     terminal_dist = 0.0
@@ -112,7 +112,8 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
             tr = env.step(action)
             observation = tr.next_observation
             rec = tr.record
-            acc.record_interval(rec.b_tot, rec.t_comm)
+            pd_sum += float(np.sum(rec.b_tot))
+            cd_sum += float(np.sum(rec.t_comm))
             # Device by device: a pairwise np.sum would round differently.
             q = rec.queues_before
             for k in range(config.num_devices):
@@ -127,9 +128,9 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     n_dev_intervals = n_intervals * config.num_devices
     row = ResultRow(
         policy=policy, i_max=config.i_max, seed=seed,
-        mean_pde=obj.long_term_pde(acc),
-        mean_cd=acc.cum_comm_delay / n_intervals,
-        mean_pd=acc.cum_processed / n_intervals,
+        mean_pde=obj.long_term_pde(pd_sum, cd_sum),
+        mean_cd=cd_sum / n_intervals,
+        mean_pd=pd_sum / n_intervals,
         mean_ql=ql_sum / n_dev_intervals,
         mean_qu=qu_sum / n_dev_intervals,
         mean_qc=qc_sum / n_dev_intervals,

@@ -3,9 +3,9 @@
 The system utility is Processed-Data Efficiency (PDE): aggregate processed
 bits divided by aggregate communication delay. The per-interval reward
 combines weighted queue-drain terms with a PDE-improvement term that is
-gated by the per-device delay-bound indicator eta. The constraint set c1-c9
-holds by construction on every step, so the environment checks it once,
-when it is built.
+gated by the per-device delay-bound indicator eta. check_feasibility is the
+c1-c10 oracle; under a config that passes SimConfig.validate(), c1-c9 hold
+by construction on every step, so the simulator never calls it.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from .queueing import QueueTriple, SplitAmounts
 
 @dataclass
 class PdeAccumulator:
-    """Cumulative processed bits and communication delay, total and per device."""
+    """Cumulative processed bits and communication delay per device."""
     num_devices: int
-    cum_processed: float = 0.0
-    cum_comm_delay: float = 0.0
     per_device_processed: np.ndarray = field(init=False)
     per_device_delay: np.ndarray = field(init=False)
 
@@ -34,8 +32,6 @@ class PdeAccumulator:
 
     def record_interval(self, b_tot: np.ndarray, t_comm: np.ndarray) -> None:
         """Add one interval of per-device processed bits and comm delays."""
-        self.cum_processed += float(np.sum(b_tot))
-        self.cum_comm_delay += float(np.sum(t_comm))
         self.per_device_processed += b_tot
         self.per_device_delay += t_comm
 
@@ -74,11 +70,11 @@ def processed_total(b_local, b_uav, b_cloud):
     return b_local + b_uav + b_cloud
 
 
-def long_term_pde(acc: PdeAccumulator) -> float:
+def long_term_pde(processed: float, comm_delay: float) -> float:
     """Cumulative processed bits over cumulative comm delay, all devices."""
-    if acc.cum_comm_delay <= 0.0:
-        return math.inf if acc.cum_processed > 0.0 else 0.0
-    return acc.cum_processed / acc.cum_comm_delay
+    if comm_delay <= 0.0:
+        return math.inf if processed > 0.0 else 0.0
+    return processed / comm_delay
 
 
 def short_term_pde(processed, delays) -> float:

@@ -339,16 +339,22 @@ class TestPolicies:
 
     def test_uav_heavy_decodes(self):
         pol = make_policy("uav_heavy", self.env)
-        action = self.env.catalog[pol.fixed_index]
-        assert action.move == STAY
-        assert all(f == UAV_HEAVY_FRACS for f in action.device_fractions)
+        fracs = self.env.fractions[pol.fixed_index]
+        assert self.env.moves[pol.fixed_index] == STAY
+        assert all(tuple(f) == UAV_HEAVY_FRACS for f in fracs.T.tolist())
 
     def test_cloud_heavy_decodes(self):
         pol = make_policy("cloud_heavy", self.env)
-        action = self.env.catalog[pol.fixed_index]
-        assert action.move == STAY
-        assert all(f == CLOUD_HEAVY_FRACS for f in action.device_fractions)
-        assert action.device_fractions[0][1] == 0.6  # x_cloud
+        fracs = self.env.fractions[pol.fixed_index]
+        assert self.env.moves[pol.fixed_index] == STAY
+        assert all(tuple(f) == CLOUD_HEAVY_FRACS for f in fracs.T.tolist())
+        assert fracs[1, 0] == 0.6  # x_cloud of device 0
+
+    def test_fixed_fracs_missing_from_catalog(self):
+        env = MecEnvironment(SimConfig(num_devices=1, frac_levels=(0.0, 1.0)),
+                             seed=0)
+        with pytest.raises(ValueError, match="not present in the catalog"):
+            make_policy("uav_heavy", env)
 
     def test_fixed_policy_ignores_observation(self):
         pol = make_policy("uav_heavy", self.env)

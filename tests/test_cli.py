@@ -47,6 +47,15 @@ class TestEval:
         assert traj.read_text().splitlines()[0] == (
             "interval,device,ql,qu,qc,reward,eta,t_comm,b_tot")
 
+    def test_trajectory_lands_in_out_dir(self, tmp_path):
+        # only the file name changes prefix, never the directory
+        out = tmp_path / "eval_runs"
+        rc = main(["eval", "--policy", "random", "--out", str(out),
+                   "--dump-trajectory"] + FAST)
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "eval_random_250000_0.csv", "trajectory_random_250000_0.csv"]
+
 
 class TestSweep:
     def test_grid_rows(self, tmp_path):

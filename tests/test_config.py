@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
-from uavmec.config import (ConfigError, SimConfig, db_to_linear,
-                           dbm_to_watts, load_config)
+from uavmec.config import (POLICY_KINDS, ConfigError, SimConfig,
+                           db_to_linear, dbm_to_watts, load_config)
 
 
 class TestConversions:
@@ -105,6 +107,17 @@ class TestValidate:
             SimConfig(frac_levels=()).validate()
         with pytest.raises(ConfigError, match="frac_levels must be nonempty"):
             load_config(None, {"frac_levels": ""})
+
+    def test_unknown_sweep_policy(self):
+        # run_sweep would train every network before reaching the bad name
+        with pytest.raises(ConfigError, match="'randm'"):
+            SimConfig(sweep_policies=("dqn", "randm")).validate()
+        SimConfig(sweep_policies=POLICY_KINDS).validate()
+
+    def test_nonnegative_fields_reject_nan(self):
+        # a NaN speed bound would pass a `< 0` test and move the UAV to (0, 0)
+        with pytest.raises(ConfigError, match="v_max"):
+            SimConfig(v_max=math.nan).validate()
 
     def test_catalog_cap(self):
         cfg = SimConfig(num_devices=3)

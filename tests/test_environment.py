@@ -1,12 +1,13 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from uavmec import computation as comp, objective as obj
 from uavmec.config import MOVE_NAMES, MOVES, ConfigError, SimConfig
-from uavmec.environment import (STAY, ActionVector, MecEnvironment,
-                                action_catalog, observation_size)
+from uavmec.environment import (STAY, MecEnvironment, action_catalog,
+                                observation_size)
 from uavmec.objective import reward as reward_fn
 from uavmec.queueing import QueueTriple, compute_splits, step_queues
 
@@ -17,6 +18,11 @@ def device(container, k):
                              for f in dataclasses.fields(container)))
 
 
+def device_fractions(fractions, i):
+    """Catalog entry i's (x_uav, x_cloud, w_uav, w_cloud) tuple per device."""
+    return tuple(tuple(row) for row in fractions[i].T.tolist())
+
+
 def small_config(**kw):
     base = dict(num_devices=1, n_intervals=5)
     base.update(kw)
@@ -25,25 +31,31 @@ def small_config(**kw):
 
 class TestActionCatalog:
     def test_single_device_count(self):
-        assert len(action_catalog(small_config())) == 80
+        fractions, moves = action_catalog(small_config())
+        assert len(moves) == 80
+        assert fractions.shape == (80, 4, 1)
 
     def test_two_device_count(self):
-        assert len(action_catalog(SimConfig(num_devices=2))) == 1280
+        fractions, moves = action_catalog(SimConfig(num_devices=2))
+        assert len(moves) == 1280
+        assert fractions.shape == (1280, 4, 2)
 
     def test_moves_iterate_innermost(self):
-        cat = action_catalog(small_config())
-        assert cat[0].device_fractions == ((0.3, 0.3, 0.3, 0.3),)
-        assert cat[0].move == STAY
-        assert [a.move for a in cat[:5]] == [0, 1, 2, 3, 4]
+        fr, moves = action_catalog(small_config())
+        assert device_fractions(fr, 0) == ((0.3, 0.3, 0.3, 0.3),)
+        assert moves[0] == STAY
+        assert moves[:5].tolist() == [0, 1, 2, 3, 4]
         # after a full move cycle the last fraction coordinate flips
-        assert cat[5].device_fractions == ((0.3, 0.3, 0.3, 0.6),)
-        assert cat[5].move == STAY
-        assert cat[-1].device_fractions == ((0.6, 0.6, 0.6, 0.6),)
-        assert cat[-1].move == 4
+        assert device_fractions(fr, 5) == ((0.3, 0.3, 0.3, 0.6),)
+        assert moves[5] == STAY
+        assert device_fractions(fr, -1) == ((0.6, 0.6, 0.6, 0.6),)
+        assert moves[-1] == 4
 
     def test_entries_unique(self):
-        cat = action_catalog(SimConfig(num_devices=2))
-        assert len({(a.device_fractions, a.move) for a in cat}) == len(cat)
+        fr, moves = action_catalog(SimConfig(num_devices=2))
+        entries = {(device_fractions(fr, i), int(moves[i]))
+                   for i in range(len(moves))}
+        assert len(entries) == len(moves)
 
     def test_catalog_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -53,7 +65,8 @@ class TestActionCatalog:
         SimConfig(num_devices=1), SimConfig(num_devices=2),
         SimConfig(num_devices=1, frac_levels=(0.0, 0.3, 0.6))])
     def test_size_matches_config(self, cfg):
-        assert len(action_catalog(cfg)) == cfg.catalog_size
+        fractions, moves = action_catalog(cfg)
+        assert len(moves) == len(fractions) == cfg.catalog_size
 
     def test_move_tables_consistent(self):
         assert len(MOVES) == len(MOVE_NAMES) == 5
@@ -137,14 +150,14 @@ class TestConstraintsAtConstruction:
         (dict(local_cpu_max=-1.0), "c4_local_cpu"),
     ])
     def test_unvalidated_violation_raises(self, overrides, name):
-        # validate() would reject these values; the environment must too
+        # the environment validates the config it is given, so values that
+        # would break c1-c4 are rejected with validate()'s own message
+        message = {"c1_power": "exceeds p_max",
+                   "c2_offload_fracs": "frac_levels",
+                   "c3_compute_fracs": "w_local",
+                   "c4_local_cpu": "local_cpu_max"}[name]
         cfg = small_config(**overrides)
-        with pytest.raises(ConfigError, match=name):
-            MecEnvironment(cfg)
-
-    def test_report_of_every_failure(self):
-        cfg = small_config(tx_power=0.2, frac_levels=(0.3, 1.2))
-        with pytest.raises(ConfigError, match="c1_power, c2_offload_fracs"):
+        with pytest.raises(ConfigError, match=message):
             MecEnvironment(cfg)
 
     def test_step_does_not_recheck(self, monkeypatch):
@@ -156,6 +169,38 @@ class TestConstraintsAtConstruction:
         monkeypatch.setattr(obj, "check_feasibility", fail)
         while not env.done:
             env.step(0)
+
+
+class TestConstraintsOnEveryStep:
+    """Under a validated config, c1-c9 hold on every step by construction."""
+
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(n_intervals=40),
+        # a move is longer than the area, so every step's clip is active
+        small_config(n_intervals=40, frac_levels=(0.0, 1.0), area_size=10.0),
+        SimConfig(n_intervals=40, tx_power=0.05),
+    ])
+    def test_validated_config_meets_c1_to_c9(self, cfg):
+        env = MecEnvironment(cfg.validate(), seed=4)
+        rng = np.random.default_rng(8)
+        # the fixed powers and CPU shares step() applies to every device
+        cpu_local, cpu_uav, cpu_cloud = np.broadcast_to(
+            env._tier_cpus, (3, cfg.num_devices))
+        while not env.done:
+            idx = int(rng.integers(0, len(env.moves)))
+            prev = env.uav_pos
+            rec = env.step(idx).record
+            rows = env.fractions[idx].T   # x_uav, x_cloud, w_uav, w_cloud
+            report = obj.check_feasibility(
+                fractions=np.insert(rows, 2, cfg.w_local, axis=1),
+                tx_powers=env._tx_powers, cpu_local=cpu_local,
+                cpu_uav=cpu_uav, cpu_cloud=cpu_cloud,
+                prev_pos=prev, new_pos=rec.uav_pos,
+                total_delays=comp.total_task_delay(rec.delays), config=cfg)
+            failed = [name for name, ok in vars(report).items()
+                      if name.startswith("c") and name != "c10_delay"
+                      and not ok]
+            assert failed == []
 
 
 class TestStepContracts:
@@ -191,7 +236,7 @@ class TestStepContracts:
         assert env.uav_pos.y == start.y
         rng = np.random.default_rng(0)
         while not env.done:
-            env.step(int(rng.integers(0, len(env.catalog))))
+            env.step(int(rng.integers(0, len(env.moves))))
             assert 0.0 <= env.uav_pos.x <= cfg.area_size
             assert 0.0 <= env.uav_pos.y <= cfg.area_size
 
@@ -201,7 +246,7 @@ class TestStepContracts:
         rng = np.random.default_rng(1)
         while not env.done:
             prev = env.uav_pos
-            env.step(int(rng.integers(0, len(env.catalog))))
+            env.step(int(rng.integers(0, len(env.moves))))
             # c7 (speed) and c9 (area), measured on the move itself
             assert prev.displacement(env.uav_pos) <= (
                 cfg.v_max * cfg.tau * (1 + 1e-12))
@@ -220,7 +265,7 @@ class TestStepPhysics:
         env = MecEnvironment(SimConfig(num_devices=2, n_intervals=20), seed=5)
         rng = np.random.default_rng(2)
         while not env.done:
-            t = env.step(int(rng.integers(0, len(env.catalog))))
+            t = env.step(int(rng.integers(0, len(env.moves))))
             rec = t.record
             for k in range(2):
                 want = reward_fn(device(rec.queues_before, k),
@@ -240,12 +285,11 @@ class TestStepPhysics:
         rng = np.random.default_rng(4)
         shadow = [QueueTriple(0.0, 0.0, 0.0) for _ in range(2)]
         while not env.done:
-            idx = int(rng.integers(0, len(env.catalog)))
-            action = env.catalog[idx]
+            idx = int(rng.integers(0, len(env.moves)))
             t = env.step(idx)
             for k in range(2):
                 assert device(t.record.queues_before, k) == shadow[k]
-                xu, xc, wu, wc = action.device_fractions[k]
+                xu, xc, wu, wc = env.fractions[idx][:, k].tolist()
                 s = compute_splits(shadow[k], xu, xc, cfg.w_local, wu, wc)
                 shadow[k] = step_queues(s=s, q=shadow[k],
                                         arrival=float(t.record.arrivals[k]))
@@ -263,12 +307,19 @@ class TestStepPhysics:
         assert comp.total_task_delay(rec.delays).shape == (2,)
 
     def test_fraction_table_matches_catalog(self):
-        env = MecEnvironment(SimConfig(num_devices=2), seed=0)
-        assert env.fractions.shape == (len(env.catalog), 4, 2)
-        for i in (0, 1, 77, 640, len(env.catalog) - 1):
-            for k in range(2):
-                assert tuple(env.fractions[i][:, k]) == (
-                    env.catalog[i].device_fractions[k])
+        # the tables against the nested enumeration they encode: every
+        # device's fraction tuple, last device fastest, moves innermost
+        cfg = SimConfig(num_devices=2)
+        env = MecEnvironment(cfg, seed=0)
+        assert env.fractions.shape == (len(env.moves), 4, 2)
+        per_device = itertools.product(cfg.frac_levels, repeat=4)
+        nested = [(fracs, move)
+                  for fracs in itertools.product(per_device, repeat=2)
+                  for move in range(len(MOVES))]
+        assert len(nested) == len(env.moves)
+        for i, (fracs, move) in enumerate(nested):
+            assert device_fractions(env.fractions, i) == fracs
+            assert env.moves[i] == move
 
     def test_rates_follow_shannon(self):
         cfg = small_config()
@@ -295,16 +346,9 @@ class TestStepPhysics:
             rng = np.random.default_rng(6)
             out = []
             while not env.done:
-                t = env.step(int(rng.integers(0, len(env.catalog))))
+                t = env.step(int(rng.integers(0, len(env.moves))))
                 out.append((t.reward, tuple(t.record.power_gains),
                             tuple(t.record.arrivals), env.uav_pos))
             return out
 
         assert run() == run()
-
-
-class TestActionVector:
-    def test_frozen(self):
-        a = ActionVector(device_fractions=((0.3, 0.3, 0.3, 0.3),), move=0)
-        with pytest.raises(AttributeError):
-            a.move = 1

@@ -37,14 +37,14 @@ class TestProcessedTotal:
 class TestPdeAccumulator:
     def test_empty(self):
         acc = PdeAccumulator(num_devices=2)
-        assert long_term_pde(acc) == 0.0
+        assert long_term_pde(0.0, 0.0) == 0.0
         assert short_term_pde([], []) == 0.0
         assert acc.device_pde()[0] == 0.0
 
     def test_single_interval(self):
         acc = PdeAccumulator(num_devices=2)
         acc.record_interval(np.array([450.0, 50.0]), np.array([0.5, 0.5]))
-        assert long_term_pde(acc) == pytest.approx(500.0)
+        assert long_term_pde(450.0 + 50.0, 0.5 + 0.5) == pytest.approx(500.0)
         assert short_term_pde([500.0], [1.0]) == pytest.approx(500.0)
         assert acc.device_pde()[0] == pytest.approx(900.0)
         assert acc.device_pde()[1] == pytest.approx(100.0)
@@ -59,7 +59,7 @@ class TestPdeAccumulator:
     def test_zero_delay_with_processed_bits(self):
         acc = PdeAccumulator(num_devices=1)
         acc.record_interval(np.array([100.0]), np.array([0.0]))
-        assert long_term_pde(acc) == math.inf
+        assert long_term_pde(100.0, 0.0) == math.inf
         assert acc.device_pde()[0] == 0.0
 
     def test_short_term_prefix(self):
@@ -73,12 +73,11 @@ class TestPdeAccumulator:
         for _ in range(50):
             b_tot, t_comm = rng.uniform(0, 1e4, 3), rng.uniform(0, 2, 3)
             acc.record_interval(b_tot, t_comm)
-            processed.append(float(np.sum(b_tot)))
-            delays.append(float(np.sum(t_comm)))
-        assert acc.cum_processed == pytest.approx(sum(processed))
-        assert acc.cum_comm_delay == pytest.approx(sum(delays))
-        assert acc.cum_processed == pytest.approx(
-            float(np.sum(acc.per_device_processed)))
+            processed.append(b_tot)
+            delays.append(t_comm)
+        assert acc.per_device_processed == pytest.approx(
+            np.sum(processed, axis=0))
+        assert acc.per_device_delay == pytest.approx(np.sum(delays, axis=0))
 
 
 class TestDriftPlusPenalty:
