@@ -1,12 +1,13 @@
 """Three-tier IoT/UAV/cloud edge-computing simulator with a DQN allocator."""
 
 from .config import ConfigError, SimConfig, load_config
-from .environment import MecEnvironment, action_catalog
+from .environment import Lockstep, MecEnvironment, action_catalog
 
 __all__ = [
     "ConfigError",
     "SimConfig",
     "load_config",
+    "Lockstep",
     "MecEnvironment",
     "action_catalog",
 ]

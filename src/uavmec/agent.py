@@ -115,15 +115,24 @@ def forward(net: QNetwork, obs: np.ndarray) -> np.ndarray:
     return out[0] if np.ndim(obs) == 1 else out
 
 
+def greedy_action(net: QNetwork, obs: np.ndarray):
+    """Argmax action of one observation, or of each row of a batch.
+
+    Ties break to the lowest index. A batch's matrix product can round
+    Q-values differently in the last bit from a single row's.
+    """
+    # Not forward_cached: perfbench times that method as the target pass alone.
+    q = np.matmul(net.hidden(np.asarray(obs, dtype=float)), net.weights[-1])
+    q += net.biases[-1]
+    return int(np.argmax(q)) if q.ndim == 1 else np.argmax(q, axis=1)
+
+
 def select_action(net: QNetwork, obs: np.ndarray, epsilon: float,
                   rng: np.random.Generator) -> int:
     """Epsilon-greedy over the catalog; argmax ties break to the lowest index."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(net.output_size))
-    # Not forward_cached: perfbench times that method as the target pass alone.
-    q = np.matmul(net.hidden(np.asarray(obs, dtype=float)), net.weights[-1])
-    q += net.biases[-1]
-    return int(np.argmax(q))
+    return greedy_action(net, obs)
 
 
 def sync_target(net: QNetwork, target_net: QNetwork) -> None:
@@ -276,13 +285,29 @@ def make_policy(kind: str, env: MecEnvironment, net: QNetwork = None) -> Policy:
 
 
 def baseline_action(policy: Policy, obs: np.ndarray,
-                    rng: np.random.Generator) -> int:
-    """Action choice for any policy kind (greedy for dqn)."""
+                    rng: np.random.Generator):
+    """Action choice for any policy kind (greedy for dqn).
+
+    A dqn policy also takes a batch of observations, one per row, and
+    returns one action per row.
+    """
     if policy.kind == "dqn":
-        return select_action(policy.net, obs, 0.0, rng)
+        return greedy_action(policy.net, obs)
     if policy.kind == "random":
         return int(rng.integers(policy.n_actions))
     return policy.fixed_index
+
+
+def action_table(policy: Policy, rng: np.random.Generator, episodes: int,
+                 n_intervals: int):
+    """(episodes, n_intervals) actions of an observation-free policy; None
+    for dqn. The random table equals baseline_action's scalar draws made
+    episode by episode."""
+    if policy.kind == "dqn":
+        return None
+    if policy.kind == "random":
+        return rng.integers(policy.n_actions, size=(episodes, n_intervals))
+    return np.full((episodes, n_intervals), policy.fixed_index)
 
 
 def normalize_observation(obs: np.ndarray, config: SimConfig) -> np.ndarray:

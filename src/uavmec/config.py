@@ -17,7 +17,6 @@ class ConfigError(ValueError):
 
 # UAV grid moves, one interval each: stay, +x, -x, +y, -y.
 MOVES = ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-MOVE_NAMES = ("stay", "+x", "-x", "+y", "-y")
 
 # Evaluable policies: the DQN and the three baselines.
 POLICY_KINDS = ("dqn", "random", "uav_heavy", "cloud_heavy")
@@ -162,6 +161,10 @@ class SimConfig:
         for key in nonneg:
             if not getattr(self, key) >= 0:  # also false for NaN
                 raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)}")
+        # rician_k = inf is pure line of sight (channel.rician_sample).
+        for key in positive + nonneg:
+            if key != "rician_k" and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         for key in ["w_local", "eps_start", "eps_end"]:
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1], got {getattr(self, key)}")

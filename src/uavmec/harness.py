@@ -12,7 +12,7 @@ import numpy as np
 from . import agent as ag
 from . import objective as obj
 from .config import SimConfig
-from .environment import MecEnvironment
+from .environment import Lockstep, MecEnvironment
 
 CSV_HEADER = ("policy,i_max,seed,mean_pde,mean_cd,mean_pd,mean_ql,mean_qu,"
               "mean_qc,c10_violation_rate,terminal_uav_distance")
@@ -22,6 +22,10 @@ TRAJECTORY_HEADER = "interval,device,ql,qu,qc,reward,eta,t_comm,b_tot"
 # Entropy salt separating evaluation streams from training streams that are
 # derived from the same user-facing seed.
 _EVAL_SALT = 0xE7A1
+
+# Bytes of per-interval values run_eval keeps for one lockstep block: 174
+# realizations at the default 1000 intervals and 2 devices.
+EVAL_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,16 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     """Average metrics of a frozen policy over independent episodes.
 
     Every realization gets fresh channel/arrival streams derived from the
-    seed. Returns a ResultRow (plus the per-interval records of the last
-    episode when collect_records is set).
+    seed. Realizations run in Lockstep blocks sized by EVAL_BLOCK_BYTES: per
+    interval, each realization makes its own draws in its step(), and one
+    pass of the backlog stages and one policy call serve the whole block.
+    The stored per-interval values are summed one at a time in
+    realization-major order, as one episode after another would be, so rows
+    do not depend on the block size; a dqn row could only where the batched
+    forward pass breaks a near-tie of Q-values the other way.
+
+    Returns a ResultRow (plus the per-interval records of the last episode
+    when collect_records is set).
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
@@ -99,44 +111,72 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     episode_seeds = ss.spawn(realizations + 1)
     policy_rng = np.random.default_rng(episode_seeds[-1])
 
-    pd_sum = cd_sum = 0.0
-    ql_sum = qu_sum = qc_sum = 0.0
-    violations = 0.0
+    n_intervals, n_devices = config.n_intervals, config.num_devices
+    block = max(1, EVAL_BLOCK_BYTES // (6 * 8 * n_intervals * n_devices))
+    # Processed bits, comm delay and the local, UAV and cloud backlogs.
+    totals = [0.0] * 5
+    violations = 0
     terminal_dist = 0.0
-    for r in range(realizations):
-        observation = env.reset(episode_seeds[r])
-        records = []
-        while not env.done:
-            o = ag.normalize_observation(observation, config)
-            action = ag.baseline_action(pol, o, policy_rng)
-            tr = env.step(action)
+    records = []
+    for start in range(0, realizations, block):
+        seeds = episode_seeds[start:min(start + block, realizations)]
+        batch = Lockstep(env, seeds)
+        observation = batch.observe()
+        table = ag.action_table(pol, policy_rng, len(seeds), n_intervals)
+        # b_tot, t_comm, the three backlogs and eta per interval,
+        # realization and device.
+        values = np.empty((6, n_intervals, len(seeds), n_devices))
+        for n in range(n_intervals):
+            if table is None:
+                actions = ag.baseline_action(
+                    pol, ag.normalize_observation(observation, config),
+                    policy_rng)
+            else:
+                actions = table[:, n]
+            tr = batch.step(actions)
             observation = tr.next_observation
             rec = tr.record
-            pd_sum += float(np.sum(rec.b_tot))
-            cd_sum += float(np.sum(rec.t_comm))
-            # Device by device: a pairwise np.sum would round differently.
             q = rec.queues_before
-            for k in range(config.num_devices):
-                ql_sum += q.q_local[k]
-                qu_sum += q.q_uav[k]
-                qc_sum += q.q_cloud[k]
-            violations += float(np.sum(1 - rec.eta))
-            if collect_records:
-                records.append(rec)
-        terminal_dist += env.terminal_distance()
-    n_intervals = realizations * config.n_intervals
-    n_dev_intervals = n_intervals * config.num_devices
+            values[:, n] = (rec.b_tot, rec.t_comm, q.q_local, q.q_uav,
+                            q.q_cloud, rec.eta)
+            if collect_records and start + block >= realizations:
+                records.append(rec.realization(-1))
+        # PD and CD add one device sum per interval, the backlogs every
+        # device value.
+        per_interval = np.sum(values[:2], axis=-1).transpose(0, 2, 1)
+        for i in range(2):
+            totals[i] = _running_sum(totals[i], per_interval[i])
+        for i in range(2, 5):
+            totals[i] = _running_sum(totals[i], values[i].transpose(1, 0, 2))
+        violations += int(np.count_nonzero(values[5] == 0))
+        for dist in batch.terminal_distance():
+            terminal_dist += dist
+    # The row's field types stay as they were: floats for PD and CD, numpy
+    # scalars for the backlog means.
+    pd_sum, cd_sum, ql_sum, qu_sum, qc_sum = totals
+    pd_sum, cd_sum = float(pd_sum), float(cd_sum)
+    total_intervals = realizations * n_intervals
+    n_dev_intervals = total_intervals * n_devices
     row = ResultRow(
         policy=policy, i_max=config.i_max, seed=seed,
         mean_pde=obj.long_term_pde(pd_sum, cd_sum),
-        mean_cd=cd_sum / n_intervals,
-        mean_pd=pd_sum / n_intervals,
+        mean_cd=cd_sum / total_intervals,
+        mean_pd=pd_sum / total_intervals,
         mean_ql=ql_sum / n_dev_intervals,
         mean_qu=qu_sum / n_dev_intervals,
         mean_qc=qc_sum / n_dev_intervals,
         c10_violation_rate=violations / n_dev_intervals,
         terminal_uav_distance=terminal_dist / realizations)
     return (row, records) if collect_records else row
+
+
+def _running_sum(total, values: np.ndarray):
+    """total + v0 + v1 + ... over values in C order, added one at a time.
+
+    np.add.accumulate adds sequentially, where np.sum would add pairwise and
+    round differently.
+    """
+    return np.add.accumulate(np.concatenate(([total], values.ravel())))[-1]
 
 
 def run_sweep(spec: SweepSpec, config: SimConfig, out_dir: str = None):

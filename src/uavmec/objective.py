@@ -21,14 +21,17 @@ from .queueing import QueueTriple, SplitAmounts
 
 @dataclass
 class PdeAccumulator:
-    """Cumulative processed bits and communication delay per device."""
-    num_devices: int
+    """Cumulative processed bits and communication delay per device.
+
+    shape is K, or (R, K) for R lockstep realizations.
+    """
+    shape: tuple
     per_device_processed: np.ndarray = field(init=False)
     per_device_delay: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.per_device_processed = np.zeros(self.num_devices)
-        self.per_device_delay = np.zeros(self.num_devices)
+        self.per_device_processed = np.zeros(self.shape)
+        self.per_device_delay = np.zeros(self.shape)
 
     def record_interval(self, b_tot: np.ndarray, t_comm: np.ndarray) -> None:
         """Add one interval of per-device processed bits and comm delays."""
@@ -37,7 +40,7 @@ class PdeAccumulator:
 
     def device_pde(self) -> np.ndarray:
         """Historical PDE of every device; 0 for a device with no delay yet."""
-        out = np.zeros(self.num_devices)
+        out = np.zeros(self.shape)
         np.divide(self.per_device_processed, self.per_device_delay, out=out,
                   where=self.per_device_delay > 0.0)
         return out

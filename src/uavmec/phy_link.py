@@ -17,11 +17,12 @@ from .computation import work_delay
 def sinr(power_gains, tx_powers, noise_power: float) -> np.ndarray:
     """Multi-access uplink SINR of every device at the UAV.
 
-    power_gains (|h_k|^2) and tx_powers (W) are (K,) arrays; each interferer
-    contributes with its own channel gain.
+    power_gains (|h_k|^2) are (K,) arrays, or (R, K) for R realizations,
+    and tx_powers (W) are (K,); each interferer contributes with its own
+    channel gain.
     """
     received = np.multiply(power_gains, tx_powers)
-    interference = float(np.sum(received)) - received
+    interference = received.sum(axis=-1, keepdims=True) - received
     return received / (interference + noise_power)
 
 

@@ -10,6 +10,8 @@ repeated runs skip the training cost. A cached file is named by i_max, seed
 and a hash of the training config and agent.CHECKPOINT_VERSION, so a change
 to either trains fresh networks under new names (bump the version when a code
 change alters training). Delete the directory to retrain from scratch.
+Criteria 7-10, the ones that use those networks, are marked slow:
+``pytest -m "not slow"`` skips them.
 """
 
 import math
@@ -256,6 +258,7 @@ def test_criterion_06_sweep_determinism(tmp_path):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_pde_trend(full_scale_rows):
     pde = {p: mean_metric(rows, "mean_pde")
            for p, rows in full_scale_rows.items()}
@@ -272,6 +275,7 @@ def test_criterion_07_pde_trend(full_scale_rows):
     assert ratio >= 1.10, f"DQN/best-baseline ratio {ratio:.3f} below 1.10"
 
 
+@pytest.mark.slow
 def test_criterion_08_cd_trend(full_scale_rows):
     cd = {p: mean_metric(rows, "mean_cd")
           for p, rows in full_scale_rows.items()}
@@ -282,6 +286,7 @@ def test_criterion_08_cd_trend(full_scale_rows):
     assert ok, f"CD ordering UAV < DQN < Random < Cloud violated: {cd}"
 
 
+@pytest.mark.slow
 def test_criterion_09_sweep_monotonicity(default_config, trained_nets):
     spec = harness.SweepSpec(
         i_max_values=tuple(default_config.sweep_i_max),
@@ -306,6 +311,7 @@ def test_criterion_09_sweep_monotonicity(default_config, trained_nets):
     assert ok, f"Spearman rank correlation not > 0.9 everywhere: {details}"
 
 
+@pytest.mark.slow
 def test_criterion_10_queue_stability(default_config, trained_nets):
     _, records = harness.run_eval("dqn", default_config, seed=0,
                                   realizations=1, net=trained_nets[0],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uavmec.agent import (CLOUD_HEAVY_FRACS, UAV_HEAVY_FRACS, Policy,
-                          QNetwork, ReplayBuffer,
+                          QNetwork, ReplayBuffer, action_table,
                           baseline_action, forward, load_checkpoint,
                           make_policy, normalize_observation, save_checkpoint,
                           select_action, sync_target, td_loss, train,
@@ -369,6 +369,34 @@ class TestPolicies:
         draws = {baseline_action(pol, np.zeros(6), rng) for _ in range(5000)}
         assert min(draws) >= 0 and max(draws) < 1280
         assert len(draws) > 1000
+
+    def test_action_tables(self):
+        rng = np.random.default_rng(3)
+        pol = make_policy("random", self.env)
+        table = action_table(pol, rng, 4, 50)
+        # the same values as scalar draws, episode after episode
+        rng = np.random.default_rng(3)
+        assert table.tolist() == [[baseline_action(pol, np.zeros(6), rng)
+                                   for _ in range(50)] for _ in range(4)]
+        pol = make_policy("uav_heavy", self.env)
+        assert np.all(action_table(pol, rng, 2, 3) == pol.fixed_index)
+        net = tiny_net(input_size=6, output_size=1280)
+        pol = make_policy("dqn", self.env, net)
+        assert action_table(pol, rng, 2, 3) is None
+
+    def test_batched_greedy_matches_single(self):
+        rng = np.random.default_rng(8)
+        net = QNetwork(6, (64, 64), 1280, rng=rng)
+        net.weights[-1] = rng.standard_normal(net.weights[-1].shape)
+        net.biases[-1] = rng.standard_normal(1280)
+        obs = rng.random((2000, 6))
+        batch = baseline_action(make_policy("dqn", self.env, net), obs, rng)
+        single = [select_action(net, o, 0.0, rng) for o in obs]
+        # one matrix product for the batch rounds the Q-values differently
+        # from one row at a time, which can only decide a near-tie
+        top2 = np.sort(forward(net, obs), axis=1)[:, -2:]
+        near_tie = top2[:, 1] - top2[:, 0] < 1e-12 * np.abs(top2[:, 1])
+        assert np.all((batch == single) | near_tie)
 
 
 class TestNormalizeObservation:

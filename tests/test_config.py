@@ -4,6 +4,7 @@ import pytest
 
 from uavmec.config import (POLICY_KINDS, ConfigError, SimConfig,
                            db_to_linear, dbm_to_watts, load_config)
+from uavmec.harness import run_eval
 
 
 class TestConversions:
@@ -118,6 +119,19 @@ class TestValidate:
         # a NaN speed bound would pass a `< 0` test and move the UAV to (0, 0)
         with pytest.raises(ConfigError, match="v_max"):
             SimConfig(v_max=math.nan).validate()
+
+    @pytest.mark.parametrize("key", ["area_size", "i_max", "bandwidth"])
+    def test_infinite_values_rejected(self, key):
+        # infinite area_size or i_max overflows the uniform draws of
+        # run_eval; an infinite bandwidth reports a PDE of 0.0
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            SimConfig(**{key: math.inf}).validate()
+
+    def test_infinite_rician_k_runs(self):
+        # rician_k = inf is valid: pure line-of-sight fading
+        cfg = SimConfig(num_devices=1, n_intervals=5, rician_k=math.inf)
+        row = run_eval("random", cfg.validate(), seed=1, realizations=2)
+        assert math.isfinite(row.mean_pde) and row.mean_pd > 0.0
 
     def test_catalog_cap(self):
         cfg = SimConfig(num_devices=3)

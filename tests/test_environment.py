@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from uavmec import computation as comp, objective as obj
-from uavmec.config import MOVE_NAMES, MOVES, ConfigError, SimConfig
-from uavmec.environment import (STAY, MecEnvironment, action_catalog,
-                                observation_size)
+from uavmec.config import MOVES, ConfigError, SimConfig
+from uavmec.environment import (STAY, Lockstep, MecEnvironment,
+                                action_catalog, observation_size)
 from uavmec.objective import reward as reward_fn
 from uavmec.queueing import QueueTriple, compute_splits, step_queues
 
@@ -69,7 +69,7 @@ class TestActionCatalog:
         assert len(moves) == len(fractions) == cfg.catalog_size
 
     def test_move_tables_consistent(self):
-        assert len(MOVES) == len(MOVE_NAMES) == 5
+        assert len(MOVES) == 5
         assert MOVES[STAY] == (0.0, 0.0)
 
 
@@ -352,3 +352,62 @@ class TestStepPhysics:
             return out
 
         assert run() == run()
+
+
+def assert_same_values(a, b):
+    """Every field of two records (nested dataclasses of arrays) bit for bit."""
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_values(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert np.array_equal(a, b), (a, b)
+
+
+def qs_row(queues, r):
+    """Realization r's queues from lockstep (R, K) queues."""
+    return type(queues)(*(getattr(queues, f.name)[r]
+                          for f in dataclasses.fields(queues)))
+
+
+class TestLockstep:
+    """R realizations stepped together match R single-realization runs."""
+
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(num_devices=2, n_intervals=30),
+        small_config(n_intervals=30, include_uav_position=True,
+                     area_size=50.0),
+    ])
+    def test_matches_separate_realizations(self, cfg):
+        seeds = [11, 12, 13]
+        actions = np.random.default_rng(4).integers(
+            0, cfg.catalog_size, size=(cfg.n_intervals, len(seeds)))
+        batch = Lockstep(MecEnvironment(cfg), seeds)
+        obs = batch.observe()
+        singles = [MecEnvironment(cfg, seed=s) for s in seeds]
+        assert np.array_equal(obs, [env.observe() for env in singles])
+        for n in range(cfg.n_intervals):
+            t = batch.step(actions[n])
+            for r, env in enumerate(singles):
+                u = env.step(int(actions[n, r]))
+                assert t.reward[r] == u.reward
+                assert np.array_equal(t.next_observation[r],
+                                      u.next_observation)
+                assert_same_values(t.record.realization(r), u.record)
+                assert_same_values(qs_row(batch.queues, r), env.queues)
+                assert batch.uav_pos.x[r] == env.uav_pos.x
+                assert batch.uav_pos.y[r] == env.uav_pos.y
+            assert t.done == u.done
+        assert batch.terminal_distance() == [env.terminal_distance()
+                                             for env in singles]
+        assert batch.device_positions == [env.device_positions
+                                          for env in singles]
+
+    def test_one_action_per_realization(self):
+        env = Lockstep(MecEnvironment(small_config()), [1, 2])
+        with pytest.raises(ValueError, match="shape"):
+            env.step(0)
+        with pytest.raises(ValueError, match="shape"):
+            env.step([0, 0, 0])
+        with pytest.raises(IndexError):
+            env.step([0, 80])
+        assert env.step([0, 79]).reward.shape == (2,)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavmec import agent as ag
+from uavmec import agent as ag, harness
 from uavmec.config import SimConfig
 from uavmec.harness import (CSV_HEADER, TRAJECTORY_HEADER, ResultRow,
                             SweepSpec, checkpoint_path, dump_trajectory,
@@ -100,6 +100,22 @@ class TestRunEval:
         assert row.mean_ql == pytest.approx(ql / (n * 2), rel=1e-12)
         viols = sum(int(np.sum(1 - r.eta)) for r in records)
         assert row.c10_violation_rate == pytest.approx(viols / (n * 2))
+
+    @pytest.mark.parametrize("policy", ["random", "uav_heavy"])
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_lockstep_blocks_keep_the_row(self, monkeypatch, policy, block):
+        # 5 realizations in one block, then in blocks of `block`: the totals
+        # carried from block to block give the same row bit for bit
+        cfg = quick_config(num_devices=2)
+        whole, whole_records = run_eval(policy, cfg, seed=6, realizations=5,
+                                        collect_records=True)
+        monkeypatch.setattr(harness, "EVAL_BLOCK_BYTES",
+                            block * 48 * cfg.n_intervals * cfg.num_devices)
+        row, records = run_eval(policy, cfg, seed=6, realizations=5,
+                                collect_records=True)
+        assert repr(row) == repr(whole)
+        assert [r.b_tot.tolist() for r in records] == \
+            [r.b_tot.tolist() for r in whole_records]
 
     def test_realizations_are_decorrelated(self):
         row1 = run_eval("uav_heavy", quick_config(), seed=0, realizations=1)

@@ -36,13 +36,13 @@ class TestProcessedTotal:
 
 class TestPdeAccumulator:
     def test_empty(self):
-        acc = PdeAccumulator(num_devices=2)
+        acc = PdeAccumulator(shape=2)
         assert long_term_pde(0.0, 0.0) == 0.0
         assert short_term_pde([], []) == 0.0
         assert acc.device_pde()[0] == 0.0
 
     def test_single_interval(self):
-        acc = PdeAccumulator(num_devices=2)
+        acc = PdeAccumulator(shape=2)
         acc.record_interval(np.array([450.0, 50.0]), np.array([0.5, 0.5]))
         assert long_term_pde(450.0 + 50.0, 0.5 + 0.5) == pytest.approx(500.0)
         assert short_term_pde([500.0], [1.0]) == pytest.approx(500.0)
@@ -50,14 +50,14 @@ class TestPdeAccumulator:
         assert acc.device_pde()[1] == pytest.approx(100.0)
 
     def test_every_device_at_once(self):
-        acc = PdeAccumulator(num_devices=3)
+        acc = PdeAccumulator(shape=3)
         assert acc.device_pde().tolist() == [0.0, 0.0, 0.0]
         acc.record_interval(np.array([450.0, 50.0, 9.0]),
                             np.array([0.5, 0.25, 0.0]))
         assert acc.device_pde().tolist() == [900.0, 200.0, 0.0]
 
     def test_zero_delay_with_processed_bits(self):
-        acc = PdeAccumulator(num_devices=1)
+        acc = PdeAccumulator(shape=1)
         acc.record_interval(np.array([100.0]), np.array([0.0]))
         assert long_term_pde(100.0, 0.0) == math.inf
         assert acc.device_pde()[0] == 0.0
@@ -68,7 +68,7 @@ class TestPdeAccumulator:
 
     def test_cumulative_matches_history(self):
         rng = np.random.default_rng(3)
-        acc = PdeAccumulator(num_devices=3)
+        acc = PdeAccumulator(shape=3)
         processed, delays = [], []
         for _ in range(50):
             b_tot, t_comm = rng.uniform(0, 1e4, 3), rng.uniform(0, 2, 3)
