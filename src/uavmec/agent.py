@@ -28,9 +28,12 @@ CHECKPOINT_VERSION = 1
 class QNetwork:
     """Dense rectifier network mapping observations to per-action values."""
 
-    # Scratch output of the target pass; every instance, including those from
-    # copy() and load_checkpoint(), starts without one and makes its own.
-    _out_buffer = None
+    # As a target net: max_a Q of each next observation valued since the last
+    # sync_target, keyed by the observation's bytes (see target_max_q). A
+    # target net's weights change only through sync_target, which empties it.
+    # Every instance, including those from copy() and load_checkpoint(),
+    # starts without one; checkpoints never hold it.
+    _max_q_memo = None
 
     def __init__(self, input_size, hidden_sizes, output_size, rng=None):
         rng = rng if rng is not None else np.random.default_rng()
@@ -66,19 +69,6 @@ class QNetwork:
         other.biases = [b.copy() for b in self.biases]
         return other
 
-    def output_buffer(self, batch_size: int) -> np.ndarray:
-        """Scratch array for a batch's output layer, kept while the size holds.
-
-        A fresh (64, 1280) float64 output per learning update is large enough
-        for the allocator to return it to the kernel and fault it back in on
-        every call; reusing one array avoids that churn. Its contents are
-        overwritten by the next pass that writes into it.
-        """
-        buf = self._out_buffer
-        if buf is None or buf.shape[0] != batch_size:
-            buf = self._out_buffer = np.empty((batch_size, self.output_size))
-        return buf
-
     def hidden(self, x: np.ndarray, inputs: list = None) -> np.ndarray:
         """Rectifier hidden layers for one observation or a batch.
 
@@ -94,13 +84,9 @@ class QNetwork:
             np.maximum(h, 0.0, out=h)
         return h
 
-    def forward_cached(self, x: np.ndarray, out: np.ndarray = None):
-        """Action values for a batch (the target pass of train_step).
-
-        With ``out``, the output layer is written into it instead of into a
-        fresh array; the arithmetic is the same either way.
-        """
-        q = np.matmul(self.hidden(x), self.weights[-1], out=out)
+    def forward_cached(self, x: np.ndarray) -> np.ndarray:
+        """Action values for a batch (the target pass of train_step)."""
+        q = np.matmul(self.hidden(x), self.weights[-1])
         q += self.biases[-1]
         return q
 
@@ -136,11 +122,42 @@ def select_action(net: QNetwork, obs: np.ndarray, epsilon: float,
 
 
 def sync_target(net: QNetwork, target_net: QNetwork) -> None:
-    """Overwrite the target parameters with an exact copy of the online ones."""
+    """Overwrite the target parameters with an exact copy of the online ones.
+
+    Also empties the target's memo of next-observation values.
+    """
     for tw, w in zip(target_net.weights, net.weights):
         tw[...] = w
     for tb, b in zip(target_net.biases, net.biases):
         tb[...] = b
+    target_net._max_q_memo = None
+
+
+def target_max_q(target_net: QNetwork, next_obs: np.ndarray) -> np.ndarray:
+    """max_a Q of the target net for each row of a batch of observations.
+
+    Each distinct observation is valued once per sync window: values are
+    kept in the target's memo until the next sync_target, and one
+    forward_cached pass per call covers only the rows not yet in it (none,
+    possibly). Every row of a pass of 2 to 64 rows rounds as it would in a
+    pass over the whole batch, so while the batch size holds, as in train,
+    the values are bit-equal to valuing every row at once. A 1-row pass goes
+    to gemv, which rounds differently, so a single new row of a larger batch
+    is passed twice.
+    """
+    memo = target_net._max_q_memo
+    if memo is None:
+        memo = target_net._max_q_memo = {}
+    raw = next_obs.tobytes()
+    width = len(raw) // len(next_obs)
+    keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+    new = {key: i for i, key in enumerate(keys) if key not in memo}
+    rows = list(new.values())
+    if len(rows) == 1 and len(keys) > 1:
+        rows *= 2
+    values = target_net.forward_cached(next_obs[rows]).max(axis=1)
+    memo.update(zip(new, values.tolist()))
+    return np.array([memo[key] for key in keys])
 
 
 class ReplayBuffer:
@@ -181,9 +198,8 @@ def train_step(net: QNetwork, target_net: QNetwork, batch,
     """
     obs, actions, rewards, next_obs, dones = batch
     n = len(actions)
-    next_q = target_net.forward_cached(next_obs,
-                                       out=target_net.output_buffer(n))
-    targets = rewards + config.discount * np.max(next_q, axis=1) * (~dones)
+    next_max_q = target_max_q(target_net, next_obs)
+    targets = rewards + config.discount * next_max_q * (~dones)
 
     # Forward through the hidden stack; only the chosen outputs are needed.
     num_layers = len(net.weights)
@@ -202,8 +218,9 @@ def train_step(net: QNetwork, target_net: QNetwork, batch,
     # kept in compact form (one column per distinct action in the batch).
     dq = 2.0 * err / n                              # (n,)
     uniq, inverse = np.unique(actions, return_inverse=True)
-    gw_out = np.zeros((w_out.shape[0], len(uniq)))
-    np.add.at(gw_out.T, inverse, dq[:, None] * h)
+    gw_rows = np.zeros((len(uniq), w_out.shape[0]))
+    np.add.at(gw_rows, inverse, dq[:, None] * h)
+    gw_out = np.ascontiguousarray(gw_rows.T)        # (hidden, len(uniq))
     gb_out = np.zeros(len(uniq))
     np.add.at(gb_out, inverse, dq)
     grads_w = [None] * (num_layers - 1)
@@ -231,7 +248,11 @@ def train_step(net: QNetwork, target_net: QNetwork, batch,
 
 def td_loss(net: QNetwork, target_net: QNetwork, batch,
             config: SimConfig) -> float:
-    """Loss of train_step without the parameter update (finite-difference aid)."""
+    """Loss of train_step without the parameter update (finite-difference aid).
+
+    Its targets come from one full target pass, without the memo, as the
+    reference for train_step's.
+    """
     obs, actions, rewards, next_obs, dones = batch
     next_q = target_net.forward_cached(next_obs)
     targets = rewards + config.discount * np.max(next_q, axis=1) * (~dones)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -144,6 +145,10 @@ class SimConfig:
         return len(self.frac_levels) ** (4 * self.num_devices) * len(MOVES)
 
     def validate(self) -> "SimConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         positive = [
             "num_devices", "area_size", "altitude", "n_intervals", "tau",
             "bandwidth", "p_max", "install_delay", "cycles_per_bit",

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from uavmec import agent
 from uavmec.agent import (CLOUD_HEAVY_FRACS, UAV_HEAVY_FRACS, Policy,
                           QNetwork, ReplayBuffer, action_table,
                           baseline_action, forward, load_checkpoint,
                           make_policy, normalize_observation, save_checkpoint,
-                          select_action, sync_target, td_loss, train,
-                          train_step)
+                          select_action, sync_target, target_max_q, td_loss,
+                          train, train_step)
 from uavmec.config import SimConfig
 from uavmec.environment import STAY, MecEnvironment
 
@@ -190,8 +191,13 @@ class TestTrainStep:
             assert np.array_equal(b, p)
 
 
-class TestTargetWorkspace:
-    """train_step writes the target pass into a buffer kept on the target."""
+def blas_name():
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{info.get('name')} {info.get('version')}"
+
+
+class TestTargetMemo:
+    """train_step values each next observation once per sync window."""
 
     def _nets(self, output_size=1280):
         rng = np.random.default_rng(10)
@@ -201,20 +207,40 @@ class TestTargetWorkspace:
         return net, net.copy()
 
     def _spy(self, monkeypatch):
-        """Record the ``out`` argument of every forward_cached call."""
-        seen = []
+        """Record the row count of every forward_cached call."""
+        rows = []
         original = QNetwork.forward_cached
 
-        def spy(self, x, out=None):
-            seen.append(out)
-            return original(self, x, out=out)
+        def spy(self, x):
+            rows.append(len(x))
+            return original(self, x)
         monkeypatch.setattr(QNetwork, "forward_cached", spy)
-        return seen
+        return rows
 
-    def test_matches_allocating_forward(self, monkeypatch):
+    def _batches(self, rng, size):
+        """Three sync windows of 4 batches of one size. In every window
+        the next observations are, since the window began: all new, none
+        new, one new, and one seen observation repeated."""
+        def batch(next_obs):
+            n = len(next_obs)
+            return (rng.uniform(0, 1, (n, 6)), rng.integers(0, 1280, n),
+                    rng.uniform(-1, 1, n), next_obs, rng.random(n) < 0.2)
+        fresh = rng.integers(0, 10, (size + 1, 6)) / 9.0
+        batches = []
+        for _ in range(3):
+            batches += [batch(fresh[:size]),
+                        batch(rng.permutation(fresh[:size])),
+                        batch(fresh[1:]),
+                        batch(np.repeat(fresh[1:2], size, axis=0))]
+        return batches
+
+    @pytest.mark.parametrize("size", [1, 2, 8, 64])
+    def test_matches_full_batch_targets(self, monkeypatch, size):
+        """Bit-equal to valuing every row in a pass over the whole batch,
+        across three sync windows, with one batch size throughout as in
+        train (a value from a 1-row pass can differ in the last bit)."""
         cfg = SimConfig(discount=0.9, learning_rate=0.01)
-        rng = np.random.default_rng(11)
-        batches = [random_batch(rng, self._nets()[0], n=64) for _ in range(12)]
+        batches = self._batches(np.random.default_rng(11), size)
 
         def run():
             net, target = self._nets()
@@ -225,26 +251,32 @@ class TestTargetWorkspace:
                     sync_target(net, target)
             return losses, net.parameters()
 
+        seen = self._spy(monkeypatch)
         losses, params = run()
-        original = QNetwork.forward_cached
-        monkeypatch.setattr(QNetwork, "forward_cached",
-                            lambda self, x, out=None: original(self, x))
+        # A single new row of a batch of 2 or more is passed twice.
+        assert seen == [size, 0, min(size, 2), 0] * 3
+        monkeypatch.setattr(
+            agent, "target_max_q",
+            lambda target, x: np.max(target.forward_cached(x), axis=1))
         ref_losses, ref_params = run()
         assert losses == ref_losses
         for p, q in zip(params, ref_params):
             assert np.array_equal(p, q)
 
-    def test_buffer_reused_until_batch_size_changes(self, monkeypatch):
-        net, target = self._nets(output_size=5)
-        seen = self._spy(monkeypatch)
+    def test_no_stale_value_after_sync(self):
+        net, target = self._nets()
         rng = np.random.default_rng(12)
-        cfg = SimConfig()
-        for n in (16, 16, 8):
-            train_step(net, target, random_batch(rng, net, n=n), cfg)
-        assert seen[0] is seen[1]
-        assert seen[0].shape == (16, 5)
-        assert seen[2] is not seen[0]
-        assert seen[2].shape == (8, 5)
+        cfg = SimConfig(discount=0.9, learning_rate=0.05)
+        batch = random_batch(rng, net, n=16)
+        before = target_max_q(target, batch[3])
+        for _ in range(3):
+            train_step(net, target, batch, cfg)
+        assert np.array_equal(target_max_q(target, batch[3]), before)
+        sync_target(net, target)
+        after = target_max_q(target, batch[3])
+        assert not np.array_equal(after, before)
+        assert np.array_equal(
+            after, np.max(forward(target, batch[3]), axis=1))
 
     def test_forward_result_not_overwritten(self):
         net, target = self._nets()
@@ -258,22 +290,32 @@ class TestTargetWorkspace:
             sync_target(net, target)
         assert np.array_equal(q, snapshot)
 
-    def test_copied_and_loaded_nets_get_own_buffer(self, monkeypatch,
-                                                   tmp_path):
+    def test_copied_and_loaded_nets_start_without_memo(self, tmp_path):
         net, target = self._nets(output_size=5)
-        seen = self._spy(monkeypatch)
-        rng = np.random.default_rng(14)
-        batch = random_batch(rng, net)
+        batch = random_batch(np.random.default_rng(14), net)
         cfg = SimConfig(learning_rate=0.0)
         loss = train_step(net, target, batch, cfg)
+        assert len(target._max_q_memo) == len(batch[3])
         path = tmp_path / "target.ckpt"
         save_checkpoint(target, str(path))
         assert sorted(np.load(path).files) == ["b0", "b1", "b2", "sizes",
                                                "version", "w0", "w1", "w2"]
         for other in (target.copy(), load_checkpoint(str(path))):
+            assert other._max_q_memo is None
             assert train_step(net, other, batch, cfg) == loss
-        assert seen[1] is not seen[0] and seen[2] is not seen[0]
-        assert seen[1] is not seen[2]
+            assert other._max_q_memo is not target._max_q_memo
+
+    def test_blas_rounds_sub_batches_like_the_full_batch(self):
+        """The memo's byte identity rests on this property of the BLAS."""
+        _, target = self._nets()
+        rng = np.random.default_rng(15)
+        x = rng.integers(0, 10, (64, 6)) / 9.0
+        full = target.forward_cached(x)
+        for m in range(2, 65):
+            idx = np.sort(rng.choice(64, size=m, replace=False))
+            assert np.array_equal(target.forward_cached(x[idx]), full[idx]), \
+                (f"{blas_name()}: a {m}-row pass rounds differently from the "
+                 f"64-row pass, so memoized TD targets are not bit-exact")
 
 
 class TestSyncTarget:

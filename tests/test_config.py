@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from uavmec.config import (POLICY_KINDS, ConfigError, SimConfig,
@@ -79,6 +80,23 @@ class TestValidate:
         # each of these trains without learning, diverges or fails late
         with pytest.raises(ConfigError, match=match):
             SimConfig(**overrides).validate()
+
+    @pytest.mark.parametrize("overrides", [
+        {"num_devices": 1.0}, {"n_intervals": 10.5}, {"queue_levels": 10.0},
+        {"batch_size": 4.0}, {"buffer_capacity": 16.5},
+        {"target_sync_period": 2.5}, {"episodes": 2.0},
+        {"eval_realizations": 1.5}, {"sweep_seeds": 3.0},
+        {"max_catalog_size": 1e4},
+    ])
+    def test_integer_fields_reject_non_integers(self, overrides):
+        # these used to pass validate(); some then died in train with a
+        # TypeError, and target_sync_period=2.5 synced every 5 steps
+        (key,) = overrides
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            SimConfig(**overrides).validate()
+
+    def test_integer_fields_take_numpy_integers(self):
+        SimConfig(num_devices=np.int64(1), episodes=np.int32(3)).validate()
 
     def test_batch_may_fill_the_buffer(self):
         SimConfig(batch_size=64, buffer_capacity=64).validate()

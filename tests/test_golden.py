@@ -1,4 +1,4 @@
-"""Golden outputs: evaluation rows and a short training run, pinned by value.
+"""Golden outputs: evaluation rows and two short training runs, pinned by value.
 
 The values were recorded from the code as it stood before the environment
 step was rewritten over arrays; a refactor that keeps outputs the same must
@@ -8,7 +8,11 @@ the new values under it, which also renames every cached checkpoint.
 
 Training runs with ``eps_start = eps_end = 1``, so every action is random
 and the last-bit rounding of the BLAS in use cannot steer the run; ``rel``
-absorbs that rounding in the losses themselves.
+absorbs that rounding in the losses themselves. The short run never syncs
+its target net, whose zero output head then makes every TD target 0; the
+synced run syncs every 5 steps and wraps its 16-slot replay buffer, so its
+losses also pin the target pass. Its values were recorded before
+``train_step`` memoized target values per observation.
 """
 
 import dataclasses
@@ -49,12 +53,38 @@ GOLDEN = {
             0.30923826169689556, 0.3003676035768247, 0.5103352498532829,
             0.4872402532929402, 0.4557595741135348, 0.45727737664154067,
         ],
+        # agent.train(SYNC_CONFIG, seed=5)
+        "synced": {
+            "episode_rewards": [534758.4366314986, 790992.4473050331,
+                                536621.891710901],
+            "losses": [
+                0.08632576377182853, 0.20715389346847637,
+                0.24574988490677419, 0.19187023077447038,
+                0.27705214130733025, 0.2576760920590257,
+                0.19317513512298354, 0.30636047182982246,
+                0.30094503477196327, 0.14849196413494922,
+                0.3042078677043028, 0.04344046007432404,
+                0.09795274289083056, 0.3134201023394023,
+                0.1400248100925794, 0.16316399572798548,
+                0.2806879319656578, 0.19959671732779202,
+                0.4957590548067788, 0.4663228351633231,
+                0.6588346279781492, 0.22867067968879612,
+                0.12478814808088484, 0.5872306761472108,
+                0.41724772277704897, 0.5723633952094374,
+                0.5227206286144976, 0.6121515878998947,
+                0.608534191199469, 0.7380173375285803,
+                0.46473015490340597, 0.9875672128381223,
+                0.39484373441465764,
+            ],
+        },
     },
 }
 
 EVAL_CONFIG = SimConfig(n_intervals=20)
 TRAIN_CONFIG = SimConfig(n_intervals=12, episodes=2, batch_size=4,
                          buffer_capacity=50, eps_start=1.0, eps_end=1.0)
+SYNC_CONFIG = dataclasses.replace(TRAIN_CONFIG, episodes=3, buffer_capacity=16,
+                                  target_sync_period=5)
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +109,11 @@ def test_training_curve(golden):
     assert result.episode_rewards == pytest.approx(golden["episode_rewards"],
                                                    rel=REL)
     assert result.losses == pytest.approx(golden["losses"], rel=REL)
+
+
+def test_training_curve_with_target_syncs(golden):
+    result = ag.train(SYNC_CONFIG.validate(), seed=5)
+    assert result.episode_rewards == pytest.approx(
+        golden["synced"]["episode_rewards"], rel=REL)
+    assert result.losses == pytest.approx(golden["synced"]["losses"],
+                                          rel=REL)
