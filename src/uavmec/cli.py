@@ -1,4 +1,4 @@
-"""Command-line entry point: train, eval, sweep, selftest."""
+"""Command-line entry point: train, eval, sweep."""
 
 from __future__ import annotations
 
@@ -46,9 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the arrival-rate sweep grid")
     common(p_sweep)
-
-    p_self = sub.add_parser("selftest", help="run the built-in oracle checks")
-    common(p_self)
     return parser
 
 
@@ -114,15 +111,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "train":
-        return cmd_train(args, config)
-    if args.command == "eval":
-        return cmd_eval(args, config)
-    if args.command == "sweep":
-        return cmd_sweep(args, config)
-    if args.command == "selftest":
-        return 0 if harness.selftest(config) else 1
-    return 2
+    commands = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep}
+    return commands[args.command](args, config)
 
 
 if __name__ == "__main__":

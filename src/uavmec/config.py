@@ -179,9 +179,10 @@ class SimConfig:
             raise ConfigError(
                 f"batch_size {self.batch_size} exceeds buffer_capacity "
                 f"{self.buffer_capacity}; no learning update could run")
-        if not all(n > 0 for n in self.hidden_sizes):
-            raise ConfigError(
-                f"hidden_sizes must be positive, got {self.hidden_sizes}")
+        if not all(isinstance(n, numbers.Integral) and n > 0
+                   for n in self.hidden_sizes):
+            raise ConfigError(f"hidden_sizes must be positive integers, "
+                              f"got {self.hidden_sizes}")
         if self.queue_levels < 2:
             raise ConfigError(
                 f"queue_levels must be at least 2, got {self.queue_levels}")
@@ -212,6 +213,20 @@ class SimConfig:
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(SimConfig)}
 
 
+def _parse_number(key: str, raw: str, integer: bool = False):
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        kind = "integer" if integer else "number"
+        raise ConfigError(f"cannot parse {kind} for {key!r}: {raw!r}") from exc
+    if not integer:
+        return value
+    # float() also reads 1e4; is_integer() is false for fractions, inf and nan.
+    if not value.is_integer():
+        raise ConfigError(f"{key} takes integers only, got {raw!r}")
+    return int(value)
+
+
 def _parse_value(key: str, raw: str):
     f = _FIELD_TYPES[key]
     raw = raw.strip()
@@ -221,23 +236,14 @@ def _parse_value(key: str, raw: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"cannot parse boolean for {key!r}: {raw!r}")
-    if isinstance(f.default, int) and not isinstance(f.default, bool):
-        try:
-            return int(float(raw))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse integer for {key!r}: {raw!r}") from exc
-    if isinstance(f.default, float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse number for {key!r}: {raw!r}") from exc
+    if isinstance(f.default, (int, float)):
+        return _parse_number(key, raw, integer=f.type == "int")
     if isinstance(f.default, tuple):
         items = [s.strip() for s in raw.split(",") if s.strip()]
-        if key in ("sweep_policies",):
+        if key == "sweep_policies":
             return tuple(items)
-        if key in ("hidden_sizes",):
-            return tuple(int(float(s)) for s in items)
-        return tuple(float(s) for s in items)
+        return tuple(_parse_number(key, s, integer=key == "hidden_sizes")
+                     for s in items)
     return raw
 
 

@@ -23,10 +23,6 @@ TRAJECTORY_HEADER = "interval,device,ql,qu,qc,reward,eta,t_comm,b_tot"
 # derived from the same user-facing seed.
 _EVAL_SALT = 0xE7A1
 
-# Bytes of per-interval values run_eval keeps for one lockstep block: 174
-# realizations at the default 1000 intervals and 2 devices.
-EVAL_BLOCK_BYTES = 16 * 2**20
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -91,16 +87,16 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     """Average metrics of a frozen policy over independent episodes.
 
     Every realization gets fresh channel/arrival streams derived from the
-    seed. Realizations run in Lockstep blocks sized by EVAL_BLOCK_BYTES: per
-    interval, each realization makes its own draws in its step(), and one
-    pass of the backlog stages and one policy call serve the whole block.
-    The stored per-interval values are summed one at a time in
-    realization-major order, as one episode after another would be, so rows
-    do not depend on the block size; a dqn row could only where the batched
-    forward pass breaks a near-tie of Q-values the other way.
+    seed, and all of them run in one Lockstep: per interval, each makes its
+    own draws in its step(), and one pass of the backlog stages and one
+    policy call serve them all. PD and CD are read from the Lockstep's
+    accumulator; the backlogs and the delay-bound violations are summed
+    here. The sums run in a different order than one episode after another
+    would add them, so a row matches one-realization-at-a-time stepping to
+    within about 1e-13 relative, not bit for bit.
 
-    Returns a ResultRow (plus the per-interval records of the last episode
-    when collect_records is set).
+    Returns a ResultRow of plain Python numbers (plus the per-interval
+    records of the last episode when collect_records is set).
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
@@ -111,72 +107,43 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     episode_seeds = ss.spawn(realizations + 1)
     policy_rng = np.random.default_rng(episode_seeds[-1])
 
-    n_intervals, n_devices = config.n_intervals, config.num_devices
-    block = max(1, EVAL_BLOCK_BYTES // (6 * 8 * n_intervals * n_devices))
-    # Processed bits, comm delay and the local, UAV and cloud backlogs.
-    totals = [0.0] * 5
+    batch = Lockstep(env, episode_seeds[:-1])
+    observation = batch.observe()
+    table = ag.action_table(pol, policy_rng, realizations, config.n_intervals)
+    # Local, UAV and cloud backlogs summed over intervals, per realization
+    # and device.
+    backlog = np.zeros((3, realizations, config.num_devices))
     violations = 0
-    terminal_dist = 0.0
     records = []
-    for start in range(0, realizations, block):
-        seeds = episode_seeds[start:min(start + block, realizations)]
-        batch = Lockstep(env, seeds)
-        observation = batch.observe()
-        table = ag.action_table(pol, policy_rng, len(seeds), n_intervals)
-        # b_tot, t_comm, the three backlogs and eta per interval,
-        # realization and device.
-        values = np.empty((6, n_intervals, len(seeds), n_devices))
-        for n in range(n_intervals):
-            if table is None:
-                actions = ag.baseline_action(
-                    pol, ag.normalize_observation(observation, config),
-                    policy_rng)
-            else:
-                actions = table[:, n]
-            tr = batch.step(actions)
-            observation = tr.next_observation
-            rec = tr.record
-            q = rec.queues_before
-            values[:, n] = (rec.b_tot, rec.t_comm, q.q_local, q.q_uav,
-                            q.q_cloud, rec.eta)
-            if collect_records and start + block >= realizations:
-                records.append(rec.realization(-1))
-        # PD and CD add one device sum per interval, the backlogs every
-        # device value.
-        per_interval = np.sum(values[:2], axis=-1).transpose(0, 2, 1)
-        for i in range(2):
-            totals[i] = _running_sum(totals[i], per_interval[i])
-        for i in range(2, 5):
-            totals[i] = _running_sum(totals[i], values[i].transpose(1, 0, 2))
-        violations += int(np.count_nonzero(values[5] == 0))
-        for dist in batch.terminal_distance():
-            terminal_dist += dist
-    # The row's field types stay as they were: floats for PD and CD, numpy
-    # scalars for the backlog means.
-    pd_sum, cd_sum, ql_sum, qu_sum, qc_sum = totals
-    pd_sum, cd_sum = float(pd_sum), float(cd_sum)
-    total_intervals = realizations * n_intervals
-    n_dev_intervals = total_intervals * n_devices
+    for n in range(config.n_intervals):
+        if table is None:
+            actions = ag.baseline_action(
+                pol, ag.normalize_observation(observation, config),
+                policy_rng)
+        else:
+            actions = table[:, n]
+        tr = batch.step(actions)
+        observation = tr.next_observation
+        rec = tr.record
+        q = rec.queues_before
+        backlog += (q.q_local, q.q_uav, q.q_cloud)
+        violations += int(np.count_nonzero(rec.eta == 0))
+        if collect_records:
+            records.append(rec.realization(-1))
+    pd_sum = float(np.sum(batch.acc.per_device_processed))
+    cd_sum = float(np.sum(batch.acc.per_device_delay))
+    total_intervals = realizations * config.n_intervals
+    n_dev_intervals = total_intervals * config.num_devices
+    ql, qu, qc = (float(s) / n_dev_intervals for s in backlog.sum(axis=(1, 2)))
     row = ResultRow(
         policy=policy, i_max=config.i_max, seed=seed,
         mean_pde=obj.long_term_pde(pd_sum, cd_sum),
         mean_cd=cd_sum / total_intervals,
         mean_pd=pd_sum / total_intervals,
-        mean_ql=ql_sum / n_dev_intervals,
-        mean_qu=qu_sum / n_dev_intervals,
-        mean_qc=qc_sum / n_dev_intervals,
+        mean_ql=ql, mean_qu=qu, mean_qc=qc,
         c10_violation_rate=violations / n_dev_intervals,
-        terminal_uav_distance=terminal_dist / realizations)
+        terminal_uav_distance=sum(batch.terminal_distance()) / realizations)
     return (row, records) if collect_records else row
-
-
-def _running_sum(total, values: np.ndarray):
-    """total + v0 + v1 + ... over values in C order, added one at a time.
-
-    np.add.accumulate adds sequentially, where np.sum would add pairwise and
-    round differently.
-    """
-    return np.add.accumulate(np.concatenate(([total], values.ravel())))[-1]
 
 
 def run_sweep(spec: SweepSpec, config: SimConfig, out_dir: str = None):
@@ -253,88 +220,3 @@ def dump_trajectory(records, path: str) -> None:
                 _fmt(rec.t_comm[k]), _fmt(rec.b_tot[k])]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# -- selftest ----------------------------------------------------------------
-
-def _check_queue_oracle(rng) -> bool:
-    from . import queueing as qs
-    for _ in range(1000):
-        q = qs.QueueTriple(*rng.uniform(0, 1e6, size=3))
-        x_u, x_c, w_l, w_u, w_c = rng.uniform(0, 1, size=5)
-        arrival = float(rng.uniform(0, 2.5e5))
-        s = qs.compute_splits(q, x_u, x_c, w_l, w_u, w_c)
-        nxt = qs.step_queues(q, s, arrival)
-        # independent restatement of the split/update arithmetic
-        d_uav = x_u * q.q_local
-        b_local = w_l * (1 - x_u) * q.q_local
-        d_cloud = x_c * q.q_uav
-        b_uav = w_u * (1 - x_c) * q.q_uav
-        b_cloud = w_c * q.q_cloud
-        want = (max(0.0, q.q_local - d_uav - b_local) + arrival,
-                max(0.0, q.q_uav - d_cloud - b_uav) + d_uav,
-                max(0.0, q.q_cloud - b_cloud) + d_cloud)
-        got = (nxt.q_local, nxt.q_uav, nxt.q_cloud)
-        if got != want or any(v < 0 for v in got):
-            return False
-    return True
-
-
-def _check_channel_power(rng) -> bool:
-    from .channel import rician_sample
-    samples = rician_sample(rng, 10.0, size=100_000)
-    mean_power = float(np.mean(np.abs(samples) ** 2))
-    return 0.99 <= mean_power <= 1.01
-
-
-def _check_gradients(rng) -> bool:
-    # lr=1 and a huge clip bound turn the SGD update into the raw gradient
-    cfg = SimConfig(hidden_sizes=(5,), batch_size=4, grad_clip=1e12,
-                    learning_rate=1.0)
-    net = ag.QNetwork(3, (5,), 4, rng=rng)
-    target = net.copy()
-    batch = (rng.standard_normal((4, 3)), rng.integers(0, 4, size=4),
-             rng.standard_normal(4), rng.standard_normal((4, 3)),
-             np.zeros(4, dtype=bool))
-    trained = net.copy()
-    ag.train_step(trained, target, batch, cfg)
-    grads = [old - new for old, new
-             in zip(net.parameters(), trained.parameters())]
-    eps = 1e-6
-    for p, g in zip(net.parameters(), grads):
-        idx = np.unravel_index(int(np.argmax(np.abs(g))), g.shape)
-        orig = p[idx]
-        p[idx] = orig + eps
-        up = ag.td_loss(net, target, batch, cfg)
-        p[idx] = orig - eps
-        down = ag.td_loss(net, target, batch, cfg)
-        p[idx] = orig
-        fd = (up - down) / (2 * eps)
-        if abs(fd - g[idx]) > 1e-4 * max(1.0, abs(fd)):
-            return False
-    return True
-
-
-def _check_determinism(config: SimConfig) -> bool:
-    small = replace(config, n_intervals=20).validate()
-    a = run_eval("random", small, seed=7, realizations=2)
-    b = run_eval("random", small, seed=7, realizations=2)
-    return a == b
-
-
-def selftest(config: SimConfig = None) -> bool:
-    """Quick oracle and property checks; prints one line per check."""
-    config = config or SimConfig()
-    rng = np.random.default_rng(12345)
-    checks = [
-        ("queue update oracle", lambda: _check_queue_oracle(rng)),
-        ("rician mean power", lambda: _check_channel_power(rng)),
-        ("dqn gradient check", lambda: _check_gradients(rng)),
-        ("evaluation determinism", lambda: _check_determinism(config)),
-    ]
-    ok = True
-    for name, fn in checks:
-        passed = bool(fn())
-        ok = ok and passed
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}")
-    return ok

@@ -68,13 +68,6 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 2 * 2
 
 
-class TestSelftest:
-    def test_passes(self, capsys):
-        rc = main(["selftest"] + FAST)
-        assert rc == 0
-        assert capsys.readouterr().out.count("[PASS]") == 4
-
-
 class TestConfigHandling:
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -85,15 +78,23 @@ class TestConfigHandling:
         assert rc == 0
 
     def test_bad_override_exit_code(self, tmp_path, capsys):
-        rc = main(["selftest", "--override", "nope=1",
+        rc = main(["eval", "--policy", "random", "--override", "nope=1",
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
     def test_malformed_override_pair(self, tmp_path, capsys):
-        rc = main(["selftest", "--override", "num_devices",
+        rc = main(["eval", "--policy", "random", "--override", "num_devices",
                    "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("pair", ["num_devices=2.5", "num_devices=inf"])
+    def test_non_integer_override_exit_code(self, tmp_path, capsys, pair):
+        # 2.5 used to run with 2 devices, inf to crash with an OverflowError
+        rc = main(["eval", "--policy", "random", "--override", pair,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "num_devices" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

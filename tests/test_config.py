@@ -98,6 +98,12 @@ class TestValidate:
     def test_integer_fields_take_numpy_integers(self):
         SimConfig(num_devices=np.int64(1), episodes=np.int32(3)).validate()
 
+    def test_hidden_sizes_reject_non_integers(self):
+        # used to pass, and train_dqn then died with a TypeError
+        with pytest.raises(ConfigError, match="hidden_sizes"):
+            SimConfig(hidden_sizes=(8.5,)).validate()
+        SimConfig(hidden_sizes=(np.int64(8), 4)).validate()
+
     def test_batch_may_fill_the_buffer(self):
         SimConfig(batch_size=64, buffer_capacity=64).validate()
 
@@ -221,6 +227,23 @@ class TestLoadConfig:
     def test_policies_parsed_as_strings(self):
         cfg = load_config(None, {"sweep_policies": "random, uav_heavy"})
         assert cfg.sweep_policies == ("random", "uav_heavy")
+
+    @pytest.mark.parametrize("key, raw", [
+        ("num_devices", "2.5"), ("num_devices", "inf"), ("episodes", "1e400"),
+        ("hidden_sizes", "64.7, 64"), ("hidden_sizes", "64, inf"),
+        ("frac_levels", "0.3, lots"),
+    ])
+    def test_bad_values_name_the_key(self, key, raw):
+        # fractions used to be truncated, inf to raise an OverflowError and
+        # an unparsable tuple entry a bare ValueError
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: raw})
+
+    def test_integral_floats_parse_as_ints(self):
+        cfg = load_config(None, {"max_catalog_size": "1e4",
+                                 "hidden_sizes": "32.0, 16"})
+        assert cfg.max_catalog_size == 10000
+        assert cfg.hidden_sizes == (32, 16)
 
     def test_hidden_sizes_parsed_as_ints(self):
         cfg = load_config(None, {"hidden_sizes": "32, 16"})

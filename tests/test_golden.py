@@ -12,7 +12,9 @@ absorbs that rounding in the losses themselves. The short run never syncs
 its target net, whose zero output head then makes every TD target 0; the
 synced run syncs every 5 steps and wraps its 16-slot replay buffer, so its
 losses also pin the target pass. Its values were recorded before
-``train_step`` memoized target values per observation.
+``train_step`` memoized target values per observation. The dqn row was
+recorded before ``run_eval`` read its totals from the Lockstep's
+accumulator, which adds in another order; ``rel`` absorbs that as well.
 """
 
 import dataclasses
@@ -42,6 +44,11 @@ GOLDEN = {
                             133428.68771306664, 120385.78806561597, 0.95,
                             0.0),
         },
+        # run_eval("dqn", EVAL_CONFIG, seed=3, realizations=3,
+        # net=agent.train(TRAIN_CONFIG, seed=5).net)
+        "dqn_row": (119205.17234679217, 1.826101867615389,
+                    217680.7878518915, 238791.35671131205,
+                    103812.13249624908, 85700.3724837785, 0.95, 0.0),
         # agent.train(TRAIN_CONFIG, seed=5)
         "episode_rewards": [534758.4366314986, 790992.4473050331],
         "losses": [
@@ -102,6 +109,15 @@ def test_eval_rows(golden, policy):
     got = dataclasses.astuple(row)
     assert got[:3] == (policy, EVAL_CONFIG.i_max, 3)
     assert got[3:] == pytest.approx(golden["rows"][policy], rel=REL)
+
+
+def test_dqn_eval_row(golden):
+    net = ag.train(TRAIN_CONFIG.validate(), seed=5).net
+    row = harness.run_eval("dqn", EVAL_CONFIG.validate(), seed=3,
+                           realizations=3, net=net)
+    got = dataclasses.astuple(row)
+    assert got[:3] == ("dqn", EVAL_CONFIG.i_max, 3)
+    assert got[3:] == pytest.approx(golden["dqn_row"], rel=REL)
 
 
 def test_training_curve(golden):

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavmec import agent as ag, harness
+from uavmec import agent as ag
 from uavmec.config import SimConfig
 from uavmec.harness import (CSV_HEADER, TRAJECTORY_HEADER, ResultRow,
                             SweepSpec, checkpoint_path, dump_trajectory,
-                            emit_csv, run_eval, run_sweep, selftest)
+                            emit_csv, run_eval, run_sweep)
 
 
 def quick_config(**kw):
@@ -102,20 +102,10 @@ class TestRunEval:
         assert row.c10_violation_rate == pytest.approx(viols / (n * 2))
 
     @pytest.mark.parametrize("policy", ["random", "uav_heavy"])
-    @pytest.mark.parametrize("block", [1, 2])
-    def test_lockstep_blocks_keep_the_row(self, monkeypatch, policy, block):
-        # 5 realizations in one block, then in blocks of `block`: the totals
-        # carried from block to block give the same row bit for bit
-        cfg = quick_config(num_devices=2)
-        whole, whole_records = run_eval(policy, cfg, seed=6, realizations=5,
-                                        collect_records=True)
-        monkeypatch.setattr(harness, "EVAL_BLOCK_BYTES",
-                            block * 48 * cfg.n_intervals * cfg.num_devices)
-        row, records = run_eval(policy, cfg, seed=6, realizations=5,
-                                collect_records=True)
-        assert repr(row) == repr(whole)
-        assert [r.b_tot.tolist() for r in records] == \
-            [r.b_tot.tolist() for r in whole_records]
+    def test_row_holds_plain_numbers(self, policy):
+        row = run_eval(policy, quick_config(num_devices=2), seed=6,
+                       realizations=5)
+        assert {type(v) for v in dataclasses.astuple(row)[1:]} <= {int, float}
 
     def test_realizations_are_decorrelated(self):
         row1 = run_eval("uav_heavy", quick_config(), seed=0, realizations=1)
@@ -233,12 +223,3 @@ class TestTrajectoryDump:
             assert float(f[2]) == pytest.approx(rec.queues_before.q_local[0],
                                                 rel=1e-5)
             assert int(f[6]) == int(rec.eta[0])
-
-
-class TestSelftest:
-    def test_passes_and_prints(self, capsys):
-        cfg = quick_config()
-        assert selftest(cfg) is True
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
-        assert "[FAIL]" not in out
