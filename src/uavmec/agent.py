@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import POLICY_KINDS, SimConfig
+from .config import FIXED_POLICY_FRACS, POLICY_KINDS, SimConfig
 from .environment import STAY, MecEnvironment, observation_size
-
-# Fraction tuples (x_uav, x_cloud, w_uav, w_cloud) for the fixed baselines:
-# the UAV-heavy policy pushes work to the (centrally parked) UAV, the
-# cloud-heavy policy pushes it through to the cloud.
-UAV_HEAVY_FRACS = (0.6, 0.3, 0.6, 0.3)
-CLOUD_HEAVY_FRACS = (0.6, 0.6, 0.3, 0.6)
 
 CHECKPOINT_VERSION = 1
 
@@ -86,6 +80,8 @@ class QNetwork:
 
     def forward_cached(self, x: np.ndarray) -> np.ndarray:
         """Action values for a batch (the target pass of train_step)."""
+        if len(x) == 0:  # every next observation of the update is memoized
+            return np.empty((0, self.output_size))
         q = np.matmul(self.hidden(x), self.weights[-1])
         q += self.biases[-1]
         return q
@@ -148,16 +144,16 @@ def target_max_q(target_net: QNetwork, next_obs: np.ndarray) -> np.ndarray:
     memo = target_net._max_q_memo
     if memo is None:
         memo = target_net._max_q_memo = {}
-    raw = next_obs.tobytes()
-    width = len(raw) // len(next_obs)
-    keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+    # One bytes key per row: the row's bytes in C order, whatever the layout.
+    rows_c = np.ascontiguousarray(next_obs)
+    keys = rows_c.view((np.void, rows_c.strides[0])).ravel().tolist()
     new = {key: i for i, key in enumerate(keys) if key not in memo}
     rows = list(new.values())
     if len(rows) == 1 and len(keys) > 1:
         rows *= 2
     values = target_net.forward_cached(next_obs[rows]).max(axis=1)
     memo.update(zip(new, values.tolist()))
-    return np.array([memo[key] for key in keys])
+    return np.fromiter(map(memo.__getitem__, keys), float, len(keys))
 
 
 class ReplayBuffer:
@@ -189,6 +185,10 @@ class ReplayBuffer:
                 self.next_obs[idx], self.dones[idx])
 
 
+def _sum_sq(g: np.ndarray) -> float:
+    return float(np.add.reduce(np.square(g), axis=None))
+
+
 def train_step(net: QNetwork, target_net: QNetwork, batch,
                config: SimConfig) -> float:
     """One TD update: targets from the frozen net, MSE loss, clipped SGD.
@@ -206,10 +206,13 @@ def train_step(net: QNetwork, target_net: QNetwork, batch,
     acts = []
     h = net.hidden(obs, acts)
     w_out, b_out = net.weights[-1], net.biases[-1]
-    w_cols = w_out[:, actions]                      # (hidden, n)
-    q_sa = np.einsum("nh,hn->n", h, w_cols) + b_out[actions]
+    # (hidden, n) in F order, so w_cols.T and delta below are in C order,
+    # which fixes how delta.sum(axis=0) rounds.
+    w_cols = w_out[:, actions]
+    b_sa = b_out[actions]
+    q_sa = np.einsum("nh,hn->n", h, w_cols) + b_sa
     err = q_sa - targets
-    loss = float(np.mean(err ** 2))
+    loss = float(np.add.reduce(np.square(err)) / n)
     if not math.isfinite(loss):
         raise RuntimeError(f"non-finite TD loss {loss}; training diverged")
 
@@ -217,28 +220,49 @@ def train_step(net: QNetwork, target_net: QNetwork, batch,
     # the output-layer gradient lives on the selected columns alone and is
     # kept in compact form (one column per distinct action in the batch).
     dq = 2.0 * err / n                              # (n,)
-    uniq, inverse = np.unique(actions, return_inverse=True)
-    gw_rows = np.zeros((len(uniq), w_out.shape[0]))
-    np.add.at(gw_rows, inverse, dq[:, None] * h)
-    gw_out = np.ascontiguousarray(gw_rows.T)        # (hidden, len(uniq))
-    gb_out = np.zeros(len(uniq))
-    np.add.at(gb_out, inverse, dq)
+    # The distinct actions, the batch position of each and the column of
+    # each batch row, from one stable sort (np.unique does the same sort
+    # with more overhead).
+    order = np.argsort(actions, kind="stable")
+    sorted_actions = actions[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_actions[1:], sorted_actions[:-1], out=first[1:])
+    uniq, pos = sorted_actions[first], order[first]
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    # Head weight and bias gradients as the rows of one (hidden + 1,
+    # len(uniq)) array, binned from [dq * h.T; dq]. bincount adds each bin in
+    # batch order, so the sums round as sequential scatter-adds would.
+    hidden = w_out.shape[0]
+    terms = np.empty((hidden + 1, n))
+    np.multiply(h.T, dq, out=terms[:hidden])
+    terms[hidden] = dq
+    bins = np.arange(0, (hidden + 1) * len(uniq), len(uniq))[:, None] + inverse
+    g_out = np.bincount(bins.ravel(), weights=terms.ravel()).reshape(
+        hidden + 1, len(uniq))
+    gw_out, gb_out = g_out[:hidden], g_out[hidden]
     grads_w = [None] * (num_layers - 1)
     grads_b = [None] * (num_layers - 1)
-    delta = (dq[:, None] * w_cols.T) * (h > 0.0)    # into the last hidden layer
+    delta = dq[:, None] * w_cols.T                  # into the last hidden layer
+    delta *= h > 0.0
     for i in range(num_layers - 2, -1, -1):
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ net.weights[i].T) * (acts[i] > 0.0)
+            delta = delta @ net.weights[i].T
+            delta *= acts[i] > 0.0
 
-    norm_sq = float(np.sum(gw_out * gw_out)) + float(np.sum(gb_out * gb_out))
-    norm_sq += sum(float(np.sum(g * g)) for g in grads_w + grads_b)
+    # The grouping of the terms and each gradient's memory layout (C order,
+    # gw_out too) fix how the squared norm rounds, and so the clip.
+    norm_sq = _sum_sq(gw_out) + _sum_sq(gb_out)
+    norm_sq += sum(_sum_sq(g) for g in grads_w + grads_b)
     norm = math.sqrt(norm_sq)
     scale = config.grad_clip / norm if norm > config.grad_clip else 1.0
     lr = config.learning_rate
-    w_out[:, uniq] -= lr * scale * gw_out
-    b_out[uniq] -= lr * scale * gb_out
+    # The head columns were gathered for q_sa; subtract from those copies.
+    w_out[:, uniq] = w_cols[:, pos] - lr * scale * gw_out
+    b_out[uniq] = b_sa[pos] - lr * scale * gb_out
     for w, g in zip(net.weights[:-1], grads_w):
         w -= lr * scale * g
     for b, g in zip(net.biases[:-1], grads_b):
@@ -296,12 +320,9 @@ def make_policy(kind: str, env: MecEnvironment, net: QNetwork = None) -> Policy:
                              f"{net.output_size} actions; this environment "
                              f"needs {want[0]} and {want[1]}")
         return Policy(kind=kind, n_actions=n, net=net)
-    if kind == "uav_heavy":
-        return Policy(kind=kind, n_actions=n,
-                      fixed_index=_fixed_catalog_index(env, UAV_HEAVY_FRACS))
-    if kind == "cloud_heavy":
-        return Policy(kind=kind, n_actions=n,
-                      fixed_index=_fixed_catalog_index(env, CLOUD_HEAVY_FRACS))
+    if kind in FIXED_POLICY_FRACS:
+        index = _fixed_catalog_index(env, FIXED_POLICY_FRACS[kind])
+        return Policy(kind=kind, n_actions=n, fixed_index=index)
     return Policy(kind=kind, n_actions=n)
 
 

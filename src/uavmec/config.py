@@ -22,6 +22,13 @@ MOVES = ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 # Evaluable policies: the DQN and the three baselines.
 POLICY_KINDS = ("dqn", "random", "uav_heavy", "cloud_heavy")
 
+# Fraction tuples (x_uav, x_cloud, w_uav, w_cloud) of the fixed baselines,
+# applied on every device with the UAV staying: the UAV-heavy policy pushes
+# work to the (centrally parked) UAV, the cloud-heavy policy pushes it
+# through to the cloud.
+FIXED_POLICY_FRACS = {"uav_heavy": (0.6, 0.3, 0.6, 0.3),
+                      "cloud_heavy": (0.6, 0.6, 0.3, 0.6)}
+
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -205,6 +212,11 @@ class SimConfig:
                 raise ConfigError(
                     f"unknown policy {kind!r} in sweep_policies; choose "
                     f"from {', '.join(POLICY_KINDS)}")
+            missing = set(FIXED_POLICY_FRACS.get(kind, ())) - set(self.frac_levels)
+            if missing:
+                raise ConfigError(
+                    f"sweep policy {kind!r} needs frac_levels "
+                    f"{sorted(missing)}, missing from {self.frac_levels}")
         if not math.isfinite(self.eta0_db):
             raise ConfigError("eta0_db must be finite")
         return self

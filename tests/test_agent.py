@@ -1,14 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from uavmec import agent
-from uavmec.agent import (CLOUD_HEAVY_FRACS, UAV_HEAVY_FRACS, Policy,
-                          QNetwork, ReplayBuffer, action_table,
+from uavmec.agent import (Policy, QNetwork, ReplayBuffer, action_table,
                           baseline_action, forward, load_checkpoint,
                           make_policy, normalize_observation, save_checkpoint,
                           select_action, sync_target, target_max_q, td_loss,
                           train, train_step)
-from uavmec.config import SimConfig
+from uavmec.config import FIXED_POLICY_FRACS, SimConfig
 from uavmec.environment import STAY, MecEnvironment
 
 
@@ -93,6 +94,51 @@ class TestSelectAction:
         a = [select_action(net, np.zeros(3), 0.0, np.random.default_rng(5))
              for _ in range(3)]
         assert a == [1, 1, 1]
+
+
+def reference_train_step(net, target_net, batch, config, norms):
+    """train_step as first written: np.unique, two np.add.at scatters and a
+    np.sum per gradient norm term. Appends each update's norm to norms."""
+    obs, actions, rewards, next_obs, dones = batch
+    n = len(actions)
+    next_max_q = target_max_q(target_net, next_obs)
+    targets = rewards + config.discount * next_max_q * (~dones)
+    num_layers = len(net.weights)
+    acts = []
+    h = net.hidden(obs, acts)
+    w_out, b_out = net.weights[-1], net.biases[-1]
+    w_cols = w_out[:, actions]
+    q_sa = np.einsum("nh,hn->n", h, w_cols) + b_out[actions]
+    err = q_sa - targets
+    loss = float(np.mean(err ** 2))
+    dq = 2.0 * err / n
+    uniq, inverse = np.unique(actions, return_inverse=True)
+    gw_rows = np.zeros((len(uniq), w_out.shape[0]))
+    np.add.at(gw_rows, inverse, dq[:, None] * h)
+    gw_out = np.ascontiguousarray(gw_rows.T)
+    gb_out = np.zeros(len(uniq))
+    np.add.at(gb_out, inverse, dq)
+    grads_w = [None] * (num_layers - 1)
+    grads_b = [None] * (num_layers - 1)
+    delta = (dq[:, None] * w_cols.T) * (h > 0.0)
+    for i in range(num_layers - 2, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (acts[i] > 0.0)
+    norm_sq = float(np.sum(gw_out * gw_out)) + float(np.sum(gb_out * gb_out))
+    norm_sq += sum(float(np.sum(g * g)) for g in grads_w + grads_b)
+    norm = math.sqrt(norm_sq)
+    norms.append(norm)
+    scale = config.grad_clip / norm if norm > config.grad_clip else 1.0
+    lr = config.learning_rate
+    w_out[:, uniq] -= lr * scale * gw_out
+    b_out[uniq] -= lr * scale * gb_out
+    for w, g in zip(net.weights[:-1], grads_w):
+        w -= lr * scale * g
+    for b, g in zip(net.biases[:-1], grads_b):
+        b -= lr * scale * g
+    return loss
 
 
 class TestTrainStep:
@@ -189,6 +235,54 @@ class TestTrainStep:
             train_step(net, target, batch, cfg)
         for b, p in zip(before, net.parameters()):
             assert np.array_equal(b, p)
+
+
+    @pytest.mark.parametrize("case", [
+        "distinct", "two_actions", "one_action", "batch_of_one", "clipped"])
+    def test_bit_identical_to_reference(self, case):
+        """Every loss and parameter equals the reference update's bit for
+        bit, over updates on both sides of a target sync."""
+        rng = np.random.default_rng(16)
+        n = 1 if case == "batch_of_one" else 64
+        net = QNetwork(6, (64, 64), 1280, rng=rng)
+        for p in net.parameters():
+            p += rng.standard_normal(p.shape) * 0.1
+        pool = rng.integers(0, 10, (2 * n, 6)) / 9.0
+        pair = rng.choice(1280, size=2, replace=False)
+
+        def actions():
+            if case == "two_actions":
+                return np.concatenate([pair, rng.choice(pair, n - 2)])
+            if case == "one_action":
+                return np.full(n, pair[0])
+            return rng.choice(1280, size=n, replace=False)
+        batches = [(rng.integers(0, 10, (n, 6)) / 9.0, actions(),
+                    rng.uniform(-1, 1, n) * (100.0 if case == "clipped" else 1.0),
+                    pool[rng.choice(len(pool), size=n, replace=False)],
+                    rng.random(n) < 0.2) for _ in range(12)]
+        cfg = SimConfig(discount=0.9, learning_rate=0.01,
+                        grad_clip=0.5 if case == "clipped" else 1e6)
+
+        def run(step):
+            online, target = net.copy(), net.copy()
+            losses = []
+            for i, batch in enumerate(batches):
+                losses.append(step(online, target, batch, cfg))
+                if i == 5:
+                    sync_target(online, target)
+            return losses, online.parameters()
+
+        norms = []
+        ref_losses, ref_params = run(
+            lambda *args: reference_train_step(*args, norms))
+        losses, params = run(train_step)
+        # The clip binds in every update of the clipped case, in none of
+        # the others.
+        assert all((norm > cfg.grad_clip) == (case == "clipped")
+                   for norm in norms)
+        assert np.array_equal(losses, ref_losses)
+        for p, q in zip(params, ref_params):
+            assert np.array_equal(p, q)
 
 
 def blas_name():
@@ -305,6 +399,31 @@ class TestTargetMemo:
             assert train_step(net, other, batch, cfg) == loss
             assert other._max_q_memo is not target._max_q_memo
 
+    @pytest.mark.parametrize("layout", ["column_slice", "fortran"])
+    def test_keys_ignore_memory_layout(self, layout):
+        """A batch that is not C-contiguous gets the keys and values of its
+        contiguous copy: each key is the row's bytes in C order."""
+        rng = np.random.default_rng(17)
+        x = rng.integers(0, 10, (16, 6)) / 9.0
+        x[3] = x[0]
+        if layout == "column_slice":
+            wide = np.zeros((16, 9))
+            wide[:, 2:8] = x
+            batch = wide[:, 2:8]
+        else:
+            batch = np.asfortranarray(x)
+        assert not batch.flags.c_contiguous
+        _, target = self._nets()
+        other = target.copy()
+        got = target_max_q(target, batch)
+        want = target_max_q(other, np.ascontiguousarray(batch))
+        assert np.array_equal(got, want)
+        assert list(target._max_q_memo.items()) == list(
+            other._max_q_memo.items())
+        keys = [row.tobytes() for row in x]
+        assert list(target._max_q_memo) == keys[:3] + keys[4:]
+        assert np.array_equal(target_max_q(target, batch), want)
+
     def test_blas_rounds_sub_batches_like_the_full_batch(self):
         """The memo's byte identity rests on this property of the BLAS."""
         _, target = self._nets()
@@ -383,18 +502,23 @@ class TestPolicies:
         pol = make_policy("uav_heavy", self.env)
         fracs = self.env.fractions[pol.fixed_index]
         assert self.env.moves[pol.fixed_index] == STAY
-        assert all(tuple(f) == UAV_HEAVY_FRACS for f in fracs.T.tolist())
+        want = FIXED_POLICY_FRACS["uav_heavy"]
+        assert all(tuple(f) == want for f in fracs.T.tolist())
 
     def test_cloud_heavy_decodes(self):
         pol = make_policy("cloud_heavy", self.env)
         fracs = self.env.fractions[pol.fixed_index]
         assert self.env.moves[pol.fixed_index] == STAY
-        assert all(tuple(f) == CLOUD_HEAVY_FRACS for f in fracs.T.tolist())
+        want = FIXED_POLICY_FRACS["cloud_heavy"]
+        assert all(tuple(f) == want for f in fracs.T.tolist())
         assert fracs[1, 0] == 0.6  # x_cloud of device 0
 
     def test_fixed_fracs_missing_from_catalog(self):
-        env = MecEnvironment(SimConfig(num_devices=1, frac_levels=(0.0, 1.0)),
-                             seed=0)
+        # validate() admits these levels only without the fixed baselines
+        # in sweep_policies; make_policy still rejects them.
+        cfg = SimConfig(num_devices=1, frac_levels=(0.0, 1.0),
+                        sweep_policies=("dqn", "random"))
+        env = MecEnvironment(cfg, seed=0)
         with pytest.raises(ValueError, match="not present in the catalog"):
             make_policy("uav_heavy", env)
 

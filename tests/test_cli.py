@@ -1,5 +1,6 @@
 import pytest
 
+from uavmec import agent as ag
 from uavmec.cli import main
 
 FAST = [
@@ -66,6 +67,19 @@ class TestSweep:
         assert rc == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2
+
+    def test_fixed_policy_levels_rejected_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained a network")
+        monkeypatch.setattr(ag, "train", no_training)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--out", str(out)] + FAST + [
+            "--override", "frac_levels=0.0,0.5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'uav_heavy'" in err
+        assert not out.exists()
 
 
 class TestConfigHandling:

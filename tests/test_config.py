@@ -139,6 +139,19 @@ class TestValidate:
             SimConfig(sweep_policies=("dqn", "randm")).validate()
         SimConfig(sweep_policies=POLICY_KINDS).validate()
 
+    def test_fixed_policy_levels_in_frac_levels(self):
+        # make_policy would raise for these only after a sweep's training
+        with pytest.raises(ConfigError, match=r"'uav_heavy' needs "
+                           r"frac_levels \[0.3, 0.6\], missing from \(0.0, 0.5\)"):
+            SimConfig(frac_levels=(0.0, 0.5)).validate()
+        with pytest.raises(ConfigError, match=r"'cloud_heavy' needs "
+                           r"frac_levels \[0.3\]"):
+            SimConfig(frac_levels=(0.0, 0.6),
+                      sweep_policies=("dqn", "cloud_heavy")).validate()
+        SimConfig(frac_levels=(0.0, 0.5),
+                  sweep_policies=("dqn", "random")).validate()
+        SimConfig(num_devices=1, frac_levels=(0.0, 0.3, 0.6)).validate()
+
     def test_nonnegative_fields_reject_nan(self):
         # a NaN speed bound would pass a `< 0` test and move the UAV to (0, 0)
         with pytest.raises(ConfigError, match="v_max"):
@@ -178,7 +191,8 @@ class TestLoadConfig:
             "i_max = 1.0e5   # bits\n"
             "\n"
             "include_uav_position = true\n"
-            "frac_levels = 0.2, 0.4, 0.8\n")
+            "frac_levels = 0.2, 0.4, 0.8\n"
+            "sweep_policies = dqn, random\n")
         cfg = load_config(str(path))
         assert cfg.num_devices == 1
         assert cfg.i_max == 1e5

@@ -140,7 +140,8 @@ class TestReset:
 class TestConstraintsAtConstruction:
     def test_default_configs_pass(self):
         for cfg in (small_config(), SimConfig(num_devices=2),
-                    small_config(frac_levels=(0.0, 1.0), area_size=10.0)):
+                    small_config(frac_levels=(0.0, 1.0), area_size=10.0,
+                                 sweep_policies=("dqn", "random"))):
             MecEnvironment(cfg.validate())
 
     @pytest.mark.parametrize("overrides, name", [
@@ -177,7 +178,8 @@ class TestConstraintsOnEveryStep:
     @pytest.mark.parametrize("cfg", [
         SimConfig(n_intervals=40),
         # a move is longer than the area, so every step's clip is active
-        small_config(n_intervals=40, frac_levels=(0.0, 1.0), area_size=10.0),
+        small_config(n_intervals=40, frac_levels=(0.0, 1.0), area_size=10.0,
+                     sweep_policies=("dqn", "random")),
         SimConfig(n_intervals=40, tx_power=0.05),
     ])
     def test_validated_config_meets_c1_to_c9(self, cfg):
