@@ -66,6 +66,7 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
+    config.check_policy(args.policy)
     os.makedirs(args.out, exist_ok=True)
     net = None
     if args.policy == "dqn":
@@ -91,13 +92,7 @@ def cmd_eval(args, config) -> int:
 
 def cmd_sweep(args, config) -> int:
     os.makedirs(args.out, exist_ok=True)
-    spec = harness.SweepSpec(
-        i_max_values=tuple(config.sweep_i_max),
-        seeds=tuple(args.seed + i for i in range(config.sweep_seeds)),
-        policies=tuple(config.sweep_policies),
-        realizations=config.eval_realizations,
-        shared_model=config.shared_model)
-    rows = harness.run_sweep(spec, config, out_dir=args.out)
+    rows = harness.run_sweep(config, args.seed, out_dir=args.out)
     out_path = os.path.join(args.out, "sweep.csv")
     harness.emit_csv(rows, out_path)
     print(f"wrote {out_path} ({len(rows)} rows)")
@@ -106,13 +101,13 @@ def cmd_sweep(args, config) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep}
     try:
         config = load_config(args.config, _parse_overrides(args.override))
+        return commands[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    commands = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep}
-    return commands[args.command](args, config)
 
 
 if __name__ == "__main__":

@@ -62,9 +62,7 @@ class SimConfig:
     # --- link budget ---
     bandwidth: float = 180e3            # Hz
     noise_density_dbm: float = -174.0   # dBm/Hz
-    noise_power_override_w: float = 0.0  # >0: total noise power in W, bypasses density
-    p_max: float = 0.1                  # W, per-device transmit power bound
-    tx_power: float = 0.0               # W, fixed transmit power; 0 -> use p_max
+    p_max: float = 0.1                  # W, per-device transmit power (fixed)
     install_delay: float = 0.25         # s, UAV->cloud backhaul setup (t0)
 
     # --- computation ---
@@ -121,13 +119,7 @@ class SimConfig:
     @property
     def noise_power(self) -> float:
         """Total noise power in W over the configured bandwidth."""
-        if self.noise_power_override_w > 0:
-            return self.noise_power_override_w
         return dbm_to_watts(self.noise_density_dbm) * self.bandwidth
-
-    @property
-    def fixed_tx_power(self) -> float:
-        return self.tx_power if self.tx_power > 0 else self.p_max
 
     @property
     def queue_cap(self) -> float:
@@ -168,8 +160,7 @@ class SimConfig:
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         nonneg = ["v_max", "path_loss_exp", "rician_k", "i_max", "v1", "v2",
-                  "v3", "v4", "lyapunov_v", "violation_penalty", "q_cap",
-                  "tx_power", "noise_power_override_w"]
+                  "v3", "v4", "lyapunov_v", "violation_penalty", "q_cap"]
         for key in nonneg:
             if not getattr(self, key) >= 0:  # also false for NaN
                 raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)}")
@@ -202,24 +193,28 @@ class SimConfig:
                 f"joint action catalog has {self.catalog_size} entries, above "
                 f"max_catalog_size {self.max_catalog_size}; reduce "
                 f"num_devices or frac_levels")
-        if self.tx_power > self.p_max:
-            raise ConfigError(
-                f"tx_power {self.tx_power} exceeds p_max {self.p_max}")
         if len(self.sweep_i_max) == 0 or len(self.sweep_policies) == 0:
             raise ConfigError("sweep_i_max and sweep_policies must be nonempty")
+        if not all(0.0 <= v < math.inf for v in self.sweep_i_max):
+            raise ConfigError(f"sweep_i_max must be nonnegative and finite, "
+                              f"got {self.sweep_i_max}")
         for kind in self.sweep_policies:
-            if kind not in POLICY_KINDS:
-                raise ConfigError(
-                    f"unknown policy {kind!r} in sweep_policies; choose "
-                    f"from {', '.join(POLICY_KINDS)}")
-            missing = set(FIXED_POLICY_FRACS.get(kind, ())) - set(self.frac_levels)
-            if missing:
-                raise ConfigError(
-                    f"sweep policy {kind!r} needs frac_levels "
-                    f"{sorted(missing)}, missing from {self.frac_levels}")
+            self.check_policy(kind)
         if not math.isfinite(self.eta0_db):
             raise ConfigError("eta0_db must be finite")
         return self
+
+    def check_policy(self, kind: str) -> None:
+        """Raise ConfigError unless policy kind can run under this config:
+        a fixed baseline needs its fractions among frac_levels."""
+        if kind not in POLICY_KINDS:
+            raise ConfigError(f"unknown policy {kind!r}; choose from "
+                              f"{', '.join(POLICY_KINDS)}")
+        missing = set(FIXED_POLICY_FRACS.get(kind, ())) - set(self.frac_levels)
+        if missing:
+            raise ConfigError(
+                f"policy {kind!r} needs frac_levels {sorted(missing)}, "
+                f"missing from {self.frac_levels}")
 
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(SimConfig)}

@@ -128,9 +128,10 @@ class MecEnvironment:
     """
 
     def __init__(self, config: SimConfig, seed=0):
-        # validate() is the only gate: under a config it accepts, c1-c4 are
-        # its own checks and c5-c9 hold by the equal CPU shares and the
-        # clipped _move below, on every step.
+        # validate() is the only gate: under a config it accepts, c1 holds
+        # because every device transmits at p_max, c2-c4 are its own checks
+        # and c5-c9 hold by the equal CPU shares and the clipped _move below,
+        # on every step.
         self.config = config.validate()
         self.fractions, self.moves = action_catalog(config)
         self.chan_params = ch.ChannelParams(
@@ -140,7 +141,7 @@ class MecEnvironment:
         self._fraction_rows = np.ascontiguousarray(
             self.fractions.transpose(1, 0, 2))
         self._step_len = config.v_max * config.tau
-        self._tx_powers = np.full(config.num_devices, config.fixed_tx_power)
+        self._tx_powers = np.full(config.num_devices, config.p_max)
         # Per-device CPU of the local, UAV and cloud tiers, one row each.
         self._tier_cpus = np.array([[config.local_cpu_max],
                                     [config.uav_cpu_per_device],

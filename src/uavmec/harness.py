@@ -25,23 +25,6 @@ _EVAL_SALT = 0xE7A1
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Cartesian experiment grid: policies x arrival bounds x seeds."""
-    i_max_values: tuple
-    seeds: tuple
-    policies: tuple
-    realizations: int = 1000
-    shared_model: bool = False
-    train_i_max: float = 0.0   # 0 -> largest grid point
-
-    def __post_init__(self):
-        if not self.i_max_values or not self.seeds or not self.policies:
-            raise ValueError("sweep spec lists must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("sweep seeds must be distinct")
-
-
-@dataclass(frozen=True)
 class ResultRow:
     policy: str
     i_max: float
@@ -146,42 +129,44 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     return (row, records) if collect_records else row
 
 
-def run_sweep(spec: SweepSpec, config: SimConfig, out_dir: str = None):
-    """Evaluate every (policy, i_max, seed) combination of the spec.
+def _load_or_train(config: SimConfig, seed: int, out_dir: str = None):
+    """The network trained at config from seed: its checkpoint under out_dir
+    when one exists, else trained now (and saved when out_dir is set)."""
+    path = checkpoint_path(out_dir, config, seed) if out_dir is not None else None
+    if path is not None and os.path.exists(path):
+        return ag.load_checkpoint(path)
+    net = train_dqn(config, seed)
+    if path is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        ag.save_checkpoint(net, path)
+    return net
 
-    The DQN is retrained per sweep point, or loaded when a checkpoint for
-    that point already exists under out_dir. With shared_model, one model
-    per seed (trained at train_i_max) is evaluated everywhere. Rows come
-    back sorted by (policy, i_max, seed).
+
+def run_sweep(config: SimConfig, seed: int = 0, out_dir: str = None):
+    """Evaluate every (policy, i_max, seed) point of the config's sweep grid.
+
+    The grid is sweep_policies x sweep_i_max x the seeds seed ... seed +
+    sweep_seeds - 1; rows come back sorted by (policy, i_max, seed). Each
+    DQN network is trained, or loaded from its checkpoint under out_dir,
+    the first time a dqn row needs it: one per (i_max, seed), or with
+    shared_model one per seed, trained at max(sweep_i_max) and evaluated at
+    every i_max.
     """
-    needs_dqn = "dqn" in spec.policies
-    train_point = spec.train_i_max or max(spec.i_max_values)
+    config.validate()
+    seeds = range(seed, seed + config.sweep_seeds)
     nets = {}
-    if needs_dqn:
-        for seed in spec.seeds:
-            points = [train_point] if spec.shared_model else spec.i_max_values
-            for i_max in points:
-                cfg = replace(config, i_max=i_max).validate()
-                path = (checkpoint_path(out_dir, cfg, seed)
-                        if out_dir is not None else None)
-                if path is not None and os.path.exists(path):
-                    nets[(i_max, seed)] = ag.load_checkpoint(path)
-                    continue
-                nets[(i_max, seed)] = train_dqn(cfg, seed)
-                if path is not None:
-                    os.makedirs(out_dir, exist_ok=True)
-                    ag.save_checkpoint(nets[(i_max, seed)], path)
-
     rows = []
-    for policy in sorted(spec.policies):
-        for i_max in sorted(spec.i_max_values):
+    for policy in sorted(config.sweep_policies):
+        for i_max in sorted(config.sweep_i_max):
             cfg = replace(config, i_max=i_max).validate()
-            for seed in sorted(spec.seeds):
-                net = None
-                if policy == "dqn":
-                    key = (train_point if spec.shared_model else i_max, seed)
-                    net = nets[key]
-                rows.append(run_eval(policy, cfg, seed, spec.realizations,
+            train_cfg = (replace(config, i_max=max(config.sweep_i_max))
+                         if config.shared_model else cfg)
+            for s in seeds:
+                key = (train_cfg.i_max, s)
+                if policy == "dqn" and key not in nets:
+                    nets[key] = _load_or_train(train_cfg, s, out_dir)
+                net = nets[key] if policy == "dqn" else None
+                rows.append(run_eval(policy, cfg, s, config.eval_realizations,
                                      net=net))
     return rows
 

@@ -288,17 +288,15 @@ def test_criterion_08_cd_trend(full_scale_rows):
 
 @pytest.mark.slow
 def test_criterion_09_sweep_monotonicity(default_config, trained_nets):
-    spec = harness.SweepSpec(
-        i_max_values=tuple(default_config.sweep_i_max),
-        seeds=GRID_SEEDS,
-        policies=("dqn", "random", "uav_heavy", "cloud_heavy"),
-        realizations=GRID_REALIZATIONS,
-        shared_model=True, train_i_max=default_config.i_max)
-    rows = harness.run_sweep(spec, default_config, out_dir=str(CACHE))
-    grid = sorted(spec.i_max_values)
+    # One network per seed, trained at max(sweep_i_max) = the default i_max,
+    # so the sweep loads trained_nets' checkpoints.
+    cfg = replace(default_config, sweep_seeds=len(GRID_SEEDS),
+                  eval_realizations=GRID_REALIZATIONS, shared_model=True)
+    rows = harness.run_sweep(cfg, GRID_SEEDS[0], out_dir=str(CACHE))
+    grid = sorted(cfg.sweep_i_max)
     ok = True
     details = []
-    for policy in spec.policies:
+    for policy in cfg.sweep_policies:
         for attr in ("mean_pde", "mean_cd"):
             means = [np.mean([getattr(r, attr) for r in rows
                               if r.policy == policy and r.i_max == v])

@@ -48,6 +48,18 @@ class TestEval:
         assert traj.read_text().splitlines()[0] == (
             "interval,device,ql,qu,qc,reward,eta,t_comm,b_tot")
 
+    def test_fixed_policy_levels_missing_exit_code(self, tmp_path, capsys):
+        # validate() checks only sweep_policies, so eval checks --policy
+        # itself and reports a config error, not a catalog-lookup traceback
+        out = tmp_path / "eval"
+        rc = main(["eval", "--policy", "uav_heavy", "--out", str(out)]
+                  + FAST + ["--override", "frac_levels=0.0,0.5",
+                            "--override", "sweep_policies=dqn,random"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'uav_heavy'" in err
+        assert not out.exists()
+
     def test_trajectory_lands_in_out_dir(self, tmp_path):
         # only the file name changes prefix, never the directory
         out = tmp_path / "eval_runs"
@@ -79,6 +91,21 @@ class TestSweep:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "'uav_heavy'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["-1,1e5", "nan"])
+    def test_bad_sweep_i_max_rejected_before_training(
+            self, tmp_path, capsys, monkeypatch, grid):
+        # a bad grid point is rejected at load, before any network is trained
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained a network")
+        monkeypatch.setattr(ag, "train", no_training)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--out", str(out)] + FAST + [
+            "--override", f"sweep_i_max={grid}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "sweep_i_max" in err
         assert not out.exists()
 
 

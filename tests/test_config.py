@@ -39,18 +39,10 @@ class TestDefaults:
         cfg = SimConfig()
         assert cfg.eta0 == pytest.approx(1e-4)
         assert cfg.noise_power == pytest.approx(7.164e-16, rel=1e-3)
-        assert cfg.fixed_tx_power == 0.1
         assert cfg.queue_cap == 1e6
         assert cfg.uav_cpu_per_device == 2.5e6
         assert cfg.cloud_cpu_per_device == 5e7
         assert cfg.area_center == (250.0, 250.0)
-
-    def test_noise_override(self):
-        cfg = SimConfig(noise_power_override_w=1e-13)
-        assert cfg.noise_power == 1e-13
-
-    def test_tx_power_override(self):
-        assert SimConfig(tx_power=0.05).fixed_tx_power == 0.05
 
     def test_queue_cap_override(self):
         assert SimConfig(q_cap=5e5).queue_cap == 5e5
@@ -117,10 +109,6 @@ class TestValidate:
         with pytest.raises(ConfigError, match="frac_levels"):
             SimConfig(frac_levels=(0.3, 1.2)).validate()
 
-    def test_tx_power_bound(self):
-        with pytest.raises(ConfigError, match="exceeds p_max"):
-            SimConfig(tx_power=0.2, p_max=0.1).validate()
-
     def test_queue_levels_at_least_two(self):
         # one level would make observation normalization divide by zero
         with pytest.raises(ConfigError, match="queue_levels"):
@@ -139,6 +127,21 @@ class TestValidate:
             SimConfig(sweep_policies=("dqn", "randm")).validate()
         SimConfig(sweep_policies=POLICY_KINDS).validate()
 
+    def test_empty_sweep_lists_rejected(self):
+        for key in ("sweep_i_max", "sweep_policies"):
+            with pytest.raises(ConfigError, match="must be nonempty"):
+                SimConfig(**{key: ()}).validate()
+
+    @pytest.mark.parametrize("values", [(-1.0, 1e5), (math.nan,),
+                                        (1e5, math.inf)])
+    def test_sweep_i_max_nonnegative_and_finite(self, values):
+        # run_sweep would otherwise reject these only at their grid point,
+        # possibly after training networks
+        with pytest.raises(ConfigError, match="sweep_i_max must be "
+                           "nonnegative and finite"):
+            SimConfig(sweep_i_max=values).validate()
+        SimConfig(sweep_i_max=(0.0, 1e5)).validate()
+
     def test_fixed_policy_levels_in_frac_levels(self):
         # make_policy would raise for these only after a sweep's training
         with pytest.raises(ConfigError, match=r"'uav_heavy' needs "
@@ -148,9 +151,14 @@ class TestValidate:
                            r"frac_levels \[0.3\]"):
             SimConfig(frac_levels=(0.0, 0.6),
                       sweep_policies=("dqn", "cloud_heavy")).validate()
-        SimConfig(frac_levels=(0.0, 0.5),
-                  sweep_policies=("dqn", "random")).validate()
+        cfg = SimConfig(frac_levels=(0.0, 0.5),
+                        sweep_policies=("dqn", "random")).validate()
         SimConfig(num_devices=1, frac_levels=(0.0, 0.3, 0.6)).validate()
+        # validate() checks only sweep_policies; uavmec eval asks
+        # check_policy for its own policy
+        with pytest.raises(ConfigError, match="'uav_heavy' needs frac_levels"):
+            cfg.check_policy("uav_heavy")
+        cfg.check_policy("random")
 
     def test_nonnegative_fields_reject_nan(self):
         # a NaN speed bound would pass a `< 0` test and move the UAV to (0, 0)

@@ -145,7 +145,7 @@ class TestConstraintsAtConstruction:
             MecEnvironment(cfg.validate())
 
     @pytest.mark.parametrize("overrides, name", [
-        (dict(tx_power=0.2), "c1_power"),
+        (dict(p_max=-0.1), "c1_power"),
         (dict(frac_levels=(0.3, 1.2)), "c2_offload_fracs"),
         (dict(w_local=-0.1), "c3_compute_fracs"),
         (dict(local_cpu_max=-1.0), "c4_local_cpu"),
@@ -153,7 +153,7 @@ class TestConstraintsAtConstruction:
     def test_unvalidated_violation_raises(self, overrides, name):
         # the environment validates the config it is given, so values that
         # would break c1-c4 are rejected with validate()'s own message
-        message = {"c1_power": "exceeds p_max",
+        message = {"c1_power": "p_max must be positive",
                    "c2_offload_fracs": "frac_levels",
                    "c3_compute_fracs": "w_local",
                    "c4_local_cpu": "local_cpu_max"}[name]
@@ -180,7 +180,7 @@ class TestConstraintsOnEveryStep:
         # a move is longer than the area, so every step's clip is active
         small_config(n_intervals=40, frac_levels=(0.0, 1.0), area_size=10.0,
                      sweep_policies=("dqn", "random")),
-        SimConfig(n_intervals=40, tx_power=0.05),
+        SimConfig(n_intervals=40, p_max=0.05),
     ])
     def test_validated_config_meets_c1_to_c9(self, cfg):
         env = MecEnvironment(cfg.validate(), seed=4)
@@ -329,7 +329,7 @@ class TestStepPhysics:
         t = env.step(0)
         rec = t.record
         g = float(rec.power_gains[0])
-        want_sinr = cfg.fixed_tx_power * g / cfg.noise_power
+        want_sinr = cfg.p_max * g / cfg.noise_power
         assert rec.sinrs[0] == pytest.approx(want_sinr, rel=1e-12)
         assert rec.rates[0] == pytest.approx(
             cfg.bandwidth * np.log2(1.0 + want_sinr), rel=1e-12)

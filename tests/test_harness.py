@@ -6,31 +6,17 @@ import numpy as np
 import pytest
 
 from uavmec import agent as ag
+from uavmec import harness
 from uavmec.config import SimConfig
 from uavmec.harness import (CSV_HEADER, TRAJECTORY_HEADER, ResultRow,
-                            SweepSpec, checkpoint_path, dump_trajectory,
-                            emit_csv, run_eval, run_sweep)
+                            checkpoint_path, dump_trajectory, emit_csv,
+                            run_eval, run_sweep)
 
 
 def quick_config(**kw):
     base = dict(num_devices=1, n_intervals=10)
     base.update(kw)
     return SimConfig(**base)
-
-
-class TestSweepSpec:
-    def test_valid(self):
-        spec = SweepSpec(i_max_values=(1e5,), seeds=(0, 1),
-                         policies=("random",))
-        assert spec.realizations == 1000
-
-    def test_empty_lists_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            SweepSpec(i_max_values=(), seeds=(0,), policies=("random",))
-
-    def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            SweepSpec(i_max_values=(1e5,), seeds=(0, 0), policies=("random",))
 
 
 class TestCheckpointPath:
@@ -115,43 +101,77 @@ class TestRunEval:
 
 class TestRunSweep:
     def test_grid_size_and_order(self):
-        spec = SweepSpec(i_max_values=(2e5, 1e5), seeds=(1, 0),
-                         policies=("uav_heavy", "random"), realizations=2)
-        rows = run_sweep(spec, quick_config())
+        cfg = replace(quick_config(), sweep_i_max=(2e5, 1e5), sweep_seeds=2,
+                      sweep_policies=("uav_heavy", "random"),
+                      eval_realizations=2)
+        rows = run_sweep(cfg)
         assert len(rows) == 8
         keys = [(r.policy, r.i_max, r.seed) for r in rows]
         assert keys == sorted(keys)
         assert keys[0] == ("random", 1e5, 0)
 
+    def test_seeds_start_at_seed(self):
+        cfg = replace(quick_config(), sweep_i_max=(1e5,), sweep_seeds=2,
+                      sweep_policies=("random",), eval_realizations=1)
+        assert [r.seed for r in run_sweep(cfg, seed=3)] == [3, 4]
+
     def test_i_max_propagates(self):
-        spec = SweepSpec(i_max_values=(1e5,), seeds=(0,),
-                         policies=("uav_heavy",), realizations=1)
-        rows = run_sweep(spec, quick_config())
+        cfg = replace(quick_config(), sweep_i_max=(1e5,), sweep_seeds=1,
+                      sweep_policies=("uav_heavy",), eval_realizations=1)
+        rows = run_sweep(cfg)
         assert rows[0].i_max == 1e5
 
     def test_deterministic(self):
-        spec = SweepSpec(i_max_values=(1e5, 2e5), seeds=(0,),
-                         policies=("random",), realizations=2)
-        assert run_sweep(spec, quick_config()) == run_sweep(spec, quick_config())
+        cfg = replace(quick_config(), sweep_i_max=(1e5, 2e5), sweep_seeds=1,
+                      sweep_policies=("random",), eval_realizations=2)
+        assert run_sweep(cfg) == run_sweep(cfg)
 
     def test_dqn_checkpoint_cache(self, tmp_path):
-        cfg = quick_config(episodes=2, batch_size=8, buffer_capacity=100)
-        spec = SweepSpec(i_max_values=(2.5e5,), seeds=(0,),
-                         policies=("dqn",), realizations=1)
-        rows1 = run_sweep(spec, cfg, out_dir=str(tmp_path))
+        cfg = replace(quick_config(episodes=2, batch_size=8,
+                                   buffer_capacity=100),
+                      sweep_i_max=(2.5e5,), sweep_seeds=1,
+                      sweep_policies=("dqn",), eval_realizations=1)
+        rows1 = run_sweep(cfg, out_dir=str(tmp_path))
         assert [p.name for p in tmp_path.glob("*.ckpt")] == [
             checkpoint_path("", replace(cfg, i_max=2.5e5), 0)]
-        rows2 = run_sweep(spec, cfg, out_dir=str(tmp_path))
+        rows2 = run_sweep(cfg, out_dir=str(tmp_path))
         assert rows1 == rows2
 
     def test_shared_model_trains_once(self, tmp_path):
-        cfg = quick_config(episodes=2, batch_size=8, buffer_capacity=100)
-        spec = SweepSpec(i_max_values=(1e5, 2e5), seeds=(0,),
-                         policies=("dqn",), realizations=1, shared_model=True)
-        rows = run_sweep(spec, cfg, out_dir=str(tmp_path))
+        cfg = replace(quick_config(episodes=2, batch_size=8,
+                                   buffer_capacity=100),
+                      sweep_i_max=(1e5, 2e5), sweep_seeds=1,
+                      sweep_policies=("dqn",), eval_realizations=1,
+                      shared_model=True)
+        rows = run_sweep(cfg, out_dir=str(tmp_path))
         ckpts = sorted(p.name for p in tmp_path.glob("*.ckpt"))
         assert ckpts == [checkpoint_path("", replace(cfg, i_max=2e5), 0)]
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("policies, shared, trained", [
+        (("random", "dqn", "uav_heavy"), False,
+         [(1e5, 0), (1e5, 1), (2e5, 0), (2e5, 1)]),
+        (("random", "uav_heavy"), False, []),
+        (("dqn", "random"), True, [(2e5, 0), (2e5, 1)]),
+    ])
+    def test_each_network_trained_once(self, monkeypatch, policies, shared,
+                                       trained):
+        calls = []
+        real = harness.train_dqn
+
+        def counting(config, seed):
+            calls.append((config.i_max, seed))
+            return real(config, seed)
+
+        monkeypatch.setattr(harness, "train_dqn", counting)
+        cfg = replace(quick_config(episodes=2, batch_size=8,
+                                   buffer_capacity=100),
+                      sweep_i_max=(2e5, 1e5), sweep_seeds=2,
+                      sweep_policies=policies, eval_realizations=1,
+                      shared_model=shared)
+        rows = run_sweep(cfg)
+        assert sorted(calls) == trained
+        assert len(rows) == len(policies) * 2 * 2
 
 
 class TestCsv:
@@ -187,12 +207,12 @@ class TestCsv:
             emit_csv([], str(tmp_path / "rows.csv"))
 
     def test_sweep_output_byte_stable(self, tmp_path):
-        spec = SweepSpec(i_max_values=(1e5,), seeds=(0, 1),
-                         policies=("random", "uav_heavy"), realizations=2)
-        cfg = quick_config()
+        cfg = replace(quick_config(), sweep_i_max=(1e5,), sweep_seeds=2,
+                      sweep_policies=("random", "uav_heavy"),
+                      eval_realizations=2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(spec, cfg), str(a))
-        emit_csv(run_sweep(spec, cfg), str(b))
+        emit_csv(run_sweep(cfg), str(a))
+        emit_csv(run_sweep(cfg), str(b))
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -192,7 +192,7 @@ class TestFeasibility:
     def _check(self, cfg, **kw):
         base = dict(
             fractions=[(0.6, 0.3, 0.3, 0.6, 0.3)],
-            tx_powers=[cfg.fixed_tx_power],
+            tx_powers=[cfg.p_max],
             cpu_local=[cfg.local_cpu_max],
             cpu_uav=[cfg.uav_cpu_per_device],
             cpu_cloud=[cfg.cloud_cpu_per_device],
@@ -247,7 +247,7 @@ class TestFeasibility:
         cfg = SimConfig(num_devices=3)
         rep = check_feasibility(
             fractions=[(0.6, 0.3, 0.3, 0.6, 0.3)] * 3,
-            tx_powers=[cfg.fixed_tx_power] * 3,
+            tx_powers=[cfg.p_max] * 3,
             cpu_local=[cfg.local_cpu_max] * 3,
             cpu_uav=[cfg.uav_cpu_per_device] * 3,
             cpu_cloud=[cfg.cloud_cpu_per_device] * 3,
