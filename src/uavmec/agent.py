@@ -366,7 +366,8 @@ def normalize_observation(obs: np.ndarray, config: SimConfig) -> np.ndarray:
 class TrainResult:
     net: QNetwork
     episode_rewards: list
-    losses: list
+    losses: list            # every update's TD loss, in order
+    episode_losses: list    # each episode's mean TD loss; nan without updates
 
 
 def train(config: SimConfig, seed=0) -> TrainResult:
@@ -389,9 +390,11 @@ def train(config: SimConfig, seed=0) -> TrainResult:
 
     episode_rewards = []
     losses = []
+    episode_losses = []
     t = 0
     for ep in range(config.episodes):
         obs = normalize_observation(env.reset(episode_seeds[ep]), config)
+        first_loss = len(losses)
         ep_reward = 0.0
         while not env.done:
             frac = min(1.0, t / decay_horizon)
@@ -410,7 +413,11 @@ def train(config: SimConfig, seed=0) -> TrainResult:
             if t % config.target_sync_period == 0:
                 sync_target(net, target_net)
         episode_rewards.append(ep_reward)
-    return TrainResult(net=net, episode_rewards=episode_rewards, losses=losses)
+        ep_losses = losses[first_loss:]
+        episode_losses.append(float(np.mean(ep_losses)) if ep_losses
+                              else math.nan)
+    return TrainResult(net=net, episode_rewards=episode_rewards, losses=losses,
+                       episode_losses=episode_losses)
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -53,14 +53,27 @@ def rician_sample(rng: np.random.Generator, rice_k: float, size=None):
     """
     if math.isinf(rice_k):
         return 1.0 + 0j if size is None else np.ones(size, dtype=complex)
-    nlos = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
+    return rician_amplitude(rng.standard_normal(size),
+                            rng.standard_normal(size), rice_k)
+
+
+def rician_amplitude(re, im, rice_k: float):
+    """Rician amplitude whose scattered part is (re + j im) / sqrt(2), for
+    standard normal re and im and a finite rice_k."""
+    nlos = (re + 1j * im) / math.sqrt(2.0)
     los_w = math.sqrt(rice_k / (rice_k + 1.0))
     nlos_w = math.sqrt(1.0 / (rice_k + 1.0))
     return los_w + nlos_w * nlos
 
 
-def channel_gain(d: float, params: ChannelParams,
-                 rng: np.random.Generator) -> float:
-    """Power gain |h|^2 of one block-fading device-UAV channel realization."""
-    amp = math.sqrt(large_scale_gain(d, params)) * rician_sample(rng, params.rice_k)
+def channel_gain(d: float, params: ChannelParams, re: float,
+                 im: float) -> float:
+    """Power gain |h|^2 of one block-fading device-UAV channel realization.
+
+    re and im are the standard normals of its scattered part; a pure LoS
+    channel (rice_k = inf) has none and ignores them.
+    """
+    fading = (1.0 + 0j if math.isinf(params.rice_k)
+              else rician_amplitude(re, im, params.rice_k))
+    amp = math.sqrt(large_scale_gain(d, params)) * fading
     return abs(amp) ** 2

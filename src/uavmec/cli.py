@@ -57,9 +57,10 @@ def cmd_train(args, config) -> int:
     curve_path = os.path.join(args.out,
                               f"curve_{int(config.i_max)}_{args.seed}.csv")
     with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("episode,cumulative_reward\n")
-        for ep, r in enumerate(result.episode_rewards):
-            fh.write(f"{ep},{r!r}\n")
+        fh.write("episode,cumulative_reward,mean_td_loss\n")
+        for ep, (r, loss) in enumerate(zip(result.episode_rewards,
+                                           result.episode_losses)):
+            fh.write(f"{ep},{r!r},{loss!r}\n")
     print(f"saved checkpoint to {path}")
     print(f"saved learning curve to {curve_path}")
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,8 @@ def _row(value, r):
 
 @dataclass
 class TransitionRecord:
-    """step()'s result; reward is a float, or an (R,) array from a Lockstep."""
+    """step()'s result; reward is a float, or an (R,) array from a Lockstep,
+    whose result has no next_observation (None)."""
     reward: float
     next_observation: np.ndarray
     done: bool
@@ -96,14 +98,13 @@ def observation_size(config: SimConfig) -> int:
     return 3 * config.num_devices + (2 if config.include_uav_position else 0)
 
 
-def _observation(config: SimConfig, queues: qs.QueueTriple,
+def _observation(config: SimConfig, backlog: np.ndarray,
                  uav_pos: ch.Position2D) -> np.ndarray:
     """Backlog levels in queue_levels buckets (clipped at cap); device-major
     (local, UAV, cloud of device 0, then of device 1, ...). One row per
-    realization for (R, K) queues."""
-    tiers = np.array((queues.q_local, queues.q_uav, queues.q_cloud))
-    backlog = tiers.transpose(*range(1, tiers.ndim), 0).reshape(
-        tiers.shape[1:-1] + (-1,))
+    realization for a (3, R, K) backlog."""
+    backlog = backlog.transpose(*range(1, backlog.ndim), 0).reshape(
+        backlog.shape[1:-1] + (-1,))
     top = config.queue_levels - 1
     cap = config.queue_cap
     levels = (np.minimum(top, np.floor(config.queue_levels * backlog / cap))
@@ -122,9 +123,10 @@ class MecEnvironment:
     moves the UAV and draws the channel gains and the arrivals from its
     stream; the channel math stays scalar per device, so that its floats are
     the same wherever the realization runs. _advance then runs the stages on
-    the backlogs, written for one realization's (K,) arrays or a Lockstep's
-    (R, K) arrays. A realization inside a Lockstep makes only the first part
-    in step(); the Lockstep runs _advance once for all of its realizations.
+    the backlogs, written for one realization's (3, K) backlog or a
+    Lockstep's (3, R, K) one. A realization inside a Lockstep makes only the
+    first part in step(); the Lockstep runs _advance once for all of its
+    realizations.
     """
 
     def __init__(self, config: SimConfig, seed=0):
@@ -137,9 +139,16 @@ class MecEnvironment:
         self.chan_params = ch.ChannelParams(
             eta0=config.eta0, theta=config.path_loss_exp,
             rice_k=config.rician_k, altitude=config.altitude)
-        # x_uav, x_cloud, w_uav, w_cloud rows: [:, i] is entry i's (4, K).
-        self._fraction_rows = np.ascontiguousarray(
-            self.fractions.transpose(1, 0, 2))
+        # Each catalog entry's split stack per unit backlog, (6, n, K): an
+        # interval's splits are its column times the backlog, rounding as
+        # compute_splits does.
+        x_uav, x_cloud, w_uav, w_cloud = self.fractions.transpose(1, 0, 2)
+        self._split_table = qs.split_stack(qs.compute_splits(
+            qs.QueueTriple(1.0, 1.0, 1.0), x_uav, x_cloud, config.w_local,
+            w_uav, w_cloud))
+        # Each catalog entry's backhaul install delay per device, (n, K).
+        self._install_delays = phy.cloud_comm_delay(x_cloud,
+                                                    config.install_delay)
         self._step_len = config.v_max * config.tau
         self._tx_powers = np.full(config.num_devices, config.p_max)
         # Per-device CPU of the local, UAV and cloud tiers, one row each.
@@ -160,13 +169,14 @@ class MecEnvironment:
                           self.rng.uniform(0.0, cfg.area_size))
             for _ in range(cfg.num_devices)]
         self.uav_pos = ch.Position2D(*cfg.area_center)
-        self.queues = qs.QueueTriple(*np.zeros((3, cfg.num_devices)))
+        # Local, UAV and cloud backlog of each device, one row per tier.
+        self.backlog = np.zeros((3, cfg.num_devices))
         self.acc = obj.PdeAccumulator(cfg.num_devices)
         return self.observe()
 
     def observe(self) -> np.ndarray:
         """The realization's backlog levels, as _observation gives them."""
-        return _observation(self.config, self.queues, self.uav_pos)
+        return _observation(self.config, self.backlog, self.uav_pos)
 
     @property
     def done(self) -> bool:
@@ -203,11 +213,17 @@ class MecEnvironment:
         self.uav_pos = self._move(self.uav_pos, self.moves[action_index])
 
         # (2) fresh block-fading channels, then the interval's arrivals for
-        # (7); nothing in between draws from the stream.
+        # (7); nothing in between draws from the stream. One draw gives the
+        # 2K normals of the scattered parts, the same values as K pairs of
+        # scalar draws; a pure LoS channel draws none.
+        k = cfg.num_devices
+        normals = ([0.0] * (2 * k) if math.isinf(cfg.rician_k)
+                   else self.rng.standard_normal(2 * k).tolist())
         gains = [ch.channel_gain(ch.distance(self.uav_pos, dev, cfg.altitude),
-                                 self.chan_params, self.rng)
-                 for dev in self.device_positions]
-        arrivals = qs.draw_arrival(self.rng, cfg.i_max, cfg.num_devices)
+                                 self.chan_params, re, im)
+                 for dev, re, im in zip(self.device_positions, normals[::2],
+                                        normals[1::2])]
+        arrivals = qs.draw_arrival(self.rng, cfg.i_max, k)
         if self.in_lockstep:
             self.n += 1
             return gains, arrivals
@@ -220,56 +236,58 @@ class MecEnvironment:
 
     def _advance(self, state, actions, gains: np.ndarray,
                  arrivals: np.ndarray) -> IntervalRecord:
-        """Stages (3)-(8) of state's interval on its backlogs.
+        """Stages (3)-(8) of state's interval on its backlog.
 
         state is this environment, or a Lockstep of realizations sharing its
-        tables; its queues and accumulators move on by one interval. Per
+        tables; its backlog and accumulators move on by one interval. Per
         device arrays are (K,) for one realization with one action, or
         (R, K) for R realizations with (R,) actions.
         """
         cfg = self.config
-        x_uav, x_cloud, w_uav, w_cloud = self._fraction_rows[:, actions]
+        backlog = state.backlog
 
         # (3) SINR, and the rates, whose scalar math runs per device.
         sinrs = phy.sinr(gains, self._tx_powers, cfg.noise_power)
         rates = np.array([phy.rate(g, cfg.bandwidth)
-                          for g in sinrs.flat]).reshape(sinrs.shape)
+                          for g in sinrs.ravel().tolist()]).reshape(sinrs.shape)
 
         # (4) split amounts from start-of-interval backlogs.
-        queues = state.queues
-        splits = qs.compute_splits(queues, x_uav, x_cloud, cfg.w_local,
-                                   w_uav, w_cloud)
+        amounts = (self._split_table.take(actions, axis=1)
+                   * backlog.take(qs.SPLIT_TIERS, axis=0))
 
         # (5) delays and the per-device delay-bound indicator.
         t_local, t_uav, t_cloud = comp.comp_delay(
-            np.array((splits.b_local, splits.b_uav, splits.b_cloud)),
-            self._tier_cpus.reshape((3,) + (1,) * gains.ndim),
+            amounts[:3], self._tier_cpus.reshape((3,) + (1,) * gains.ndim),
             cfg.cycles_per_bit)
         delays = comp.DelayBreakdown(
             t_local_comp=t_local,
-            t_uplink_comm=phy.uplink_comm_delay(splits.d_uav, rates),
+            t_uplink_comm=phy.uplink_comm_delay(amounts[3], rates),
             t_uav_comp=t_uav,
-            t_cloud_comm=phy.cloud_comm_delay(x_cloud, cfg.install_delay),
+            t_cloud_comm=self._install_delays.take(actions, axis=0),
             t_cloud_comp=t_cloud,
         )
         t_comm = phy.total_comm_delay(delays.t_uplink_comm,
                                       delays.t_cloud_comm)
-        eta = (comp.total_task_delay(delays) <= cfg.tau).astype(int)
+        met = comp.total_task_delay(delays) <= cfg.tau
 
         # (6) reward against the accumulator state up to interval n-1.
+        queues = qs.QueueTriple(backlog[0], backlog[1], backlog[2])
+        splits = qs.SplitAmounts(
+            d_uav=amounts[3], b_local=amounts[0], d_cloud=amounts[4],
+            b_uav=amounts[1], b_cloud=amounts[2])
         hist_pde = state.acc.device_pde()
         b_tot = obj.processed_total(splits.b_local, splits.b_uav,
                                     splits.b_cloud)
-        rewards = obj.reward(queues, splits, t_comm, hist_pde, cfg, eta)
+        rewards = obj.reward(queues, splits, t_comm, hist_pde, cfg, met)
 
         # (7) queue updates with the drawn arrivals, (8) accumulators.
-        state.queues = qs.step_queues(queues, splits, arrivals)
+        state.backlog = qs.step_queues(backlog, amounts, arrivals)
         state.acc.record_interval(b_tot, t_comm)
 
         return IntervalRecord(
             interval=state.n, uav_pos=state.uav_pos, queues_before=queues,
             splits=splits, power_gains=gains, sinrs=sinrs, rates=rates,
-            delays=delays, t_comm=t_comm, b_tot=b_tot, eta=eta,
+            delays=delays, t_comm=t_comm, b_tot=b_tot, eta=met.astype(int),
             hist_pde=hist_pde, reward_per_device=rewards, arrivals=arrivals)
 
 
@@ -277,8 +295,9 @@ class Lockstep:
     """R realizations of an environment, stepped together.
 
     Each realization is a copy of env, sharing its catalog tables, reset
-    from its own seed. The backlogs are (R, K) arrays; actions,
-    observations and rewards gain a leading (R,) axis.
+    from its own seed. The backlog is a (3, R, K) array; actions and
+    rewards gain a leading (R,) axis, and observe() gives one row per
+    realization.
     """
 
     def __init__(self, env: MecEnvironment, seeds):
@@ -290,11 +309,13 @@ class Lockstep:
             realization.in_lockstep = True
             realization.reset(seed)
             self.envs.append(realization)
-        shape = (len(self.envs), cfg.num_devices)
+        if not self.envs:
+            raise ValueError("a Lockstep needs at least one seed")
+        shape = self._shape = (len(self.envs), cfg.num_devices)
         self.n = 0
         self.uav_pos = ch.Position2D(np.full(shape[0], cfg.area_center[0]),
                                      np.full(shape[0], cfg.area_center[1]))
-        self.queues = qs.QueueTriple(*np.zeros((3,) + shape))
+        self.backlog = np.zeros((3,) + shape)
         self.acc = obj.PdeAccumulator(shape)
 
     @property
@@ -307,13 +328,16 @@ class Lockstep:
 
     def observe(self) -> np.ndarray:
         """One row of backlog levels per realization."""
-        return _observation(self.config, self.queues, self.uav_pos)
+        return _observation(self.config, self.backlog, self.uav_pos)
 
     def terminal_distance(self) -> list:
         return [env.terminal_distance() for env in self.envs]
 
     def step(self, action_indices) -> TransitionRecord:
-        """Advance every realization one interval, one action index each."""
+        """Advance every realization one interval, one action index each.
+
+        The result has no observation; observe() gives it.
+        """
         actions = np.asarray(action_indices)
         if actions.shape != (len(self.envs),):
             raise ValueError(f"expected action indices of shape "
@@ -322,8 +346,10 @@ class Lockstep:
         if min(indices) < 0 or max(indices) >= len(self._env.moves):
             raise IndexError(f"action index {action_indices} outside catalog "
                              f"of size {len(self._env.moves)}")
-        drawn = [env.step(a) for env, a in zip(self.envs, indices)]
-        gains, arrivals = (np.array(rows) for rows in zip(*drawn))
+        gains = np.empty(self._shape)
+        arrivals = np.empty(self._shape)
+        for r, (env, a) in enumerate(zip(self.envs, indices)):
+            gains[r], arrivals[r] = env.step(a)
         self.uav_pos = ch.Position2D(
             np.array([env.uav_pos.x for env in self.envs]),
             np.array([env.uav_pos.y for env in self.envs]))
@@ -331,4 +357,4 @@ class Lockstep:
         self.n += 1
         return TransitionRecord(
             reward=record.reward_per_device.sum(axis=-1),
-            next_observation=self.observe(), done=self.done, record=record)
+            next_observation=None, done=self.done, record=record)

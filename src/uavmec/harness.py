@@ -91,7 +91,6 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     policy_rng = np.random.default_rng(episode_seeds[-1])
 
     batch = Lockstep(env, episode_seeds[:-1])
-    observation = batch.observe()
     table = ag.action_table(pol, policy_rng, realizations, config.n_intervals)
     # Local, UAV and cloud backlogs summed over intervals, per realization
     # and device.
@@ -101,16 +100,13 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     for n in range(config.n_intervals):
         if table is None:
             actions = ag.baseline_action(
-                pol, ag.normalize_observation(observation, config),
+                pol, ag.normalize_observation(batch.observe(), config),
                 policy_rng)
         else:
             actions = table[:, n]
-        tr = batch.step(actions)
-        observation = tr.next_observation
-        rec = tr.record
-        q = rec.queues_before
-        backlog += (q.q_local, q.q_uav, q.q_cloud)
-        violations += int(np.count_nonzero(rec.eta == 0))
+        backlog += batch.backlog
+        rec = batch.step(actions).record
+        violations += rec.eta.size - int(np.count_nonzero(rec.eta))
         if collect_records:
             records.append(rec.realization(-1))
     pd_sum = float(np.sum(batch.acc.per_device_processed))

@@ -5,7 +5,8 @@ the cloud. Split amounts are computed from start-of-interval backlogs; bits
 offloaded in an interval are credited downstream within the same interval's
 update, and fresh arrivals are appended after service. Backlogs are
 real-valued bits; fractional bits are fine since every law is linear.
-Every law is element-wise: a field holds one device's float or a (K,) array.
+Every law is element-wise: a field holds one device's float or a (K,) array,
+and the update runs on the three backlogs stacked into one array.
 """
 
 from __future__ import annotations
@@ -57,28 +58,36 @@ def compute_splits(q: QueueTriple, x_uav, x_cloud, w_local, w_uav,
     )
 
 
-def update_local(q_local, s: SplitAmounts, arrival):
-    """Device backlog: drain offloaded + locally processed bits, then arrivals."""
-    return np.maximum(0.0, q_local - s.d_uav - s.b_local) + arrival
+# The rows of a split stack, one array of SplitAmounts' five amounts for
+# one device or for (..., K) devices, ordered so that each stage reads a
+# block: [:3] is the work of the local, UAV and cloud compute and [3] the
+# uplink's; [3:] is the first drain of the local, UAV and cloud backlogs and
+# [:2] the second, so b_cloud is listed twice.
+SPLIT_ROWS = ("b_local", "b_uav", "b_cloud", "d_uav", "d_cloud", "b_cloud")
+# The backlog tier (local, UAV, cloud) that each row takes its share of.
+SPLIT_TIERS = (0, 1, 2, 0, 1, 2)
 
 
-def update_uav(q_uav, s: SplitAmounts):
-    """UAV backlog: drain cloud-offloaded + processed bits, credit device inflow."""
-    return np.maximum(0.0, q_uav - s.d_cloud - s.b_uav) + s.d_uav
+def split_stack(s: SplitAmounts) -> np.ndarray:
+    """s's amounts as a split stack, in SPLIT_ROWS order."""
+    return np.array([getattr(s, name) for name in SPLIT_ROWS])
 
 
-def update_cloud(q_cloud, s: SplitAmounts):
-    """Cloud backlog: drain processed bits, credit UAV inflow."""
-    return np.maximum(0.0, q_cloud - s.b_cloud) + s.d_cloud
+def step_queues(backlog, splits, arrival):
+    """One synchronous update of all three tiers from the same snapshot.
 
-
-def step_queues(q: QueueTriple, s: SplitAmounts, arrival) -> QueueTriple:
-    """One synchronous update of all three tiers from the same snapshot."""
-    return QueueTriple(
-        q_local=update_local(q.q_local, s, arrival),
-        q_uav=update_uav(q.q_uav, s),
-        q_cloud=update_cloud(q.q_cloud, s),
-    )
+    backlog holds the local, UAV and cloud backlogs, (3,) or (3, ..., K),
+    and splits is their split stack. Each backlog loses its offloaded bits,
+    then its processed ones, is floored at 0 and gains its inflow: the
+    arrivals at the device, the bits offloaded from the tier below at the
+    UAV and the cloud.
+    """
+    after = backlog - splits[3:]
+    np.subtract(after[:2], splits[:2], out=after[:2])
+    np.maximum(0.0, after, out=after)
+    np.add(after[:1], arrival, out=after[:1])
+    np.add(after[1:], splits[3:5], out=after[1:])
+    return after
 
 
 def draw_arrival(rng: np.random.Generator, max_bits: float, size=None):

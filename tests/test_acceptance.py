@@ -96,7 +96,9 @@ def test_criterion_01_queue_oracle():
         x_u, x_c, w_l, w_u, w_c = rng.uniform(0, 1, 5)
         arrival = float(rng.uniform(0, 2.5e5))
         s = qs.compute_splits(q, x_u, x_c, w_l, w_u, w_c)
-        nxt = qs.step_queues(q, s, arrival)
+        nxt = qs.QueueTriple(*qs.step_queues(
+            np.array((q.q_local, q.q_uav, q.q_cloud)), qs.split_stack(s),
+            arrival).tolist())
         want = (max(0.0, q.q_local - x_u * q.q_local
                     - w_l * (1 - x_u) * q.q_local) + arrival,
                 max(0.0, q.q_uav - x_c * q.q_uav
@@ -217,18 +219,20 @@ def test_criterion_05_queue_safety_fuzz():
     rng = np.random.default_rng(1005)
     negatives = 0
     clamped = 0
-    queues = qs.QueueTriple(0.0, 0.0, 0.0)
+    backlog = np.zeros(3)
     for i in range(100_000):
         if i % 1000 == 0:   # restart from random backlogs to vary regimes
-            queues = qs.QueueTriple(*rng.uniform(0, 1e6, 3))
+            backlog = rng.uniform(0, 1e6, 3)
+        queues = qs.QueueTriple(*backlog.tolist())
         x_u, x_c, w_l, w_u, w_c = rng.uniform(0, 1, 5)
         s = qs.compute_splits(queues, x_u, x_c, w_l, w_u, w_c)
         if (queues.q_local - s.d_uav - s.b_local < 0.0
                 or queues.q_uav - s.d_cloud - s.b_uav < 0.0
                 or queues.q_cloud - s.b_cloud < 0.0):
             clamped += 1
-        queues = qs.step_queues(queues, s, float(rng.uniform(0, 2.5e5)))
-        if queues.q_local < 0 or queues.q_uav < 0 or queues.q_cloud < 0:
+        backlog = qs.step_queues(backlog, qs.split_stack(s),
+                                 float(rng.uniform(0, 2.5e5)))
+        if backlog.min() < 0:
             negatives += 1
     elapsed = time.monotonic() - t0
     ok = negatives == 0 and clamped == 0 and elapsed < 10.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uavmec.channel import (ChannelParams, Position2D, channel_gain, distance,
-                            large_scale_gain, rician_sample)
+                            large_scale_gain, rician_amplitude, rician_sample)
 
 PARAMS = ChannelParams(eta0=1e-4, theta=2.0, rice_k=10.0, altitude=100.0)
 
@@ -78,11 +78,27 @@ class TestChannelGain:
     def test_los_limit_power(self):
         params = ChannelParams(eta0=1e-4, theta=2.0, rice_k=math.inf,
                                altitude=100.0)
-        real = channel_gain(100.0, params, np.random.default_rng(0))
-        assert real == pytest.approx(1e-8)
+        assert channel_gain(100.0, params, 0.3, -1.2) == pytest.approx(1e-8)
 
     def test_mean_power_tracks_path_loss(self):
-        rng = np.random.default_rng(4)
-        powers = [channel_gain(100.0, PARAMS, rng)
-                  for _ in range(100_000)]
+        normals = np.random.default_rng(4).standard_normal((100_000, 2))
+        powers = [channel_gain(100.0, PARAMS, re, im)
+                  for re, im in normals.tolist()]
         assert 0.99e-8 <= np.mean(powers) <= 1.01e-8
+
+
+def test_one_normal_draw_equals_scalar_draws_in_order():
+    # The environment draws an interval's 2K fading normals at once.
+    for seed in range(200):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (1, 2, 3):
+            assert a.standard_normal(2 * k).tolist() == [
+                b.standard_normal() for _ in range(2 * k)]
+        assert a.random() == b.random()
+
+
+def test_rician_amplitude_matches_sample_from_the_same_normals():
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    for rice_k in (0.0, 10.0, 1e14):
+        re, im = b.standard_normal(), b.standard_normal()
+        assert rician_sample(a, rice_k) == rician_amplitude(re, im, rice_k)

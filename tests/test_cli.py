@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from uavmec import agent as ag
 from uavmec.cli import main
+from uavmec.config import load_config
 
 FAST = [
     "--override", "num_devices=1",
@@ -20,8 +22,30 @@ class TestTrain:
         assert len(list(tmp_path.glob("dqn_250000_1_*.ckpt"))) == 1
         curve = tmp_path / "curve_250000_1.csv"
         lines = curve.read_text().splitlines()
-        assert lines[0] == "episode,cumulative_reward"
+        assert lines[0] == "episode,cumulative_reward,mean_td_loss"
         assert len(lines) == 3
+
+    def test_curve_holds_each_episodes_mean_td_loss(self, tmp_path):
+        # 10-interval episodes and batch_size 8: episode 0 makes 3 updates
+        # (its intervals 7-9), episode 1 makes 10.
+        assert main(["train", "--seed", "1", "--out", str(tmp_path)]
+                    + FAST) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "curve_250000_1.csv").read_text().splitlines()[1:]]
+        result = ag.train(load_config(None, dict(
+            pair.split("=") for pair in FAST[1::2])), 1)
+        assert [float(r[1]) for r in rows] == result.episode_rewards
+        assert [float(r[2]) for r in rows] == [
+            float(np.mean(result.losses[:3])),
+            float(np.mean(result.losses[3:]))]
+        assert len(result.losses) == 13
+
+    def test_episode_without_updates_has_nan_loss(self, tmp_path):
+        assert main(["train", "--out", str(tmp_path)] + FAST
+                    + ["--override", "batch_size=16"]) == 0
+        lines = (tmp_path / "curve_250000_0.csv").read_text().splitlines()
+        assert lines[1].endswith(",nan")
+        assert not lines[2].endswith(",nan")
 
 
 class TestEval:

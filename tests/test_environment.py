@@ -1,15 +1,19 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from uavmec import computation as comp, objective as obj
+from uavmec import (channel as ch, computation as comp, objective as obj,
+                    phy_link as phy, queueing as qs)
 from uavmec.config import MOVES, ConfigError, SimConfig
-from uavmec.environment import (STAY, Lockstep, MecEnvironment,
-                                action_catalog, observation_size)
+from uavmec.environment import (STAY, IntervalRecord, Lockstep,
+                                MecEnvironment, action_catalog,
+                                observation_size)
 from uavmec.objective import reward as reward_fn
-from uavmec.queueing import QueueTriple, compute_splits, step_queues
+from uavmec.queueing import (QueueTriple, compute_splits, split_stack,
+                             step_queues)
 
 
 def device(container, k):
@@ -86,22 +90,20 @@ class TestObservation:
     def test_discretization(self):
         env = MecEnvironment(small_config(), seed=0)
         cap = env.config.queue_cap
-        env.queues = QueueTriple(np.array([0.0]), np.array([0.55 * cap]),
-                                 np.array([2.0 * cap]))
+        env.backlog = np.array([[0.0], [0.55 * cap], [2.0 * cap]])
         assert env.observe().tolist() == [0.0, 5.0, 9.0]
 
     def test_device_major_order(self):
         env = MecEnvironment(SimConfig(num_devices=2), seed=0)
         cap = env.config.queue_cap
-        env.queues = QueueTriple(np.array([0.05 * cap, 0.0]),
-                                 np.array([0.15 * cap, 0.95 * cap]),
-                                 np.array([0.25 * cap, 0.35 * cap]))
+        env.backlog = np.array([[0.05 * cap, 0.0],
+                                [0.15 * cap, 0.95 * cap],
+                                [0.25 * cap, 0.35 * cap]])
         assert env.observe().tolist() == [0.0, 1.0, 2.0, 0.0, 9.0, 3.0]
 
     def test_zero_cap_puts_any_backlog_on_top(self):
         env = MecEnvironment(small_config(i_max=0.0), seed=0)
-        env.queues = QueueTriple(np.array([0.0]), np.array([1.0]),
-                                 np.array([5e9]))
+        env.backlog = np.array([[0.0], [1.0], [5e9]])
         assert env.observe().tolist() == [0.0, 9.0, 9.0]
 
     def test_uav_position_suffix(self):
@@ -210,7 +212,7 @@ class TestStepContracts:
         env = MecEnvironment(small_config(i_max=0.0), seed=0)
         t = env.step(0)
         assert t.reward == 0.0
-        assert device(env.queues, 0) == QueueTriple(0.0, 0.0, 0.0)
+        assert env.backlog.tolist() == [[0.0], [0.0], [0.0]]
         assert t.record.b_tot.tolist() == [0.0]
 
     def test_episode_termination(self):
@@ -293,9 +295,11 @@ class TestStepPhysics:
                 assert device(t.record.queues_before, k) == shadow[k]
                 xu, xc, wu, wc = env.fractions[idx][:, k].tolist()
                 s = compute_splits(shadow[k], xu, xc, cfg.w_local, wu, wc)
-                shadow[k] = step_queues(s=s, q=shadow[k],
-                                        arrival=float(t.record.arrivals[k]))
-            assert [device(env.queues, k) for k in range(2)] == shadow
+                shadow[k] = QueueTriple(*step_queues(
+                    np.array(dataclasses.astuple(shadow[k])), split_stack(s),
+                    float(t.record.arrivals[k])).tolist())
+            assert [QueueTriple(*tiers) for tiers in env.backlog.T.tolist()] \
+                == shadow
 
     def test_record_holds_device_arrays(self):
         env = MecEnvironment(SimConfig(num_devices=2, n_intervals=5), seed=1)
@@ -336,8 +340,7 @@ class TestStepPhysics:
 
     def test_cloud_install_delay_gating(self):
         env = MecEnvironment(small_config(), seed=2)
-        env.queues = QueueTriple(np.array([1000.0]), np.array([1000.0]),
-                                 np.array([0.0]))
+        env.backlog = np.array([[1000.0], [1000.0], [0.0]])
         t = env.step(0)  # x_cloud = 0.3 > 0 pays the install delay
         assert t.record.delays.t_cloud_comm[0] == env.config.install_delay
 
@@ -365,12 +368,6 @@ def assert_same_values(a, b):
         assert np.array_equal(a, b), (a, b)
 
 
-def qs_row(queues, r):
-    """Realization r's queues from lockstep (R, K) queues."""
-    return type(queues)(*(getattr(queues, f.name)[r]
-                          for f in dataclasses.fields(queues)))
-
-
 class TestLockstep:
     """R realizations stepped together match R single-realization runs."""
 
@@ -392,10 +389,10 @@ class TestLockstep:
             for r, env in enumerate(singles):
                 u = env.step(int(actions[n, r]))
                 assert t.reward[r] == u.reward
-                assert np.array_equal(t.next_observation[r],
+                assert np.array_equal(batch.observe()[r],
                                       u.next_observation)
                 assert_same_values(t.record.realization(r), u.record)
-                assert_same_values(qs_row(batch.queues, r), env.queues)
+                assert np.array_equal(batch.backlog[:, r], env.backlog)
                 assert batch.uav_pos.x[r] == env.uav_pos.x
                 assert batch.uav_pos.y[r] == env.uav_pos.y
             assert t.done == u.done
@@ -413,3 +410,247 @@ class TestLockstep:
         with pytest.raises(IndexError):
             env.step([0, 80])
         assert env.step([0, 79]).reward.shape == (2,)
+
+    @pytest.mark.parametrize("seeds", [[], iter(())])
+    def test_needs_a_seed(self, seeds):
+        with pytest.raises(ValueError, match="at least one seed"):
+            Lockstep(MecEnvironment(small_config()), seeds)
+
+
+# -- reference stepper ------------------------------------------------------
+#
+# The interval step as it stood before the stages ran on one stacked backlog
+# from precomputed split and install-delay tables, and before one draw gave
+# each interval's channel normals: the backlogs as a QueueTriple of (K,) or
+# (R, K) arrays, 2K scalar normal draws per realization, and every stage
+# function called by name. MecEnvironment and Lockstep must match it bit for
+# bit.
+
+
+def reference_rician_sample(rng, rice_k):
+    if math.isinf(rice_k):
+        return 1.0 + 0j
+    nlos = (rng.standard_normal(None) + 1j * rng.standard_normal(None)) \
+        / math.sqrt(2.0)
+    los_w = math.sqrt(rice_k / (rice_k + 1.0))
+    nlos_w = math.sqrt(1.0 / (rice_k + 1.0))
+    return los_w + nlos_w * nlos
+
+
+def reference_channel_gain(d, params, rng):
+    amp = math.sqrt(ch.large_scale_gain(d, params)) * reference_rician_sample(
+        rng, params.rice_k)
+    return abs(amp) ** 2
+
+
+def reference_observation(config, queues, uav_pos):
+    tiers = np.array((queues.q_local, queues.q_uav, queues.q_cloud))
+    backlog = tiers.transpose(*range(1, tiers.ndim), 0).reshape(
+        tiers.shape[1:-1] + (-1,))
+    top = config.queue_levels - 1
+    cap = config.queue_cap
+    levels = (np.minimum(top, np.floor(config.queue_levels * backlog / cap))
+              if cap > 0.0 else top)
+    out = np.where(backlog <= 0.0, 0.0, levels)
+    if config.include_uav_position:
+        uav = np.stack((uav_pos.x, uav_pos.y), axis=-1)
+        out = np.concatenate([out, uav / config.area_size], axis=-1)
+    return out
+
+
+class ReferenceEnv:
+    """One realization: its stream, placement, UAV position and backlogs."""
+
+    def __init__(self, config, seed):
+        cfg = self.config = config.validate()
+        fractions, self.moves = action_catalog(cfg)
+        self.chan_params = ch.ChannelParams(
+            eta0=cfg.eta0, theta=cfg.path_loss_exp, rice_k=cfg.rician_k,
+            altitude=cfg.altitude)
+        self._fraction_rows = np.ascontiguousarray(
+            fractions.transpose(1, 0, 2))
+        self._step_len = cfg.v_max * cfg.tau
+        self._tx_powers = np.full(cfg.num_devices, cfg.p_max)
+        self._tier_cpus = np.array([[cfg.local_cpu_max],
+                                    [cfg.uav_cpu_per_device],
+                                    [cfg.cloud_cpu_per_device]])
+        self.rng = np.random.default_rng(seed)
+        self.n = 0
+        self.device_positions = [
+            ch.Position2D(self.rng.uniform(0.0, cfg.area_size),
+                          self.rng.uniform(0.0, cfg.area_size))
+            for _ in range(cfg.num_devices)]
+        self.uav_pos = ch.Position2D(*cfg.area_center)
+        self.queues = QueueTriple(*np.zeros((3, cfg.num_devices)))
+        self.acc = obj.PdeAccumulator(cfg.num_devices)
+
+    def observe(self):
+        return reference_observation(self.config, self.queues, self.uav_pos)
+
+    def draw(self, action_index):
+        """Move the UAV, then draw the channel gains and the arrivals."""
+        cfg = self.config
+        size = cfg.area_size
+        dx, dy = MOVES[self.moves[action_index]]
+        pos = self.uav_pos
+        self.uav_pos = ch.Position2D(
+            min(size, max(0.0, pos.x + dx * self._step_len)),
+            min(size, max(0.0, pos.y + dy * self._step_len)))
+        gains = [reference_channel_gain(
+            ch.distance(self.uav_pos, dev, cfg.altitude), self.chan_params,
+            self.rng) for dev in self.device_positions]
+        arrivals = qs.draw_arrival(self.rng, cfg.i_max, cfg.num_devices)
+        return gains, arrivals
+
+    def step(self, action_index):
+        gains, arrivals = self.draw(action_index)
+        record = reference_advance(self, self, action_index,
+                                   np.array(gains), arrivals)
+        self.n += 1
+        return float(np.sum(record.reward_per_device)), record
+
+
+class ReferenceLockstep:
+    """R reference realizations; _advance runs once on (R, K) arrays."""
+
+    def __init__(self, config, seeds):
+        self.envs = [ReferenceEnv(config, seed) for seed in seeds]
+        shape = (len(self.envs), config.num_devices)
+        self.config = config
+        self.n = 0
+        self.queues = QueueTriple(*np.zeros((3,) + shape))
+        self.acc = obj.PdeAccumulator(shape)
+
+    def observe(self):
+        return reference_observation(self.config, self.queues, self.uav_pos)
+
+    def step(self, actions):
+        drawn = [env.draw(a) for env, a in zip(self.envs, actions.tolist())]
+        gains, arrivals = (np.array(rows) for rows in zip(*drawn))
+        self.uav_pos = ch.Position2D(
+            np.array([env.uav_pos.x for env in self.envs]),
+            np.array([env.uav_pos.y for env in self.envs]))
+        record = reference_advance(self.envs[0], self, actions, gains,
+                                   arrivals)
+        self.n += 1
+        return record.reward_per_device.sum(axis=-1), record
+
+
+def reference_step_queues(q, s, arrival):
+    return QueueTriple(
+        q_local=np.maximum(0.0, q.q_local - s.d_uav - s.b_local) + arrival,
+        q_uav=np.maximum(0.0, q.q_uav - s.d_cloud - s.b_uav) + s.d_uav,
+        q_cloud=np.maximum(0.0, q.q_cloud - s.b_cloud) + s.d_cloud,
+    )
+
+
+def reference_advance(env, state, actions, gains, arrivals):
+    cfg = env.config
+    x_uav, x_cloud, w_uav, w_cloud = env._fraction_rows[:, actions]
+
+    sinrs = phy.sinr(gains, env._tx_powers, cfg.noise_power)
+    rates = np.array([phy.rate(g, cfg.bandwidth)
+                      for g in sinrs.flat]).reshape(sinrs.shape)
+
+    queues = state.queues
+    splits = qs.compute_splits(queues, x_uav, x_cloud, cfg.w_local,
+                               w_uav, w_cloud)
+
+    t_local, t_uav, t_cloud = comp.comp_delay(
+        np.array((splits.b_local, splits.b_uav, splits.b_cloud)),
+        env._tier_cpus.reshape((3,) + (1,) * gains.ndim),
+        cfg.cycles_per_bit)
+    delays = comp.DelayBreakdown(
+        t_local_comp=t_local,
+        t_uplink_comm=phy.uplink_comm_delay(splits.d_uav, rates),
+        t_uav_comp=t_uav,
+        t_cloud_comm=phy.cloud_comm_delay(x_cloud, cfg.install_delay),
+        t_cloud_comp=t_cloud,
+    )
+    t_comm = phy.total_comm_delay(delays.t_uplink_comm,
+                                  delays.t_cloud_comm)
+    eta = (comp.total_task_delay(delays) <= cfg.tau).astype(int)
+
+    hist_pde = state.acc.device_pde()
+    b_tot = obj.processed_total(splits.b_local, splits.b_uav,
+                                splits.b_cloud)
+    rewards = obj.reward(queues, splits, t_comm, hist_pde, cfg, eta)
+
+    state.queues = reference_step_queues(queues, splits, arrivals)
+    state.acc.record_interval(b_tot, t_comm)
+
+    return IntervalRecord(
+        interval=state.n, uav_pos=state.uav_pos, queues_before=queues,
+        splits=splits, power_gains=gains, sinrs=sinrs, rates=rates,
+        delays=delays, t_comm=t_comm, b_tot=b_tot, eta=eta,
+        hist_pde=hist_pde, reward_per_device=rewards, arrivals=arrivals)
+
+
+def stacked(queues):
+    """A QueueTriple's backlogs as one (3, ...) array."""
+    return np.array((queues.q_local, queues.q_uav, queues.q_cloud))
+
+
+# About the median end-to-end task delay of these runs (about 48 s).
+TIGHT_TAU = 50.0
+
+REFERENCE_CONFIGS = {
+    "default": SimConfig(n_intervals=200),
+    "los": SimConfig(n_intervals=200, rician_k=math.inf),
+    "no_arrivals": SimConfig(n_intervals=200, i_max=0.0),
+    "uav_position": SimConfig(n_intervals=200, include_uav_position=True),
+    "one_device": SimConfig(n_intervals=200, num_devices=1),
+    "three_devices": SimConfig(n_intervals=200, num_devices=3,
+                               max_catalog_size=20480),
+    # Delays straddle tau, so eta takes both values and the penalty
+    # applies.
+    "tight_tau": SimConfig(n_intervals=200, tau=TIGHT_TAU,
+                           violation_penalty=1e4),
+}
+
+
+class TestMatchesReferenceStepper:
+    """Every output of an interval keeps the bits of the reference stepper."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_single_realization(self, name):
+        cfg = REFERENCE_CONFIGS[name].validate()
+        env, ref = MecEnvironment(cfg, seed=21), ReferenceEnv(cfg, 21)
+        actions = np.random.default_rng(5).integers(
+            0, cfg.catalog_size, cfg.n_intervals)
+        assert np.array_equal(env.observe(), ref.observe())
+        etas = set()
+        for a in actions.tolist():
+            t = env.step(a)
+            reward, record = ref.step(a)
+            assert t.reward == reward
+            assert_same_values(t.record, record)
+            assert np.array_equal(t.next_observation, ref.observe())
+            assert np.array_equal(env.backlog, stacked(ref.queues))
+            assert env.uav_pos == ref.uav_pos
+            etas.update(record.eta.tolist())
+        assert env.done
+        if name == "tight_tau":
+            assert etas == {0, 1}
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_lockstep(self, name):
+        cfg = REFERENCE_CONFIGS[name].validate()
+        seeds = [31, 32, 33]
+        batch = Lockstep(MecEnvironment(cfg), seeds)
+        ref = ReferenceLockstep(cfg, seeds)
+        actions = np.random.default_rng(6).integers(
+            0, cfg.catalog_size, (cfg.n_intervals, len(seeds)))
+        for row in actions:
+            t = batch.step(row)
+            rewards, record = ref.step(row)
+            assert t.next_observation is None
+            assert np.array_equal(t.reward, rewards)
+            assert_same_values(t.record, record)
+            assert np.array_equal(batch.observe(), ref.observe())
+            assert np.array_equal(batch.backlog, stacked(ref.queues))
+            assert_same_values(batch.uav_pos, ref.uav_pos)
+        assert np.array_equal(batch.acc.per_device_processed,
+                              ref.acc.per_device_processed)
+        assert np.array_equal(batch.acc.per_device_delay,
+                              ref.acc.per_device_delay)

@@ -8,6 +8,7 @@ import pytest
 from uavmec import agent as ag
 from uavmec import harness
 from uavmec.config import SimConfig
+from uavmec.environment import Lockstep
 from uavmec.harness import (CSV_HEADER, TRAJECTORY_HEADER, ResultRow,
                             checkpoint_path, dump_trajectory, emit_csv,
                             run_eval, run_sweep)
@@ -92,6 +93,14 @@ class TestRunEval:
         row = run_eval(policy, quick_config(num_devices=2), seed=6,
                        realizations=5)
         assert {type(v) for v in dataclasses.astuple(row)[1:]} <= {int, float}
+
+    @pytest.mark.parametrize("policy", ["random", "uav_heavy", "cloud_heavy"])
+    def test_baselines_read_no_observation(self, monkeypatch, policy):
+        def fail(self):
+            raise AssertionError("a baseline row computed an observation")
+
+        monkeypatch.setattr(Lockstep, "observe", fail)
+        run_eval(policy, quick_config(num_devices=2), seed=1, realizations=2)
 
     def test_realizations_are_decorrelated(self):
         row1 = run_eval("uav_heavy", quick_config(), seed=0, realizations=1)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavmec.queueing import (QueueTriple, SplitAmounts, compute_splits,
-                             draw_arrival, step_queues, update_cloud,
-                             update_local, update_uav)
+from uavmec.queueing import (SPLIT_ROWS, SPLIT_TIERS, QueueTriple,
+                             SplitAmounts, compute_splits, draw_arrival,
+                             split_stack, step_queues)
 
 fractions = st.floats(0.0, 1.0)
 backlogs = st.floats(0.0, 1e7)
@@ -48,42 +48,70 @@ class TestComputeSplits:
         assert s.b_cloud <= qc * (1 + 1e-12)
 
 
+def step(q, s, arrival):
+    """step_queues on one device's QueueTriple and SplitAmounts."""
+    return QueueTriple(*step_queues(
+        np.array((q.q_local, q.q_uav, q.q_cloud)), split_stack(s),
+        arrival).tolist())
+
+
 class TestUpdates:
     def test_local_worked_example(self):
         s = SplitAmounts(d_uav=600, b_local=120, d_cloud=0, b_uav=0, b_cloud=0)
-        assert update_local(1000.0, s, 50.0) == pytest.approx(330.0)
+        assert step(QueueTriple(1000.0, 0, 0), s, 50.0).q_local == \
+            pytest.approx(330.0)
 
     def test_local_empty(self):
         s = SplitAmounts(0, 0, 0, 0, 0)
-        assert update_local(0.0, s, 0.0) == 0.0
+        assert step(QueueTriple(0.0, 0, 0), s, 0.0).q_local == 0.0
 
     def test_local_clamp_on_adversarial_overdrain(self):
         s = SplitAmounts(d_uav=700, b_local=500, d_cloud=0, b_uav=0, b_cloud=0)
-        assert update_local(1000.0, s, 0.0) == 0.0
+        assert step(QueueTriple(1000.0, 0, 0), s, 0.0).q_local == 0.0
 
     def test_uav_worked_example(self):
         s = SplitAmounts(d_uav=600, b_local=0, d_cloud=150, b_uav=210,
                          b_cloud=0)
-        assert update_uav(500.0, s) == pytest.approx(740.0)
+        assert step(QueueTriple(0, 500.0, 0), s, 0.0).q_uav == \
+            pytest.approx(740.0)
 
     def test_uav_empty(self):
-        assert update_uav(0.0, SplitAmounts(0, 0, 0, 0, 0)) == 0.0
+        assert step(QueueTriple(0, 0.0, 0), SplitAmounts(0, 0, 0, 0, 0),
+                    0.0).q_uav == 0.0
 
     def test_uav_inflow_survives_full_drain(self):
         s = SplitAmounts(d_uav=600, b_local=0, d_cloud=300, b_uav=200,
                          b_cloud=0)
-        assert update_uav(500.0, s) == pytest.approx(600.0)
+        assert step(QueueTriple(0, 500.0, 0), s, 0.0).q_uav == \
+            pytest.approx(600.0)
 
     def test_cloud_worked_example(self):
         s = SplitAmounts(0, 0, d_cloud=150, b_uav=0, b_cloud=120)
-        assert update_cloud(200.0, s) == pytest.approx(230.0)
+        assert step(QueueTriple(0, 0, 200.0), s, 0.0).q_cloud == \
+            pytest.approx(230.0)
 
     def test_cloud_all_zero(self):
-        assert update_cloud(0.0, SplitAmounts(0, 0, 0, 0, 0)) == 0.0
+        assert step(QueueTriple(0, 0, 0.0), SplitAmounts(0, 0, 0, 0, 0),
+                    0.0).q_cloud == 0.0
 
     def test_cloud_full_drain(self):
         s = SplitAmounts(0, 0, d_cloud=150, b_uav=0, b_cloud=200)
-        assert update_cloud(200.0, s) == pytest.approx(150.0)
+        assert step(QueueTriple(0, 0, 200.0), s, 0.0).q_cloud == \
+            pytest.approx(150.0)
+
+    def test_split_stack_rows(self):
+        s = SplitAmounts(d_uav=1.0, b_local=2.0, d_cloud=3.0, b_uav=4.0,
+                         b_cloud=5.0)
+        assert split_stack(s).tolist() == [2.0, 4.0, 5.0, 1.0, 3.0, 5.0]
+        assert [SPLIT_TIERS[SPLIT_ROWS.index(name)]
+                for name in ("b_local", "d_uav", "b_uav", "d_cloud",
+                             "b_cloud")] == [0, 0, 1, 1, 2]
+
+    def test_leaves_its_input_unchanged(self):
+        backlog = np.array([1000.0, 500.0, 200.0])
+        s = split_stack(SplitAmounts(600, 120, 150, 210, 120))
+        step_queues(backlog, s, 50.0)
+        assert backlog.tolist() == [1000.0, 500.0, 200.0]
 
 
 class TestOracleEquivalence:
@@ -94,7 +122,7 @@ class TestOracleEquivalence:
             xu, xc, wl, wu, wc = rng.uniform(0, 1, 5)
             arrival = float(rng.uniform(0, 2.5e5))
             s = compute_splits(q, xu, xc, wl, wu, wc)
-            nxt = step_queues(q, s, arrival)
+            nxt = step(q, s, arrival)
             want = oracle_step(q, xu, xc, wl, wu, wc, arrival)
             assert (nxt.q_local, nxt.q_uav, nxt.q_cloud) == want
 
@@ -108,7 +136,7 @@ class TestOracleEquivalence:
         # valid fractions drain at most the snapshot backlog
         assert q.q_local - s.d_uav - s.b_local >= -1e-6 * max(1.0, ql)
         assert q.q_uav - s.d_cloud - s.b_uav >= -1e-6 * max(1.0, qu)
-        nxt = step_queues(q, s, arrival)
+        nxt = step(q, s, arrival)
         assert nxt.q_local >= 0 and nxt.q_uav >= 0 and nxt.q_cloud >= 0
 
 
@@ -149,9 +177,11 @@ class TestDeviceArrays:
         xu, xc, wu, wc = rng.uniform(0, 1, (4, k))
         arrivals = rng.uniform(0, 2.5e5, k)
         s = compute_splits(q, xu, xc, 0.3, wu, wc)
-        nxt = step_queues(q, s, arrivals)
+        nxt = step_queues(np.array((q.q_local, q.q_uav, q.q_cloud)),
+                          split_stack(s), arrivals)
+        assert nxt.shape == (3, k)
         for i in range(k):
             qi = QueueTriple(q.q_local[i], q.q_uav[i], q.q_cloud[i])
             want = oracle_step(qi, xu[i], xc[i], 0.3, wu[i], wc[i],
                                arrivals[i])
-            assert (nxt.q_local[i], nxt.q_uav[i], nxt.q_cloud[i]) == want
+            assert tuple(nxt[:, i].tolist()) == want
