@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FIXED_POLICY_FRACS, POLICY_KINDS, SimConfig
-from .environment import STAY, MecEnvironment, observation_size
+from .config import FIXED_POLICY_FRACS, SimConfig
+from .environment import STAY, MecEnvironment, action_catalog, observation_size
 
 CHECKPOINT_VERSION = 1
 
@@ -289,67 +289,65 @@ def td_loss(net: QNetwork, target_net: QNetwork, batch,
 
 @dataclass
 class Policy:
-    """Maps observations to catalog indices; kind selects the strategy."""
+    """Chooses (fractions, moves) actions; kind selects the strategy."""
     kind: str
-    n_actions: int
+    config: SimConfig
     net: QNetwork = None
-    fixed_index: int = None
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-
-
-def _fixed_catalog_index(env: MecEnvironment, fracs: tuple) -> int:
-    """First catalog entry with fracs on every device and the UAV staying."""
-    match = np.all(env.fractions == np.reshape(fracs, (4, 1)), axis=(1, 2))
-    hits = np.flatnonzero(match & (env.moves == STAY))
-    if len(hits) == 0:
-        raise ValueError(f"fraction tuple {fracs} not present in the catalog")
-    return int(hits[0])
 
 
 def make_policy(kind: str, env: MecEnvironment, net: QNetwork = None) -> Policy:
-    n = len(env.moves)
+    """Policy kind for env's config; ConfigError where check_policy fails."""
+    config = env.config
+    config.check_policy(kind)
     if kind == "dqn":
         if net is None:
             raise ValueError("dqn policy requires a trained network")
-        want = (observation_size(env.config), n)
+        want = (observation_size(config), config.catalog_size)
         if (net.input_size, net.output_size) != want:
             raise ValueError(f"network maps {net.input_size} inputs to "
                              f"{net.output_size} actions; this environment "
                              f"needs {want[0]} and {want[1]}")
-        return Policy(kind=kind, n_actions=n, net=net)
-    if kind in FIXED_POLICY_FRACS:
-        index = _fixed_catalog_index(env, FIXED_POLICY_FRACS[kind])
-        return Policy(kind=kind, n_actions=n, fixed_index=index)
-    return Policy(kind=kind, n_actions=n)
+    return Policy(kind=kind, config=config, net=net)
+
+
+def fixed_action(kind: str, shape: tuple):
+    """(fractions, moves) of fixed baseline kind for devices of shape (K,)
+    or (R, K): its FIXED_POLICY_FRACS on every device, the UAV staying."""
+    fractions = np.empty((4,) + shape)
+    fractions.T[...] = FIXED_POLICY_FRACS[kind]  # broadcast on the 4-axis
+    return fractions, np.full(shape[:-1], STAY)[()]
 
 
 def baseline_action(policy: Policy, obs: np.ndarray,
                     rng: np.random.Generator):
-    """Action choice for any policy kind (greedy for dqn).
+    """(fractions, moves) of any policy kind, as MecEnvironment.step takes
+    them; greedy for dqn.
 
-    A dqn policy also takes a batch of observations, one per row, and
-    returns one action per row.
+    The dqn and random policies pick a catalog entry and decode it; a fixed
+    baseline reads only the shape of obs. A batch of observations, one per
+    row, gives (4, R, K) fractions and (R,) moves for a dqn or fixed
+    policy.
     """
+    config = policy.config
+    if policy.kind in FIXED_POLICY_FRACS:
+        return fixed_action(policy.kind,
+                            np.shape(obs)[:-1] + (config.num_devices,))
     if policy.kind == "dqn":
-        return greedy_action(policy.net, obs)
-    if policy.kind == "random":
-        return int(rng.integers(policy.n_actions))
-    return policy.fixed_index
+        index = greedy_action(policy.net, obs)
+    else:
+        index = rng.integers(config.catalog_size)
+    return action_catalog(config, index)
 
 
 def action_table(policy: Policy, rng: np.random.Generator, episodes: int,
                  n_intervals: int):
-    """(episodes, n_intervals) actions of an observation-free policy; None
-    for dqn. The random table equals baseline_action's scalar draws made
-    episode by episode."""
-    if policy.kind == "dqn":
+    """(episodes, n_intervals) catalog entries of the random policy; None
+    for the others. The table equals the entries of baseline_action's
+    scalar draws made episode by episode."""
+    if policy.kind != "random":
         return None
-    if policy.kind == "random":
-        return rng.integers(policy.n_actions, size=(episodes, n_intervals))
-    return np.full((episodes, n_intervals), policy.fixed_index)
+    return rng.integers(policy.config.catalog_size,
+                        size=(episodes, n_intervals))
 
 
 def normalize_observation(obs: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -375,11 +373,12 @@ def train(config: SimConfig, seed=0) -> TrainResult:
     ss = np.random.SeedSequence(seed)
     init_ss, action_ss, sample_ss, env_root = ss.spawn(4)
     env = MecEnvironment(config)
+    config.check_policy("dqn")
     rng_actions = np.random.default_rng(action_ss)
     rng_sample = np.random.default_rng(sample_ss)
 
     obs_size = observation_size(config)
-    net = QNetwork(obs_size, config.hidden_sizes, len(env.moves),
+    net = QNetwork(obs_size, config.hidden_sizes, config.catalog_size,
                    rng=np.random.default_rng(init_ss))
     target_net = net.copy()
     buffer = ReplayBuffer(config.buffer_capacity, obs_size)
@@ -400,12 +399,13 @@ def train(config: SimConfig, seed=0) -> TrainResult:
             frac = min(1.0, t / decay_horizon)
             eps = config.eps_start + (config.eps_end - config.eps_start) * frac
             action = select_action(net, obs, eps, rng_actions)
-            tr = env.step(action)
-            next_obs = normalize_observation(tr.next_observation, config)
-            buffer.push(obs, action, tr.reward / config.reward_scale,
-                        next_obs, tr.done)
+            record = env.step(*action_catalog(config, action))
+            reward = float(np.sum(record.reward_per_device))
+            next_obs = normalize_observation(env.observe(), config)
+            buffer.push(obs, action, reward / config.reward_scale, next_obs,
+                        env.done)
             obs = next_obs
-            ep_reward += tr.reward
+            ep_reward += reward
             if buffer.size >= config.batch_size:
                 batch = buffer.sample(rng_sample, config.batch_size)
                 losses.append(train_step(net, target_net, batch, config))

@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args, config) -> int:
-    os.makedirs(args.out, exist_ok=True)
     result = ag.train(config, args.seed)
+    os.makedirs(args.out, exist_ok=True)
     path = harness.checkpoint_path(args.out, config, args.seed)
     ag.save_checkpoint(result.net, path)
     curve_path = os.path.join(args.out,
@@ -92,8 +92,8 @@ def cmd_eval(args, config) -> int:
 
 
 def cmd_sweep(args, config) -> int:
-    os.makedirs(args.out, exist_ok=True)
     rows = harness.run_sweep(config, args.seed, out_dir=args.out)
+    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "sweep.csv")
     harness.emit_csv(rows, out_path)
     print(f"wrote {out_path} ({len(rows)} rows)")

@@ -30,6 +30,10 @@ FIXED_POLICY_FRACS = {"uav_heavy": (0.6, 0.3, 0.6, 0.3),
                       "cloud_heavy": (0.6, 0.6, 0.3, 0.6)}
 
 
+# The largest catalog that int64 indices (rng.integers' draws) reach.
+MAX_INDEXED_CATALOG = 2 ** 63
+
+
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
@@ -79,7 +83,7 @@ class SimConfig:
 
     # --- action space ---
     frac_levels: tuple = (0.3, 0.6)
-    max_catalog_size: int = 10000
+    max_catalog_size: int = 10000       # cap on the dqn's joint output head
     include_uav_position: bool = False  # append normalized UAV xy to observations
 
     # --- reward / objective ---
@@ -188,33 +192,34 @@ class SimConfig:
             raise ConfigError("frac_levels must be nonempty")
         if not all(0.0 <= f <= 1.0 for f in self.frac_levels):
             raise ConfigError(f"frac_levels must lie in [0, 1], got {self.frac_levels}")
-        if self.catalog_size > self.max_catalog_size:
-            raise ConfigError(
-                f"joint action catalog has {self.catalog_size} entries, above "
-                f"max_catalog_size {self.max_catalog_size}; reduce "
-                f"num_devices or frac_levels")
         if len(self.sweep_i_max) == 0 or len(self.sweep_policies) == 0:
             raise ConfigError("sweep_i_max and sweep_policies must be nonempty")
         if not all(0.0 <= v < math.inf for v in self.sweep_i_max):
             raise ConfigError(f"sweep_i_max must be nonnegative and finite, "
                               f"got {self.sweep_i_max}")
+        # Names only: whether a known policy can run is checked where it runs.
         for kind in self.sweep_policies:
-            self.check_policy(kind)
+            if kind not in POLICY_KINDS:
+                self.check_policy(kind)
         if not math.isfinite(self.eta0_db):
             raise ConfigError("eta0_db must be finite")
         return self
 
     def check_policy(self, kind: str) -> None:
         """Raise ConfigError unless policy kind can run under this config:
-        a fixed baseline needs its fractions among frac_levels."""
+        the dqn has one output per catalog entry, up to max_catalog_size,
+        and the random policy draws an int64 index into the catalog."""
         if kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy {kind!r}; choose from "
                               f"{', '.join(POLICY_KINDS)}")
-        missing = set(FIXED_POLICY_FRACS.get(kind, ())) - set(self.frac_levels)
-        if missing:
-            raise ConfigError(
-                f"policy {kind!r} needs frac_levels {sorted(missing)}, "
-                f"missing from {self.frac_levels}")
+        size = self.catalog_size
+        if kind == "dqn" and size > self.max_catalog_size:
+            raise ConfigError(f"policy 'dqn' needs {size} outputs, one per "
+                              f"catalog entry, above max_catalog_size "
+                              f"{self.max_catalog_size}")
+        if kind == "random" and size > MAX_INDEXED_CATALOG:
+            raise ConfigError(f"policy 'random' cannot draw an index into "
+                              f"{size} catalog entries")
 
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(SimConfig)}

@@ -1,4 +1,5 @@
-"""MDP wrapper: observations, discrete action catalog, interval transition.
+"""MDP wrapper: observations, the joint action catalog's decoder, interval
+transition.
 
 A MecEnvironment is one realization of the network: its random stream,
 device placement, UAV position and backlogs. A Lockstep steps R
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +22,7 @@ from . import computation as comp
 from . import objective as obj
 from . import phy_link as phy
 from . import queueing as qs
-from .config import MOVES, SimConfig
+from .config import MAX_INDEXED_CATALOG, MOVES, SimConfig
 
 STAY = 0
 
@@ -62,36 +62,30 @@ def _row(value, r):
     return value[r].copy() if isinstance(value, np.ndarray) else value
 
 
-@dataclass
-class TransitionRecord:
-    """step()'s result; reward is a float, or an (R,) array from a Lockstep,
-    whose result has no next_observation (None)."""
-    reward: float
-    next_observation: np.ndarray
-    done: bool
-    record: IntervalRecord
+def action_catalog(config: SimConfig, index):
+    """Decode one index, or an (R,) array, of the joint catalog into its
+    fraction rows x_uav, x_cloud, w_uav, w_cloud over the K devices, (4, K)
+    or (4, R, K), and its UAV moves; w_local is a constant, not an action.
 
-
-def action_catalog(config: SimConfig):
-    """The full joint action space as (fractions, moves) tables.
-
-    fractions[i] holds entry i's x_uav, x_cloud, w_uav, w_cloud rows over the
-    K devices, shape (n, 4, K); w_local is a config constant, not an action.
-    moves[i] is its UAV move, shape (n,). The order is lexicographic: the last
-    device's fraction tuple varies fastest, the five UAV moves innermost.
+    An index is a mixed-radix number in lexicographic order: its digits,
+    most significant first, are the levels of device 0's four fractions,
+    then device 1's and so on; the five moves are innermost. Raises
+    IndexError outside [0, config.catalog_size).
     """
+    index = np.asarray(index)
     size = config.catalog_size
-    if size > config.max_catalog_size:
-        raise ValueError(
-            f"joint action catalog has {size} entries, above the configured "
-            f"cap {config.max_catalog_size}; a factorized action space is "
-            f"out of scope, reduce num_devices or frac_levels")
+    flat = index.ravel().tolist()
+    if size > MAX_INDEXED_CATALOG or min(flat) < 0 or max(flat) >= size:
+        raise IndexError(f"action index {index} outside catalog of size "
+                         f"{size} (int64 indices reach {MAX_INDEXED_CATALOG})")
+    levels = np.array(config.frac_levels, dtype=float)
     k = config.num_devices
-    grid = np.array(list(itertools.product(config.frac_levels, repeat=4 * k)))
-    fractions = np.repeat(grid.reshape(-1, k, 4).transpose(0, 2, 1),
-                          len(MOVES), axis=0)
-    moves = np.tile(np.arange(len(MOVES)), len(grid))
-    return fractions, moves
+    entry, moves = divmod(index, len(MOVES))
+    # The place value of each fraction's digit, as (4, K) rows.
+    places = (len(levels) ** np.arange(4 * k - 1, -1, -1)).reshape(k, 4).T
+    digits = entry[..., None] // places.reshape(
+        (4,) + (1,) * index.ndim + (k,)) % len(levels)
+    return levels.take(digits), moves
 
 
 def observation_size(config: SimConfig) -> int:
@@ -132,23 +126,13 @@ class MecEnvironment:
     def __init__(self, config: SimConfig, seed=0):
         # validate() is the only gate: under a config it accepts, c1 holds
         # because every device transmits at p_max, c2-c4 are its own checks
-        # and c5-c9 hold by the equal CPU shares and the clipped _move below,
-        # on every step.
+        # (on the catalog's levels; the fixed baselines' fractions are
+        # constants) and c5-c9 hold by the equal CPU shares and the clipped
+        # _move below, on every step.
         self.config = config.validate()
-        self.fractions, self.moves = action_catalog(config)
         self.chan_params = ch.ChannelParams(
             eta0=config.eta0, theta=config.path_loss_exp,
             rice_k=config.rician_k, altitude=config.altitude)
-        # Each catalog entry's split stack per unit backlog, (6, n, K): an
-        # interval's splits are its column times the backlog, rounding as
-        # compute_splits does.
-        x_uav, x_cloud, w_uav, w_cloud = self.fractions.transpose(1, 0, 2)
-        self._split_table = qs.split_stack(qs.compute_splits(
-            qs.QueueTriple(1.0, 1.0, 1.0), x_uav, x_cloud, config.w_local,
-            w_uav, w_cloud))
-        # Each catalog entry's backhaul install delay per device, (n, K).
-        self._install_delays = phy.cloud_comm_delay(x_cloud,
-                                                    config.install_delay)
         self._step_len = config.v_max * config.tau
         self._tx_powers = np.full(config.num_devices, config.p_max)
         # Per-device CPU of the local, UAV and cloud tiers, one row each.
@@ -196,21 +180,22 @@ class MecEnvironment:
             min(size, max(0.0, pos.x + dx * self._step_len)),
             min(size, max(0.0, pos.y + dy * self._step_len)))
 
-    def step(self, action_index: int):
-        """Advance one interval and return its TransitionRecord.
+    def step(self, fractions, move):
+        """Advance one interval and return its record; observe() gives the
+        next observation.
 
-        Inside a Lockstep, return only this realization's channel gains (a
+        fractions holds the (4, K) fraction rows, in [0, 1], and move is in
+        range(len(MOVES)), as action_catalog and the fixed baselines give
+        them; step does not check them. Inside a Lockstep, which passes no
+        fractions (None), return only this realization's channel gains (a
         list) and arrivals, for the Lockstep to advance the backlogs.
         """
         cfg = self.config
         if self.done:
             raise RuntimeError("step() called on a finished episode")
-        if not 0 <= action_index < len(self.moves):
-            raise IndexError(f"action index {action_index} outside catalog "
-                             f"of size {len(self.moves)}")
 
         # (1) UAV motion, clipped to the service area.
-        self.uav_pos = self._move(self.uav_pos, self.moves[action_index])
+        self.uav_pos = self._move(self.uav_pos, move)
 
         # (2) fresh block-fading channels, then the interval's arrivals for
         # (7); nothing in between draws from the stream. One draw gives the
@@ -228,20 +213,18 @@ class MecEnvironment:
             self.n += 1
             return gains, arrivals
 
-        record = self._advance(self, action_index, np.array(gains), arrivals)
+        record = self._advance(self, fractions, np.array(gains), arrivals)
         self.n += 1
-        return TransitionRecord(
-            reward=float(np.sum(record.reward_per_device)),
-            next_observation=self.observe(), done=self.done, record=record)
+        return record
 
-    def _advance(self, state, actions, gains: np.ndarray,
+    def _advance(self, state, fractions, gains: np.ndarray,
                  arrivals: np.ndarray) -> IntervalRecord:
         """Stages (3)-(8) of state's interval on its backlog.
 
         state is this environment, or a Lockstep of realizations sharing its
-        tables; its backlog and accumulators move on by one interval. Per
-        device arrays are (K,) for one realization with one action, or
-        (R, K) for R realizations with (R,) actions.
+        config; its backlog and accumulators move on by one interval. Per
+        device arrays are (K,) for one realization with (4, K) fraction
+        rows, or (R, K) for R realizations with (4, R, K) rows.
         """
         cfg = self.config
         backlog = state.backlog
@@ -251,9 +234,16 @@ class MecEnvironment:
         rates = np.array([phy.rate(g, cfg.bandwidth)
                           for g in sinrs.ravel().tolist()]).reshape(sinrs.shape)
 
-        # (4) split amounts from start-of-interval backlogs.
-        amounts = (self._split_table.take(actions, axis=1)
-                   * backlog.take(qs.SPLIT_TIERS, axis=0))
+        # (4) split amounts from start-of-interval backlogs. From the rows
+        # x_uav, x_cloud, w_uav, w_cloud, the split stack per unit backlog
+        # is w_local (1 - x_uav), w_uav (1 - x_cloud), w_cloud, x_uav,
+        # x_cloud, w_cloud, rounded as compute_splits rounds it; each row
+        # then takes its share of its tier's backlog.
+        amounts = np.take(fractions, (0, 1, 3, 0, 1, 3), axis=0)
+        np.subtract(1.0, amounts[:2], out=amounts[:2])
+        amounts[0] *= cfg.w_local
+        amounts[1] *= fractions[2]
+        amounts *= backlog.take(qs.SPLIT_TIERS, axis=0)
 
         # (5) delays and the per-device delay-bound indicator.
         t_local, t_uav, t_cloud = comp.comp_delay(
@@ -263,7 +253,7 @@ class MecEnvironment:
             t_local_comp=t_local,
             t_uplink_comm=phy.uplink_comm_delay(amounts[3], rates),
             t_uav_comp=t_uav,
-            t_cloud_comm=self._install_delays.take(actions, axis=0),
+            t_cloud_comm=phy.cloud_comm_delay(fractions[1], cfg.install_delay),
             t_cloud_comp=t_cloud,
         )
         t_comm = phy.total_comm_delay(delays.t_uplink_comm,
@@ -294,10 +284,9 @@ class MecEnvironment:
 class Lockstep:
     """R realizations of an environment, stepped together.
 
-    Each realization is a copy of env, sharing its catalog tables, reset
-    from its own seed. The backlog is a (3, R, K) array; actions and
-    rewards gain a leading (R,) axis, and observe() gives one row per
-    realization.
+    Each realization is a copy of env reset from its own seed. The backlog
+    is a (3, R, K) array; actions and rewards gain a leading (R,) axis, and
+    observe() gives one row per realization.
     """
 
     def __init__(self, env: MecEnvironment, seeds):
@@ -333,28 +322,21 @@ class Lockstep:
     def terminal_distance(self) -> list:
         return [env.terminal_distance() for env in self.envs]
 
-    def step(self, action_indices) -> TransitionRecord:
-        """Advance every realization one interval, one action index each.
-
-        The result has no observation; observe() gives it.
-        """
-        actions = np.asarray(action_indices)
-        if actions.shape != (len(self.envs),):
-            raise ValueError(f"expected action indices of shape "
-                             f"({len(self.envs)},), got {actions.shape}")
-        indices = actions.tolist()
-        if min(indices) < 0 or max(indices) >= len(self._env.moves):
-            raise IndexError(f"action index {action_indices} outside catalog "
-                             f"of size {len(self._env.moves)}")
+    def step(self, fractions, moves) -> IntervalRecord:
+        """Advance every realization one interval under (4, R, K) fraction
+        rows and (R,) moves, and return the interval's record; observe()
+        gives the next observation."""
+        if np.shape(fractions) != (4,) + self._shape or \
+                np.shape(moves) != self._shape[:1]:
+            raise ValueError(f"expected fraction rows and moves of shape "
+                             f"{(4,) + self._shape} and {self._shape[:1]}")
         gains = np.empty(self._shape)
         arrivals = np.empty(self._shape)
-        for r, (env, a) in enumerate(zip(self.envs, indices)):
-            gains[r], arrivals[r] = env.step(a)
+        for r, (env, move) in enumerate(zip(self.envs, moves)):
+            gains[r], arrivals[r] = env.step(None, move)
         self.uav_pos = ch.Position2D(
             np.array([env.uav_pos.x for env in self.envs]),
             np.array([env.uav_pos.y for env in self.envs]))
-        record = self._env._advance(self, actions, gains, arrivals)
+        record = self._env._advance(self, fractions, gains, arrivals)
         self.n += 1
-        return TransitionRecord(
-            reward=record.reward_per_device.sum(axis=-1),
-            next_observation=None, done=self.done, record=record)
+        return record

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import agent as ag
 from . import objective as obj
-from .config import SimConfig
-from .environment import Lockstep, MecEnvironment
+from .config import FIXED_POLICY_FRACS, SimConfig
+from .environment import Lockstep, MecEnvironment, action_catalog
 
 CSV_HEADER = ("policy,i_max,seed,mean_pde,mean_cd,mean_pd,mean_ql,mean_qu,"
               "mean_qc,c10_violation_rate,terminal_uav_distance")
@@ -91,21 +91,25 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     policy_rng = np.random.default_rng(episode_seeds[-1])
 
     batch = Lockstep(env, episode_seeds[:-1])
+    # The random policy decodes its table, the dqn acts on each interval's
+    # observations, and a fixed baseline's action never changes.
     table = ag.action_table(pol, policy_rng, realizations, config.n_intervals)
+    if policy in FIXED_POLICY_FRACS:
+        action = ag.fixed_action(policy, (realizations, config.num_devices))
     # Local, UAV and cloud backlogs summed over intervals, per realization
     # and device.
     backlog = np.zeros((3, realizations, config.num_devices))
     violations = 0
     records = []
     for n in range(config.n_intervals):
-        if table is None:
-            actions = ag.baseline_action(
+        if table is not None:
+            action = action_catalog(config, table[:, n])
+        elif policy == "dqn":
+            action = ag.baseline_action(
                 pol, ag.normalize_observation(batch.observe(), config),
                 policy_rng)
-        else:
-            actions = table[:, n]
         backlog += batch.backlog
-        rec = batch.step(actions).record
+        rec = batch.step(*action)
         violations += rec.eta.size - int(np.count_nonzero(rec.eta))
         if collect_records:
             records.append(rec.realization(-1))
@@ -146,9 +150,12 @@ def run_sweep(config: SimConfig, seed: int = 0, out_dir: str = None):
     DQN network is trained, or loaded from its checkpoint under out_dir,
     the first time a dqn row needs it: one per (i_max, seed), or with
     shared_model one per seed, trained at max(sweep_i_max) and evaluated at
-    every i_max.
+    every i_max. A sweep policy that cannot run under the config raises
+    ConfigError before any network is trained.
     """
     config.validate()
+    for policy in config.sweep_policies:
+        config.check_policy(policy)
     seeds = range(seed, seed + config.sweep_seeds)
     nets = {}
     rows = []

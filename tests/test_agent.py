@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from uavmec import agent
-from uavmec.agent import (Policy, QNetwork, ReplayBuffer, action_table,
+from uavmec.agent import (QNetwork, ReplayBuffer, action_table,
                           baseline_action, forward, load_checkpoint,
                           make_policy, normalize_observation, save_checkpoint,
                           select_action, sync_target, target_max_q, td_loss,
                           train, train_step)
 from uavmec.config import FIXED_POLICY_FRACS, SimConfig
-from uavmec.environment import STAY, MecEnvironment
+from uavmec.environment import STAY, MecEnvironment, action_catalog
 
 
 def tiny_net(rng_seed=0, input_size=3, hidden=(8,), output_size=5):
@@ -482,8 +482,8 @@ class TestPolicies:
                                   seed=0)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown policy kind"):
-            Policy(kind="greedy", n_actions=10)
+        with pytest.raises(ValueError, match="unknown policy 'greedy'"):
+            make_policy("greedy", self.env)
 
     def test_dqn_requires_net(self):
         with pytest.raises(ValueError, match="requires a trained network"):
@@ -500,52 +500,69 @@ class TestPolicies:
 
     def test_uav_heavy_decodes(self):
         pol = make_policy("uav_heavy", self.env)
-        fracs = self.env.fractions[pol.fixed_index]
-        assert self.env.moves[pol.fixed_index] == STAY
+        fracs, move = baseline_action(pol, np.zeros(6), None)
+        assert move == STAY
         want = FIXED_POLICY_FRACS["uav_heavy"]
         assert all(tuple(f) == want for f in fracs.T.tolist())
 
     def test_cloud_heavy_decodes(self):
         pol = make_policy("cloud_heavy", self.env)
-        fracs = self.env.fractions[pol.fixed_index]
-        assert self.env.moves[pol.fixed_index] == STAY
+        fracs, move = baseline_action(pol, np.zeros(6), None)
+        assert move == STAY
         want = FIXED_POLICY_FRACS["cloud_heavy"]
         assert all(tuple(f) == want for f in fracs.T.tolist())
         assert fracs[1, 0] == 0.6  # x_cloud of device 0
 
     def test_fixed_fracs_missing_from_catalog(self):
-        # validate() admits these levels only without the fixed baselines
-        # in sweep_policies; make_policy still rejects them.
-        cfg = SimConfig(num_devices=1, frac_levels=(0.0, 1.0),
-                        sweep_policies=("dqn", "random"))
-        env = MecEnvironment(cfg, seed=0)
-        with pytest.raises(ValueError, match="not present in the catalog"):
-            make_policy("uav_heavy", env)
+        # a fixed baseline passes its fractions as values, so they need
+        # not be among frac_levels, and the catalog may exceed the cap
+        for cfg in (SimConfig(num_devices=1, frac_levels=(0.0, 1.0)),
+                    SimConfig(num_devices=3)):
+            env = MecEnvironment(cfg, seed=0)
+            obs = env.observe()
+            fracs, move = baseline_action(make_policy("uav_heavy", env),
+                                          obs, None)
+            assert fracs.shape == (4, cfg.num_devices)
+            env.step(fracs, move)
 
     def test_fixed_policy_ignores_observation(self):
         pol = make_policy("uav_heavy", self.env)
         rng = np.random.default_rng(0)
         a = baseline_action(pol, np.zeros(6), rng)
         b = baseline_action(pol, np.full(6, 9.0), rng)
-        assert a == b == pol.fixed_index
+        assert np.array_equal(a[0], b[0]) and a[1] == b[1] == STAY
+        assert rng.random() == np.random.default_rng(0).random()
+        # a batch of observations gets one action per row
+        fracs, moves = baseline_action(pol, np.zeros((3, 6)), rng)
+        assert fracs.shape == (4, 3, 2) and moves.tolist() == [STAY] * 3
+        assert np.array_equal(fracs[:, 1], a[0])
 
     def test_random_policy_covers_catalog(self):
         pol = make_policy("random", self.env)
         rng = np.random.default_rng(1)
-        draws = {baseline_action(pol, np.zeros(6), rng) for _ in range(5000)}
-        assert min(draws) >= 0 and max(draws) < 1280
+        draws = {tuple(np.append(fracs.ravel(), move)) for fracs, move in
+                 (baseline_action(pol, np.zeros(6), rng) for _ in range(5000))}
         assert len(draws) > 1000
+        # the decoded entries of rng.integers(catalog_size)'s draws
+        rng = np.random.default_rng(1)
+        fracs, move = baseline_action(pol, np.zeros(6), rng)
+        want = action_catalog(self.env.config,
+                              np.random.default_rng(1).integers(1280))
+        assert np.array_equal(fracs, want[0]) and move == want[1]
 
     def test_action_tables(self):
         rng = np.random.default_rng(3)
         pol = make_policy("random", self.env)
         table = action_table(pol, rng, 4, 50)
-        # the same values as scalar draws, episode after episode
+        # the same entries as scalar draws, episode after episode
         rng = np.random.default_rng(3)
-        assert table.tolist() == [[baseline_action(pol, np.zeros(6), rng)
-                                   for _ in range(50)] for _ in range(4)]
-        pol = make_policy("uav_heavy", self.env)
-        assert np.all(action_table(pol, rng, 2, 3) == pol.fixed_index)
+        for row in table:
+            for index in row:
+                fracs, move = baseline_action(pol, np.zeros(6), rng)
+                want = action_catalog(self.env.config, index)
+                assert np.array_equal(fracs, want[0]) and move == want[1]
+        assert action_table(make_policy("uav_heavy", self.env), rng, 2,
+                            3) is None
         net = tiny_net(input_size=6, output_size=1280)
         pol = make_policy("dqn", self.env, net)
         assert action_table(pol, rng, 2, 3) is None
@@ -556,13 +573,17 @@ class TestPolicies:
         net.weights[-1] = rng.standard_normal(net.weights[-1].shape)
         net.biases[-1] = rng.standard_normal(1280)
         obs = rng.random((2000, 6))
-        batch = baseline_action(make_policy("dqn", self.env, net), obs, rng)
+        fracs, moves = baseline_action(make_policy("dqn", self.env, net),
+                                       obs, rng)
         single = [select_action(net, o, 0.0, rng) for o in obs]
+        assert fracs.shape == (4, 2000, 2)
+        want = action_catalog(self.env.config, single)
+        same = np.all(fracs == want[0], axis=(0, 2)) & (moves == want[1])
         # one matrix product for the batch rounds the Q-values differently
         # from one row at a time, which can only decide a near-tie
         top2 = np.sort(forward(net, obs), axis=1)[:, -2:]
         near_tie = top2[:, 1] - top2[:, 0] < 1e-12 * np.abs(top2[:, 1])
-        assert np.all((batch == single) | near_tie)
+        assert np.all(same | near_tie)
 
 
 class TestNormalizeObservation:

@@ -40,6 +40,19 @@ class TestTrain:
             float(np.mean(result.losses[3:]))]
         assert len(result.losses) == 13
 
+    def test_above_catalog_cap_rejected_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("train built a network")
+        monkeypatch.setattr(ag, "QNetwork", no_network)
+        out = tmp_path / "train"
+        rc = main(["train", "--out", str(out)] + FAST
+                  + ["--override", "num_devices=3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "max_catalog_size" in err
+        assert not out.exists()
+
     def test_episode_without_updates_has_nan_loss(self, tmp_path):
         assert main(["train", "--out", str(tmp_path)] + FAST
                     + ["--override", "batch_size=16"]) == 0
@@ -72,16 +85,36 @@ class TestEval:
         assert traj.read_text().splitlines()[0] == (
             "interval,device,ql,qu,qc,reward,eta,t_comm,b_tot")
 
-    def test_fixed_policy_levels_missing_exit_code(self, tmp_path, capsys):
-        # validate() checks only sweep_policies, so eval checks --policy
-        # itself and reports a config error, not a catalog-lookup traceback
-        out = tmp_path / "eval"
-        rc = main(["eval", "--policy", "uav_heavy", "--out", str(out)]
+    def test_fixed_policy_levels_missing_exit_code(self, tmp_path):
+        # a fixed baseline passes its fractions as values: levels without
+        # them run, and give the row of the default levels
+        name = "eval_uav_heavy_250000_0.csv"
+        assert main(["eval", "--policy", "uav_heavy", "--out",
+                     str(tmp_path / "default")] + FAST) == 0
+        rc = main(["eval", "--policy", "uav_heavy", "--out",
+                   str(tmp_path / "levels")]
                   + FAST + ["--override", "frac_levels=0.0,0.5",
                             "--override", "sweep_policies=dqn,random"])
+        assert rc == 0
+        assert (tmp_path / "levels" / name).read_bytes() == \
+            (tmp_path / "default" / name).read_bytes()
+
+    def test_fixed_policy_above_catalog_cap(self, tmp_path):
+        # three devices: 20480 catalog entries, above max_catalog_size,
+        # which caps only the dqn
+        rc = main(["eval", "--policy", "uav_heavy", "--out", str(tmp_path)]
+                  + FAST + ["--override", "num_devices=3"])
+        assert rc == 0
+        out = tmp_path / "eval_uav_heavy_250000_0.csv"
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_dqn_above_catalog_cap_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "eval"
+        rc = main(["eval", "--policy", "dqn", "--out", str(out)]
+                  + FAST + ["--override", "num_devices=3"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "'uav_heavy'" in err
+        assert "config error:" in err and "max_catalog_size" in err
         assert not out.exists()
 
     def test_trajectory_lands_in_out_dir(self, tmp_path):
@@ -104,17 +137,18 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2
 
-    def test_fixed_policy_levels_rejected_before_training(
+    def test_dqn_above_catalog_cap_rejected_before_training(
             self, tmp_path, capsys, monkeypatch):
+        # three devices validate, and the default sweep_policies hold dqn
         def no_training(*args, **kwargs):
             raise AssertionError("sweep trained a network")
         monkeypatch.setattr(ag, "train", no_training)
         out = tmp_path / "sweep"
         rc = main(["sweep", "--out", str(out)] + FAST + [
-            "--override", "frac_levels=0.0,0.5"])
+            "--override", "num_devices=3"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "'uav_heavy'" in err
+        assert "config error:" in err and "max_catalog_size" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["-1,1e5", "nan"])

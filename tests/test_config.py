@@ -142,23 +142,13 @@ class TestValidate:
             SimConfig(sweep_i_max=values).validate()
         SimConfig(sweep_i_max=(0.0, 1e5)).validate()
 
-    def test_fixed_policy_levels_in_frac_levels(self):
-        # make_policy would raise for these only after a sweep's training
-        with pytest.raises(ConfigError, match=r"'uav_heavy' needs "
-                           r"frac_levels \[0.3, 0.6\], missing from \(0.0, 0.5\)"):
-            SimConfig(frac_levels=(0.0, 0.5)).validate()
-        with pytest.raises(ConfigError, match=r"'cloud_heavy' needs "
-                           r"frac_levels \[0.3\]"):
-            SimConfig(frac_levels=(0.0, 0.6),
-                      sweep_policies=("dqn", "cloud_heavy")).validate()
-        cfg = SimConfig(frac_levels=(0.0, 0.5),
-                        sweep_policies=("dqn", "random")).validate()
-        SimConfig(num_devices=1, frac_levels=(0.0, 0.3, 0.6)).validate()
-        # validate() checks only sweep_policies; uavmec eval asks
-        # check_policy for its own policy
-        with pytest.raises(ConfigError, match="'uav_heavy' needs frac_levels"):
-            cfg.check_policy("uav_heavy")
-        cfg.check_policy("random")
+    def test_fixed_policy_levels_outside_frac_levels(self):
+        # the fixed baselines pass their fractions as values, so levels
+        # without them validate, whatever sweep_policies holds
+        for levels in ((0.0, 0.5), (0.0, 0.6), (0.0, 0.3, 0.6)):
+            cfg = SimConfig(num_devices=1, frac_levels=levels).validate()
+            for kind in POLICY_KINDS:
+                cfg.check_policy(kind)
 
     def test_nonnegative_fields_reject_nan(self):
         # a NaN speed bound would pass a `< 0` test and move the UAV to (0, 0)
@@ -179,11 +169,28 @@ class TestValidate:
         assert math.isfinite(row.mean_pde) and row.mean_pd > 0.0
 
     def test_catalog_cap(self):
-        cfg = SimConfig(num_devices=3)
+        # max_catalog_size caps the dqn's output head, and only that: a
+        # config above it validates, with the dqn among sweep_policies
+        cfg = SimConfig(num_devices=3).validate()
         assert cfg.catalog_size == 16 ** 3 * 5
         with pytest.raises(ConfigError, match="max_catalog_size"):
-            cfg.validate()
-        SimConfig(num_devices=3, max_catalog_size=16 ** 3 * 5).validate()
+            cfg.check_policy("dqn")
+        for kind in ("random", "uav_heavy", "cloud_heavy"):
+            cfg.check_policy(kind)
+        SimConfig(num_devices=3,
+                  max_catalog_size=16 ** 3 * 5).check_policy("dqn")
+
+    @pytest.mark.parametrize("num_devices", [15, 16])
+    def test_random_catalog_drawable(self, num_devices):
+        # rng.integers draws int64 indices: 2**60 * 5 entries at K = 15,
+        # 2**64 * 5 at K = 16
+        cfg = SimConfig(num_devices=num_devices).validate()
+        if num_devices == 15:
+            cfg.check_policy("random")
+        else:
+            with pytest.raises(ConfigError, match="'random' cannot draw"):
+                cfg.check_policy("random")
+        cfg.check_policy("uav_heavy")
 
 
 class TestLoadConfig:

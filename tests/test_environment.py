@@ -7,7 +7,8 @@ import pytest
 
 from uavmec import (channel as ch, computation as comp, objective as obj,
                     phy_link as phy, queueing as qs)
-from uavmec.config import MOVES, ConfigError, SimConfig
+from uavmec.agent import fixed_action
+from uavmec.config import MAX_INDEXED_CATALOG, MOVES, ConfigError, SimConfig
 from uavmec.environment import (STAY, IntervalRecord, Lockstep,
                                 MecEnvironment, action_catalog,
                                 observation_size)
@@ -22,9 +23,32 @@ def device(container, k):
                              for f in dataclasses.fields(container)))
 
 
+def reference_catalog(config):
+    """The joint catalog as (fractions, moves) tables: fractions[:, i] holds
+    entry i's x_uav, x_cloud, w_uav, w_cloud rows over the K devices, (4, n,
+    K), moves[i] its UAV move. Entries run through every device's fraction
+    tuple, the last device's fastest, with the five moves innermost."""
+    k = config.num_devices
+    grid = np.array(list(itertools.product(config.frac_levels,
+                                           repeat=4 * k)))
+    fractions = np.repeat(grid.reshape(-1, k, 4).transpose(0, 2, 1),
+                          len(MOVES), axis=0)
+    moves = np.tile(np.arange(len(MOVES)), len(grid))
+    return fractions.transpose(1, 0, 2), moves
+
+
 def device_fractions(fractions, i):
     """Catalog entry i's (x_uav, x_cloud, w_uav, w_cloud) tuple per device."""
-    return tuple(tuple(row) for row in fractions[i].T.tolist())
+    return tuple(tuple(row) for row in fractions[:, i].T.tolist())
+
+
+def every_entry(config):
+    return action_catalog(config, np.arange(config.catalog_size))
+
+
+def step_entry(env, index):
+    """env.step() under catalog entry index."""
+    return env.step(*action_catalog(env.config, index))
 
 
 def small_config(**kw):
@@ -34,18 +58,26 @@ def small_config(**kw):
 
 
 class TestActionCatalog:
+    """action_catalog decodes indices into the values of the enumeration."""
+
     def test_single_device_count(self):
-        fractions, moves = action_catalog(small_config())
-        assert len(moves) == 80
-        assert fractions.shape == (80, 4, 1)
+        fractions, moves = every_entry(small_config())
+        assert moves.shape == (80,)
+        assert fractions.shape == (4, 80, 1)
 
     def test_two_device_count(self):
-        fractions, moves = action_catalog(SimConfig(num_devices=2))
-        assert len(moves) == 1280
-        assert fractions.shape == (1280, 4, 2)
+        fractions, moves = every_entry(SimConfig(num_devices=2))
+        assert moves.shape == (1280,)
+        assert fractions.shape == (4, 1280, 2)
+
+    def test_one_entry(self):
+        fractions, move = action_catalog(SimConfig(num_devices=2), 7)
+        assert fractions.shape == (4, 2)
+        assert fractions.T.tolist() == [[0.3] * 4, [0.3, 0.3, 0.3, 0.6]]
+        assert move == 2
 
     def test_moves_iterate_innermost(self):
-        fr, moves = action_catalog(small_config())
+        fr, moves = every_entry(small_config())
         assert device_fractions(fr, 0) == ((0.3, 0.3, 0.3, 0.3),)
         assert moves[0] == STAY
         assert moves[:5].tolist() == [0, 1, 2, 3, 4]
@@ -56,21 +88,43 @@ class TestActionCatalog:
         assert moves[-1] == 4
 
     def test_entries_unique(self):
-        fr, moves = action_catalog(SimConfig(num_devices=2))
+        fr, moves = every_entry(SimConfig(num_devices=2))
         entries = {(device_fractions(fr, i), int(moves[i]))
                    for i in range(len(moves))}
         assert len(entries) == len(moves)
 
+    @pytest.mark.parametrize("cfg", [
+        small_config(), SimConfig(num_devices=2), SimConfig(num_devices=3),
+        small_config(frac_levels=(0.0, 0.3, 0.6)),
+        SimConfig(num_devices=2, frac_levels=(0.0, 0.3, 0.6))])
+    def test_matches_reference_table(self, cfg):
+        fractions, moves = every_entry(cfg)
+        ref_fractions, ref_moves = reference_catalog(cfg)
+        assert np.array_equal(fractions, ref_fractions)
+        assert np.array_equal(moves, ref_moves)
+
     def test_catalog_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            action_catalog(SimConfig(num_devices=3))
+        # max_catalog_size caps the dqn's head only: the decoder reaches
+        # every entry of a larger catalog, up to what int64 indexes
+        cfg = SimConfig(num_devices=3)
+        assert cfg.catalog_size > cfg.max_catalog_size
+        fractions, move = action_catalog(cfg, cfg.catalog_size - 1)
+        assert fractions.tolist() == [[0.6] * 3] * 4 and move == 4
+        cfg = SimConfig(num_devices=15)
+        assert cfg.catalog_size <= MAX_INDEXED_CATALOG
+        fractions, move = action_catalog(cfg, cfg.catalog_size - 1)
+        assert fractions.tolist() == [[0.6] * 15] * 4 and move == 4
+        with pytest.raises(IndexError, match="int64"):
+            action_catalog(SimConfig(num_devices=16), 0)
 
     @pytest.mark.parametrize("cfg", [
         SimConfig(num_devices=1), SimConfig(num_devices=2),
         SimConfig(num_devices=1, frac_levels=(0.0, 0.3, 0.6))])
     def test_size_matches_config(self, cfg):
-        fractions, moves = action_catalog(cfg)
-        assert len(moves) == len(fractions) == cfg.catalog_size
+        action_catalog(cfg, cfg.catalog_size - 1)
+        for outside in (cfg.catalog_size, -1, [0, cfg.catalog_size]):
+            with pytest.raises(IndexError, match="outside catalog"):
+                action_catalog(cfg, outside)
 
     def test_move_tables_consistent(self):
         assert len(MOVES) == 5
@@ -171,7 +225,7 @@ class TestConstraintsAtConstruction:
 
         monkeypatch.setattr(obj, "check_feasibility", fail)
         while not env.done:
-            env.step(0)
+            step_entry(env, 0)
 
 
 class TestConstraintsOnEveryStep:
@@ -191,10 +245,11 @@ class TestConstraintsOnEveryStep:
         cpu_local, cpu_uav, cpu_cloud = np.broadcast_to(
             env._tier_cpus, (3, cfg.num_devices))
         while not env.done:
-            idx = int(rng.integers(0, len(env.moves)))
+            fractions, move = action_catalog(
+                cfg, rng.integers(0, cfg.catalog_size))
             prev = env.uav_pos
-            rec = env.step(idx).record
-            rows = env.fractions[idx].T   # x_uav, x_cloud, w_uav, w_cloud
+            rec = env.step(fractions, move)
+            rows = fractions.T   # x_uav, x_cloud, w_uav, w_cloud
             report = obj.check_feasibility(
                 fractions=np.insert(rows, 2, cfg.w_local, axis=1),
                 tx_powers=env._tx_powers, cpu_local=cpu_local,
@@ -210,37 +265,39 @@ class TestConstraintsOnEveryStep:
 class TestStepContracts:
     def test_zero_arrivals_stay_empty(self):
         env = MecEnvironment(small_config(i_max=0.0), seed=0)
-        t = env.step(0)
-        assert t.reward == 0.0
+        rec = step_entry(env, 0)
+        assert rec.reward_per_device.tolist() == [0.0]
         assert env.backlog.tolist() == [[0.0], [0.0], [0.0]]
-        assert t.record.b_tot.tolist() == [0.0]
+        assert rec.b_tot.tolist() == [0.0]
 
     def test_episode_termination(self):
         env = MecEnvironment(small_config(), seed=0)
         for i in range(5):
-            t = env.step(0)
-            assert t.done == (i == 4)
+            step_entry(env, 0)
+            assert env.done == (i == 4)
         assert env.done
         with pytest.raises(RuntimeError):
-            env.step(0)
+            step_entry(env, 0)
 
     def test_bad_action_index(self):
+        # the decoder checks the range; step() takes values
         env = MecEnvironment(small_config(), seed=0)
         with pytest.raises(IndexError):
-            env.step(80)
+            step_entry(env, 80)
         with pytest.raises(IndexError):
-            env.step(-1)
+            step_entry(env, -1)
+        assert env.n == 0
 
     def test_uav_moves_and_clips(self):
         cfg = small_config(n_intervals=100)
         env = MecEnvironment(cfg, seed=0)
         start = env.uav_pos
-        env.step(1)  # +x
+        step_entry(env, 1)  # +x
         assert env.uav_pos.x == pytest.approx(start.x + cfg.v_max * cfg.tau)
         assert env.uav_pos.y == start.y
         rng = np.random.default_rng(0)
         while not env.done:
-            env.step(int(rng.integers(0, len(env.moves))))
+            step_entry(env, rng.integers(0, cfg.catalog_size))
             assert 0.0 <= env.uav_pos.x <= cfg.area_size
             assert 0.0 <= env.uav_pos.y <= cfg.area_size
 
@@ -250,7 +307,7 @@ class TestStepContracts:
         rng = np.random.default_rng(1)
         while not env.done:
             prev = env.uav_pos
-            env.step(int(rng.integers(0, len(env.moves))))
+            step_entry(env, rng.integers(0, cfg.catalog_size))
             # c7 (speed) and c9 (area), measured on the move itself
             assert prev.displacement(env.uav_pos) <= (
                 cfg.v_max * cfg.tau * (1 + 1e-12))
@@ -260,7 +317,7 @@ class TestStepContracts:
     def test_terminal_distance(self):
         env = MecEnvironment(small_config(), seed=0)
         assert env.terminal_distance() == 0.0
-        env.step(1)
+        step_entry(env, 1)
         assert env.terminal_distance() == pytest.approx(30.0)
 
 
@@ -269,8 +326,7 @@ class TestStepPhysics:
         env = MecEnvironment(SimConfig(num_devices=2, n_intervals=20), seed=5)
         rng = np.random.default_rng(2)
         while not env.done:
-            t = env.step(int(rng.integers(0, len(env.moves))))
-            rec = t.record
+            rec = step_entry(env, rng.integers(0, env.config.catalog_size))
             for k in range(2):
                 want = reward_fn(device(rec.queues_before, k),
                                  device(rec.splits, k),
@@ -278,8 +334,6 @@ class TestStepPhysics:
                                  env.config, int(rec.eta[k]))
                 assert rec.reward_per_device[k] == pytest.approx(want,
                                                                  rel=1e-12)
-            assert t.reward == pytest.approx(float(np.sum(
-                rec.reward_per_device)))
 
     def test_queue_trajectory_matches_external_replay(self):
         # replay the episode's queue dynamics outside the environment using
@@ -289,21 +343,22 @@ class TestStepPhysics:
         rng = np.random.default_rng(4)
         shadow = [QueueTriple(0.0, 0.0, 0.0) for _ in range(2)]
         while not env.done:
-            idx = int(rng.integers(0, len(env.moves)))
-            t = env.step(idx)
+            fractions, move = action_catalog(
+                cfg, rng.integers(0, cfg.catalog_size))
+            rec = env.step(fractions, move)
             for k in range(2):
-                assert device(t.record.queues_before, k) == shadow[k]
-                xu, xc, wu, wc = env.fractions[idx][:, k].tolist()
+                assert device(rec.queues_before, k) == shadow[k]
+                xu, xc, wu, wc = fractions[:, k].tolist()
                 s = compute_splits(shadow[k], xu, xc, cfg.w_local, wu, wc)
                 shadow[k] = QueueTriple(*step_queues(
                     np.array(dataclasses.astuple(shadow[k])), split_stack(s),
-                    float(t.record.arrivals[k])).tolist())
+                    float(rec.arrivals[k])).tolist())
             assert [QueueTriple(*tiers) for tiers in env.backlog.T.tolist()] \
                 == shadow
 
     def test_record_holds_device_arrays(self):
         env = MecEnvironment(SimConfig(num_devices=2, n_intervals=5), seed=1)
-        rec = env.step(7).record
+        rec = step_entry(env, 7)
         for container in (rec.queues_before, rec.splits, rec.delays):
             for f in dataclasses.fields(container):
                 assert getattr(container, f.name).shape == (2,)
@@ -313,25 +368,55 @@ class TestStepPhysics:
         assert comp.total_task_delay(rec.delays).shape == (2,)
 
     def test_fraction_table_matches_catalog(self):
-        # the tables against the nested enumeration they encode: every
+        # the decoder against the nested enumeration it encodes: every
         # device's fraction tuple, last device fastest, moves innermost
         cfg = SimConfig(num_devices=2)
-        env = MecEnvironment(cfg, seed=0)
-        assert env.fractions.shape == (len(env.moves), 4, 2)
+        fractions, moves = every_entry(cfg)
         per_device = itertools.product(cfg.frac_levels, repeat=4)
         nested = [(fracs, move)
                   for fracs in itertools.product(per_device, repeat=2)
                   for move in range(len(MOVES))]
-        assert len(nested) == len(env.moves)
+        assert len(nested) == len(moves)
         for i, (fracs, move) in enumerate(nested):
-            assert device_fractions(env.fractions, i) == fracs
-            assert env.moves[i] == move
+            assert device_fractions(fractions, i) == fracs
+            assert moves[i] == move
+
+    def test_fractions_outside_levels(self):
+        # step() takes any fraction values, not only the catalog's levels
+        cfg = small_config(frac_levels=(0.3, 0.6))
+        env = MecEnvironment(cfg, seed=2)
+        env.backlog = np.array([[1000.0], [1000.0], [1000.0]])
+        rec = env.step(np.array([[0.5], [0.0], [0.25], [1.0]]), STAY)
+        assert rec.splits.d_uav.tolist() == [500.0]
+        assert rec.splits.b_local.tolist() == [cfg.w_local * 500.0]
+        assert rec.splits.d_cloud.tolist() == [0.0]
+        assert rec.splits.b_uav.tolist() == [250.0]
+        assert rec.splits.b_cloud.tolist() == [1000.0]
+        assert rec.delays.t_cloud_comm.tolist() == [0.0]
+
+    def test_split_stack_follows_compute_splits(self):
+        # the split stack _advance builds in place equals compute_splits'
+        # amounts, bit for bit, for every entry and random backlogs
+        cfg = SimConfig(num_devices=2, frac_levels=(0.0, 0.3, 0.6, 1.0),
+                        w_local=0.35)
+        fractions, moves = action_catalog(
+            cfg, np.random.default_rng(3).integers(0, cfg.catalog_size, 400))
+        batch = Lockstep(MecEnvironment(cfg), range(400))
+        batch.backlog = np.random.default_rng(4).uniform(
+            0.0, 1e6, (3, 400, 2))
+        want = split_stack(compute_splits(
+            QueueTriple(*batch.backlog), *fractions[:2], cfg.w_local,
+            *fractions[2:]))
+        rec = batch.step(fractions, moves)
+        got = split_stack(rec.splits)
+        assert np.array_equal(got, want)
+        assert np.array_equal(rec.delays.t_cloud_comm, phy.cloud_comm_delay(
+            fractions[1], cfg.install_delay))
 
     def test_rates_follow_shannon(self):
         cfg = small_config()
         env = MecEnvironment(cfg, seed=11)
-        t = env.step(0)
-        rec = t.record
+        rec = step_entry(env, 0)
         g = float(rec.power_gains[0])
         want_sinr = cfg.p_max * g / cfg.noise_power
         assert rec.sinrs[0] == pytest.approx(want_sinr, rel=1e-12)
@@ -341,8 +426,8 @@ class TestStepPhysics:
     def test_cloud_install_delay_gating(self):
         env = MecEnvironment(small_config(), seed=2)
         env.backlog = np.array([[1000.0], [1000.0], [0.0]])
-        t = env.step(0)  # x_cloud = 0.3 > 0 pays the install delay
-        assert t.record.delays.t_cloud_comm[0] == env.config.install_delay
+        rec = step_entry(env, 0)  # x_cloud = 0.3 > 0 pays the install delay
+        assert rec.delays.t_cloud_comm[0] == env.config.install_delay
 
     def test_determinism_full_episode(self):
         def run():
@@ -351,9 +436,10 @@ class TestStepPhysics:
             rng = np.random.default_rng(6)
             out = []
             while not env.done:
-                t = env.step(int(rng.integers(0, len(env.moves))))
-                out.append((t.reward, tuple(t.record.power_gains),
-                            tuple(t.record.arrivals), env.uav_pos))
+                rec = step_entry(env, rng.integers(0, env.config.catalog_size))
+                out.append((tuple(rec.reward_per_device),
+                            tuple(rec.power_gains), tuple(rec.arrivals),
+                            env.uav_pos))
             return out
 
         assert run() == run()
@@ -385,31 +471,53 @@ class TestLockstep:
         singles = [MecEnvironment(cfg, seed=s) for s in seeds]
         assert np.array_equal(obs, [env.observe() for env in singles])
         for n in range(cfg.n_intervals):
-            t = batch.step(actions[n])
+            rec = batch.step(*action_catalog(cfg, actions[n]))
             for r, env in enumerate(singles):
-                u = env.step(int(actions[n, r]))
-                assert t.reward[r] == u.reward
-                assert np.array_equal(batch.observe()[r],
-                                      u.next_observation)
-                assert_same_values(t.record.realization(r), u.record)
+                u = step_entry(env, actions[n, r])
+                assert np.array_equal(batch.observe()[r], env.observe())
+                assert_same_values(rec.realization(r), u)
                 assert np.array_equal(batch.backlog[:, r], env.backlog)
                 assert batch.uav_pos.x[r] == env.uav_pos.x
                 assert batch.uav_pos.y[r] == env.uav_pos.y
-            assert t.done == u.done
+            assert batch.done == env.done
         assert batch.terminal_distance() == [env.terminal_distance()
                                              for env in singles]
         assert batch.device_positions == [env.device_positions
                                           for env in singles]
 
     def test_one_action_per_realization(self):
-        env = Lockstep(MecEnvironment(small_config()), [1, 2])
+        cfg = small_config()
+        env = Lockstep(MecEnvironment(cfg), [1, 2])
+        fractions, moves = action_catalog(cfg, [0, 79])
         with pytest.raises(ValueError, match="shape"):
-            env.step(0)
+            env.step(fractions, [0, 0, 0])
         with pytest.raises(ValueError, match="shape"):
-            env.step([0, 0, 0])
+            env.step(fractions[:, :1], moves[:1])
+        with pytest.raises(ValueError, match="shape"):
+            env.step(fractions[:, 0], 0)
         with pytest.raises(IndexError):
-            env.step([0, 80])
-        assert env.step([0, 79]).reward.shape == (2,)
+            action_catalog(cfg, [0, 80])
+        assert env.n == 0 and [e.n for e in env.envs] == [0, 0]
+        assert env.step(fractions, moves).reward_per_device.shape == (2, 1)
+
+    def test_fixed_policy_record(self):
+        # a fixed baseline's action: each per-device field of the record is
+        # (R, K), so a realization's record is its own rows
+        cfg = SimConfig(num_devices=3, n_intervals=4)
+        fractions, moves = fixed_action("cloud_heavy", (2, 3))
+        batch = Lockstep(MecEnvironment(cfg), [5, 6])
+        singles = [MecEnvironment(cfg, seed=s) for s in (5, 6)]
+        while not batch.done:
+            rec = batch.step(fractions, moves)
+            for name in ("power_gains", "sinrs", "rates", "t_comm", "b_tot",
+                         "eta", "hist_pde", "reward_per_device", "arrivals"):
+                assert getattr(rec, name).shape == (2, 3)
+            for container in (rec.queues_before, rec.splits, rec.delays):
+                for f in dataclasses.fields(container):
+                    assert getattr(container, f.name).shape == (2, 3)
+            for r, env in enumerate(singles):
+                u = env.step(*fixed_action("cloud_heavy", (3,)))
+                assert_same_values(rec.realization(r), u)
 
     @pytest.mark.parametrize("seeds", [[], iter(())])
     def test_needs_a_seed(self, seeds):
@@ -420,11 +528,12 @@ class TestLockstep:
 # -- reference stepper ------------------------------------------------------
 #
 # The interval step as it stood before the stages ran on one stacked backlog
-# from precomputed split and install-delay tables, and before one draw gave
-# each interval's channel normals: the backlogs as a QueueTriple of (K,) or
-# (R, K) arrays, 2K scalar normal draws per realization, and every stage
-# function called by name. MecEnvironment and Lockstep must match it bit for
-# bit.
+# with a split stack built from the fraction rows, before one draw gave each
+# interval's channel normals, and before the catalog became a decoder: the
+# catalog as reference_catalog's tables, the backlogs as a QueueTriple of
+# (K,) or (R, K) arrays, 2K scalar normal draws per realization, and every
+# stage function called by name. MecEnvironment and Lockstep, stepped with
+# action_catalog's values, must match it bit for bit.
 
 
 def reference_rician_sample(rng, rice_k):
@@ -463,12 +572,10 @@ class ReferenceEnv:
 
     def __init__(self, config, seed):
         cfg = self.config = config.validate()
-        fractions, self.moves = action_catalog(cfg)
+        self._fraction_rows, self.moves = reference_catalog(cfg)
         self.chan_params = ch.ChannelParams(
             eta0=cfg.eta0, theta=cfg.path_loss_exp, rice_k=cfg.rician_k,
             altitude=cfg.altitude)
-        self._fraction_rows = np.ascontiguousarray(
-            fractions.transpose(1, 0, 2))
         self._step_len = cfg.v_max * cfg.tau
         self._tx_powers = np.full(cfg.num_devices, cfg.p_max)
         self._tier_cpus = np.array([[cfg.local_cpu_max],
@@ -507,7 +614,7 @@ class ReferenceEnv:
         record = reference_advance(self, self, action_index,
                                    np.array(gains), arrivals)
         self.n += 1
-        return float(np.sum(record.reward_per_device)), record
+        return record
 
 
 class ReferenceLockstep:
@@ -533,7 +640,7 @@ class ReferenceLockstep:
         record = reference_advance(self.envs[0], self, actions, gains,
                                    arrivals)
         self.n += 1
-        return record.reward_per_device.sum(axis=-1), record
+        return record
 
 
 def reference_step_queues(q, s, arrival):
@@ -600,8 +707,7 @@ REFERENCE_CONFIGS = {
     "no_arrivals": SimConfig(n_intervals=200, i_max=0.0),
     "uav_position": SimConfig(n_intervals=200, include_uav_position=True),
     "one_device": SimConfig(n_intervals=200, num_devices=1),
-    "three_devices": SimConfig(n_intervals=200, num_devices=3,
-                               max_catalog_size=20480),
+    "three_devices": SimConfig(n_intervals=200, num_devices=3),
     # Delays straddle tau, so eta takes both values and the penalty
     # applies.
     "tight_tau": SimConfig(n_intervals=200, tau=TIGHT_TAU,
@@ -621,11 +727,10 @@ class TestMatchesReferenceStepper:
         assert np.array_equal(env.observe(), ref.observe())
         etas = set()
         for a in actions.tolist():
-            t = env.step(a)
-            reward, record = ref.step(a)
-            assert t.reward == reward
-            assert_same_values(t.record, record)
-            assert np.array_equal(t.next_observation, ref.observe())
+            rec = step_entry(env, a)
+            record = ref.step(a)
+            assert_same_values(rec, record)
+            assert np.array_equal(env.observe(), ref.observe())
             assert np.array_equal(env.backlog, stacked(ref.queues))
             assert env.uav_pos == ref.uav_pos
             etas.update(record.eta.tolist())
@@ -642,11 +747,11 @@ class TestMatchesReferenceStepper:
         actions = np.random.default_rng(6).integers(
             0, cfg.catalog_size, (cfg.n_intervals, len(seeds)))
         for row in actions:
-            t = batch.step(row)
-            rewards, record = ref.step(row)
-            assert t.next_observation is None
-            assert np.array_equal(t.reward, rewards)
-            assert_same_values(t.record, record)
+            rec = batch.step(*action_catalog(cfg, row))
+            record = ref.step(row)
+            assert np.array_equal(rec.reward_per_device,
+                                  record.reward_per_device)
+            assert_same_values(rec, record)
             assert np.array_equal(batch.observe(), ref.observe())
             assert np.array_equal(batch.backlog, stacked(ref.queues))
             assert_same_values(batch.uav_pos, ref.uav_pos)

@@ -102,6 +102,27 @@ class TestRunEval:
         monkeypatch.setattr(Lockstep, "observe", fail)
         run_eval(policy, quick_config(num_devices=2), seed=1, realizations=2)
 
+    def test_fixed_policy_rows_do_not_depend_on_frac_levels(self):
+        # a fixed baseline passes its fractions as values, not as a catalog
+        # entry, so levels without them give the same row, byte for byte
+        cfg = quick_config(num_devices=2)
+        row = run_eval("uav_heavy", cfg, seed=3, realizations=2)
+        other = run_eval("uav_heavy", replace(cfg, frac_levels=(0.0, 0.5)),
+                         seed=3, realizations=2)
+        assert repr(dataclasses.astuple(other)) == \
+            repr(dataclasses.astuple(row))
+
+    @pytest.mark.parametrize("num_devices", [3, 16])
+    @pytest.mark.parametrize("policy", ["uav_heavy", "cloud_heavy"])
+    def test_fixed_policies_run_above_the_catalog_cap(self, policy,
+                                                      num_devices):
+        cfg = quick_config(num_devices=num_devices, n_intervals=5)
+        assert cfg.catalog_size > cfg.max_catalog_size
+        row, records = run_eval(policy, cfg, seed=1, realizations=2,
+                                collect_records=True)
+        assert row.mean_pd > 0.0 and row.terminal_uav_distance == 0.0
+        assert records[-1].b_tot.shape == (num_devices,)
+
     def test_realizations_are_decorrelated(self):
         row1 = run_eval("uav_heavy", quick_config(), seed=0, realizations=1)
         row2 = run_eval("uav_heavy", quick_config(), seed=0, realizations=2)
