@@ -289,25 +289,38 @@ def td_loss(net: QNetwork, target_net: QNetwork, batch,
 
 @dataclass
 class Policy:
-    """Chooses (fractions, moves) actions; kind selects the strategy."""
+    """A policy kind's actions, prepared for R realizations: a fixed
+    baseline's action, the random policy's (R, n_intervals) catalog
+    entries, or the dqn's network."""
     kind: str
     config: SimConfig
     net: QNetwork = None
+    action: tuple = None
+    entries: np.ndarray = None
 
 
-def make_policy(kind: str, env: MecEnvironment, net: QNetwork = None) -> Policy:
-    """Policy kind for env's config; ConfigError where check_policy fails."""
-    config = env.config
-    config.check_policy(kind)
+def make_policy(kind: str, config: SimConfig, realizations: int,
+                net: QNetwork = None, rng=None) -> Policy:
+    """Policy kind for R realizations under config; ConfigError where
+    validate() or check_policy fails, ValueError for a missing or
+    mismatched network. The random policy draws every interval's entries
+    here, from rng."""
+    config.validate().check_policy(kind)
     if kind == "dqn":
         if net is None:
             raise ValueError("dqn policy requires a trained network")
         want = (observation_size(config), config.catalog_size)
         if (net.input_size, net.output_size) != want:
             raise ValueError(f"network maps {net.input_size} inputs to "
-                             f"{net.output_size} actions; this environment "
+                             f"{net.output_size} actions; this config "
                              f"needs {want[0]} and {want[1]}")
-    return Policy(kind=kind, config=config, net=net)
+        return Policy(kind, config, net=net)
+    if kind == "random":
+        entries = np.random.default_rng(rng).integers(
+            config.catalog_size, size=(realizations, config.n_intervals))
+        return Policy(kind, config, entries=entries)
+    return Policy(kind, config, action=fixed_action(
+        kind, (realizations, config.num_devices)))
 
 
 def fixed_action(kind: str, shape: tuple):
@@ -318,36 +331,19 @@ def fixed_action(kind: str, shape: tuple):
     return fractions, np.full(shape[:-1], STAY)[()]
 
 
-def baseline_action(policy: Policy, obs: np.ndarray,
-                    rng: np.random.Generator):
-    """(fractions, moves) of any policy kind, as MecEnvironment.step takes
-    them; greedy for dqn.
+def baseline_action(policy: Policy, n: int, observe):
+    """Interval n's (fractions, moves) for every realization, (4, R, K) and
+    (R,), as Lockstep.step takes them.
 
-    The dqn and random policies pick a catalog entry and decode it; a fixed
-    baseline reads only the shape of obs. A batch of observations, one per
-    row, gives (4, R, K) fractions and (R,) moves for a dqn or fixed
-    policy.
+    Only the dqn calls observe() for the realizations' observations, and
+    acts greedily on them; the random policy decodes its entries for n.
     """
-    config = policy.config
-    if policy.kind in FIXED_POLICY_FRACS:
-        return fixed_action(policy.kind,
-                            np.shape(obs)[:-1] + (config.num_devices,))
     if policy.kind == "dqn":
-        index = greedy_action(policy.net, obs)
-    else:
-        index = rng.integers(config.catalog_size)
-    return action_catalog(config, index)
-
-
-def action_table(policy: Policy, rng: np.random.Generator, episodes: int,
-                 n_intervals: int):
-    """(episodes, n_intervals) catalog entries of the random policy; None
-    for the others. The table equals the entries of baseline_action's
-    scalar draws made episode by episode."""
-    if policy.kind != "random":
-        return None
-    return rng.integers(policy.config.catalog_size,
-                        size=(episodes, n_intervals))
+        obs = normalize_observation(observe(), policy.config)
+        return action_catalog(policy.config, greedy_action(policy.net, obs))
+    if policy.kind == "random":
+        return action_catalog(policy.config, policy.entries[:, n])
+    return policy.action
 
 
 def normalize_observation(obs: np.ndarray, config: SimConfig) -> np.ndarray:

@@ -10,7 +10,6 @@ Instances are single-threaded.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -139,7 +138,6 @@ class MecEnvironment:
         self._tier_cpus = np.array([[config.local_cpu_max],
                                     [config.uav_cpu_per_device],
                                     [config.cloud_cpu_per_device]])
-        self.in_lockstep = False
         self.reset(seed)
 
     # -- lifecycle ---------------------------------------------------------
@@ -184,15 +182,18 @@ class MecEnvironment:
         """Advance one interval and return its record; observe() gives the
         next observation.
 
-        fractions holds the (4, K) fraction rows, in [0, 1], and move is in
-        range(len(MOVES)), as action_catalog and the fixed baselines give
-        them; step does not check them. Inside a Lockstep, which passes no
-        fractions (None), return only this realization's channel gains (a
+        fractions holds the (4, K) fraction rows, in [0, 1], as
+        action_catalog and the fixed baselines give them; step does not
+        check them. A move outside range(len(MOVES)) raises IndexError
+        before anything moves or draws. Without fractions (None), as a
+        Lockstep steps its realizations, return only the channel gains (a
         list) and arrivals, for the Lockstep to advance the backlogs.
         """
         cfg = self.config
         if self.done:
             raise RuntimeError("step() called on a finished episode")
+        if not 0 <= move < len(MOVES):
+            raise IndexError(f"UAV move {move} outside range({len(MOVES)})")
 
         # (1) UAV motion, clipped to the service area.
         self.uav_pos = self._move(self.uav_pos, move)
@@ -209,7 +210,7 @@ class MecEnvironment:
                  for dev, re, im in zip(self.device_positions, normals[::2],
                                         normals[1::2])]
         arrivals = qs.draw_arrival(self.rng, cfg.i_max, k)
-        if self.in_lockstep:
+        if fractions is None:
             self.n += 1
             return gains, arrivals
 
@@ -282,24 +283,18 @@ class MecEnvironment:
 
 
 class Lockstep:
-    """R realizations of an environment, stepped together.
+    """R realizations of a config, stepped together.
 
-    Each realization is a copy of env reset from its own seed. The backlog
+    Each realization is a MecEnvironment built from its own seed. The backlog
     is a (3, R, K) array; actions and rewards gain a leading (R,) axis, and
     observe() gives one row per realization.
     """
 
-    def __init__(self, env: MecEnvironment, seeds):
-        cfg = self.config = env.config
-        self._env = env
-        self.envs = []
-        for seed in seeds:
-            realization = copy.copy(env)
-            realization.in_lockstep = True
-            realization.reset(seed)
-            self.envs.append(realization)
+    def __init__(self, config: SimConfig, seeds):
+        self.envs = [MecEnvironment(config, seed) for seed in seeds]
         if not self.envs:
             raise ValueError("a Lockstep needs at least one seed")
+        cfg = self.config = self.envs[0].config
         shape = self._shape = (len(self.envs), cfg.num_devices)
         self.n = 0
         self.uav_pos = ch.Position2D(np.full(shape[0], cfg.area_center[0]),
@@ -325,11 +320,16 @@ class Lockstep:
     def step(self, fractions, moves) -> IntervalRecord:
         """Advance every realization one interval under (4, R, K) fraction
         rows and (R,) moves, and return the interval's record; observe()
-        gives the next observation."""
+        gives the next observation. A wrong shape raises ValueError and a
+        move outside range(len(MOVES)) IndexError, before any realization
+        steps."""
         if np.shape(fractions) != (4,) + self._shape or \
                 np.shape(moves) != self._shape[:1]:
             raise ValueError(f"expected fraction rows and moves of shape "
                              f"{(4,) + self._shape} and {self._shape[:1]}")
+        moves = np.asarray(moves).tolist()
+        if min(moves) < 0 or max(moves) >= len(MOVES):
+            raise IndexError(f"UAV moves {moves} outside range({len(MOVES)})")
         gains = np.empty(self._shape)
         arrivals = np.empty(self._shape)
         for r, (env, move) in enumerate(zip(self.envs, moves)):
@@ -337,6 +337,6 @@ class Lockstep:
         self.uav_pos = ch.Position2D(
             np.array([env.uav_pos.x for env in self.envs]),
             np.array([env.uav_pos.y for env in self.envs]))
-        record = self._env._advance(self, fractions, gains, arrivals)
+        record = self.envs[0]._advance(self, fractions, gains, arrivals)
         self.n += 1
         return record

@@ -11,11 +11,8 @@ import numpy as np
 
 from . import agent as ag
 from . import objective as obj
-from .config import FIXED_POLICY_FRACS, SimConfig
-from .environment import Lockstep, MecEnvironment, action_catalog
-
-CSV_HEADER = ("policy,i_max,seed,mean_pde,mean_cd,mean_pd,mean_ql,mean_qu,"
-              "mean_qc,c10_violation_rate,terminal_uav_distance")
+from .config import SimConfig
+from .environment import Lockstep
 
 TRAJECTORY_HEADER = "interval,device,ql,qu,qc,reward,eta,t_comm,b_tot"
 
@@ -38,6 +35,8 @@ class ResultRow:
     c10_violation_rate: float
     terminal_uav_distance: float
 
+
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ResultRow))
 
 # SimConfig fields that only choose what gets evaluated; a trained network
 # does not depend on them, so they stay out of its checkpoint key.
@@ -72,42 +71,30 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     Every realization gets fresh channel/arrival streams derived from the
     seed, and all of them run in one Lockstep: per interval, each makes its
     own draws in its step(), and one pass of the backlog stages and one
-    policy call serve them all. PD and CD are read from the Lockstep's
-    accumulator; the backlogs and the delay-bound violations are summed
-    here. The sums run in a different order than one episode after another
-    would add them, so a row matches one-realization-at-a-time stepping to
-    within about 1e-13 relative, not bit for bit.
+    baseline_action call serve them all, whatever the policy kind. PD and
+    CD are read from the Lockstep's accumulator; the backlogs and the
+    delay-bound violations are summed here. The sums run in a different
+    order than one episode after another would add them, so a row matches
+    one-realization-at-a-time stepping to within about 1e-13 relative, not
+    bit for bit.
 
     Returns a ResultRow of plain Python numbers (plus the per-interval
     records of the last episode when collect_records is set).
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    env = MecEnvironment(config)
-    pol = ag.make_policy(policy, env, net=net)
-
     ss = np.random.SeedSequence(entropy=(seed, _EVAL_SALT))
-    episode_seeds = ss.spawn(realizations + 1)
-    policy_rng = np.random.default_rng(episode_seeds[-1])
-
-    batch = Lockstep(env, episode_seeds[:-1])
-    # The random policy decodes its table, the dqn acts on each interval's
-    # observations, and a fixed baseline's action never changes.
-    table = ag.action_table(pol, policy_rng, realizations, config.n_intervals)
-    if policy in FIXED_POLICY_FRACS:
-        action = ag.fixed_action(policy, (realizations, config.num_devices))
+    *episode_seeds, policy_seed = ss.spawn(realizations + 1)
+    pol = ag.make_policy(policy, config, realizations, net=net,
+                         rng=np.random.default_rng(policy_seed))
+    batch = Lockstep(config, episode_seeds)
     # Local, UAV and cloud backlogs summed over intervals, per realization
     # and device.
     backlog = np.zeros((3, realizations, config.num_devices))
     violations = 0
     records = []
     for n in range(config.n_intervals):
-        if table is not None:
-            action = action_catalog(config, table[:, n])
-        elif policy == "dqn":
-            action = ag.baseline_action(
-                pol, ag.normalize_observation(batch.observe(), config),
-                policy_rng)
+        action = ag.baseline_action(pol, n, batch.observe)
         backlog += batch.backlog
         rec = batch.step(*action)
         violations += rec.eta.size - int(np.count_nonzero(rec.eta))

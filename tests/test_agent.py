@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from uavmec import agent
-from uavmec.agent import (QNetwork, ReplayBuffer, action_table,
-                          baseline_action, forward, load_checkpoint,
+from uavmec.agent import (QNetwork, ReplayBuffer, baseline_action,
+                          forward, load_checkpoint,
                           make_policy, normalize_observation, save_checkpoint,
                           select_action, sync_target, target_max_q, td_loss,
                           train, train_step)
-from uavmec.config import FIXED_POLICY_FRACS, SimConfig
-from uavmec.environment import STAY, MecEnvironment, action_catalog
+from uavmec.config import FIXED_POLICY_FRACS, ConfigError, SimConfig
+from uavmec.environment import STAY, Lockstep, action_catalog
 
 
 def tiny_net(rng_seed=0, input_size=3, hidden=(8,), output_size=5):
@@ -476,108 +476,113 @@ class TestReplayBuffer:
         assert dones.tolist() == [True]
 
 
+def never_observe():
+    raise AssertionError("the policy computed an observation")
+
+
 class TestPolicies:
     def setup_method(self):
-        self.env = MecEnvironment(SimConfig(num_devices=2, n_intervals=5),
-                                  seed=0)
+        self.cfg = SimConfig(num_devices=2, n_intervals=5)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown policy 'greedy'"):
-            make_policy("greedy", self.env)
+            make_policy("greedy", self.cfg, 1)
+
+    def test_invalid_config(self):
+        with pytest.raises(ConfigError, match="n_intervals"):
+            make_policy("uav_heavy", SimConfig(n_intervals=0), 1)
 
     def test_dqn_requires_net(self):
         with pytest.raises(ValueError, match="requires a trained network"):
-            make_policy("dqn", self.env)
+            make_policy("dqn", self.cfg, 1)
 
     def test_dqn_net_must_match_env(self):
         # a head narrower than the catalog would pick wrong actions silently
         for net in (tiny_net(input_size=6, output_size=5),
                     tiny_net(input_size=5, output_size=1280)):
             with pytest.raises(ValueError, match="needs 6 and 1280"):
-                make_policy("dqn", self.env, net)
+                make_policy("dqn", self.cfg, 1, net)
         net = tiny_net(input_size=6, output_size=1280)
-        assert make_policy("dqn", self.env, net).net is net
+        assert make_policy("dqn", self.cfg, 1, net).net is net
 
     def test_uav_heavy_decodes(self):
-        pol = make_policy("uav_heavy", self.env)
-        fracs, move = baseline_action(pol, np.zeros(6), None)
-        assert move == STAY
+        pol = make_policy("uav_heavy", self.cfg, 3)
+        fracs, moves = baseline_action(pol, 0, never_observe)
+        assert fracs.shape == (4, 3, 2) and moves.tolist() == [STAY] * 3
         want = FIXED_POLICY_FRACS["uav_heavy"]
-        assert all(tuple(f) == want for f in fracs.T.tolist())
+        assert all(tuple(f) == want for f in fracs.T.reshape(-1, 4).tolist())
 
     def test_cloud_heavy_decodes(self):
-        pol = make_policy("cloud_heavy", self.env)
-        fracs, move = baseline_action(pol, np.zeros(6), None)
-        assert move == STAY
+        pol = make_policy("cloud_heavy", self.cfg, 1)
+        fracs, moves = baseline_action(pol, 0, never_observe)
+        assert moves.tolist() == [STAY]
         want = FIXED_POLICY_FRACS["cloud_heavy"]
-        assert all(tuple(f) == want for f in fracs.T.tolist())
-        assert fracs[1, 0] == 0.6  # x_cloud of device 0
+        assert all(tuple(f) == want for f in fracs.T.reshape(-1, 4).tolist())
+        assert fracs[1, 0, 0] == 0.6  # x_cloud of device 0
+
+    def test_fixed_policy_ignores_observation(self):
+        # the same action every interval, with no observation and no draw
+        rng = np.random.default_rng(0)
+        pol = make_policy("cloud_heavy", self.cfg, 2, rng=rng)
+        first = baseline_action(pol, 0, never_observe)
+        for n in range(1, self.cfg.n_intervals):
+            fracs, moves = baseline_action(pol, n, never_observe)
+            assert np.array_equal(fracs, first[0])
+            assert np.array_equal(moves, first[1])
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_fixed_fracs_missing_from_catalog(self):
         # a fixed baseline passes its fractions as values, so they need
         # not be among frac_levels, and the catalog may exceed the cap
         for cfg in (SimConfig(num_devices=1, frac_levels=(0.0, 1.0)),
                     SimConfig(num_devices=3)):
-            env = MecEnvironment(cfg, seed=0)
-            obs = env.observe()
-            fracs, move = baseline_action(make_policy("uav_heavy", env),
-                                          obs, None)
-            assert fracs.shape == (4, cfg.num_devices)
-            env.step(fracs, move)
-
-    def test_fixed_policy_ignores_observation(self):
-        pol = make_policy("uav_heavy", self.env)
-        rng = np.random.default_rng(0)
-        a = baseline_action(pol, np.zeros(6), rng)
-        b = baseline_action(pol, np.full(6, 9.0), rng)
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1] == STAY
-        assert rng.random() == np.random.default_rng(0).random()
-        # a batch of observations gets one action per row
-        fracs, moves = baseline_action(pol, np.zeros((3, 6)), rng)
-        assert fracs.shape == (4, 3, 2) and moves.tolist() == [STAY] * 3
-        assert np.array_equal(fracs[:, 1], a[0])
+            pol = make_policy("uav_heavy", cfg, 2)
+            fracs, moves = baseline_action(pol, 0, never_observe)
+            assert fracs.shape == (4, 2, cfg.num_devices)
+            Lockstep(cfg, [0, 1]).step(fracs, moves)
 
     def test_random_policy_covers_catalog(self):
-        pol = make_policy("random", self.env)
-        rng = np.random.default_rng(1)
-        draws = {tuple(np.append(fracs.ravel(), move)) for fracs, move in
-                 (baseline_action(pol, np.zeros(6), rng) for _ in range(5000))}
+        pol = make_policy("random", self.cfg, 1000,
+                          rng=np.random.default_rng(1))
+        draws = set()
+        for n in range(self.cfg.n_intervals):
+            fracs, moves = baseline_action(pol, n, never_observe)
+            draws.update(zip(map(tuple, fracs.transpose(1, 0, 2).reshape(
+                1000, -1).tolist()), moves.tolist()))
         assert len(draws) > 1000
-        # the decoded entries of rng.integers(catalog_size)'s draws
-        rng = np.random.default_rng(1)
-        fracs, move = baseline_action(pol, np.zeros(6), rng)
-        want = action_catalog(self.env.config,
-                              np.random.default_rng(1).integers(1280))
-        assert np.array_equal(fracs, want[0]) and move == want[1]
 
-    def test_action_tables(self):
+    def test_random_entries_match_scalar_draws(self):
+        # one draw for the whole table gives the entries of R x n scalar
+        # draws, realization by realization
+        pol = make_policy("random", self.cfg, 4, rng=np.random.default_rng(3))
         rng = np.random.default_rng(3)
-        pol = make_policy("random", self.env)
-        table = action_table(pol, rng, 4, 50)
-        # the same entries as scalar draws, episode after episode
-        rng = np.random.default_rng(3)
-        for row in table:
-            for index in row:
-                fracs, move = baseline_action(pol, np.zeros(6), rng)
-                want = action_catalog(self.env.config, index)
-                assert np.array_equal(fracs, want[0]) and move == want[1]
-        assert action_table(make_policy("uav_heavy", self.env), rng, 2,
-                            3) is None
-        net = tiny_net(input_size=6, output_size=1280)
-        pol = make_policy("dqn", self.env, net)
-        assert action_table(pol, rng, 2, 3) is None
+        want = [[rng.integers(self.cfg.catalog_size)
+                 for _ in range(self.cfg.n_intervals)] for _ in range(4)]
+        assert pol.entries.tolist() == want
+        for n in range(self.cfg.n_intervals):
+            fracs, moves = baseline_action(pol, n, never_observe)
+            decoded = action_catalog(self.cfg, pol.entries[:, n])
+            assert np.array_equal(fracs, decoded[0])
+            assert np.array_equal(moves, decoded[1])
 
     def test_batched_greedy_matches_single(self):
         rng = np.random.default_rng(8)
         net = QNetwork(6, (64, 64), 1280, rng=rng)
         net.weights[-1] = rng.standard_normal(net.weights[-1].shape)
         net.biases[-1] = rng.standard_normal(1280)
-        obs = rng.random((2000, 6))
-        fracs, moves = baseline_action(make_policy("dqn", self.env, net),
-                                       obs, rng)
+        levels = rng.random((2000, 6)) * (self.cfg.queue_levels - 1)
+        calls = []
+
+        def observe():
+            calls.append(1)
+            return levels
+
+        pol = make_policy("dqn", self.cfg, 2000, net)
+        fracs, moves = baseline_action(pol, 0, observe)
+        assert len(calls) == 1 and fracs.shape == (4, 2000, 2)
+        obs = normalize_observation(levels, self.cfg)
         single = [select_action(net, o, 0.0, rng) for o in obs]
-        assert fracs.shape == (4, 2000, 2)
-        want = action_catalog(self.env.config, single)
+        want = action_catalog(self.cfg, single)
         same = np.all(fracs == want[0], axis=(0, 2)) & (moves == want[1])
         # one matrix product for the batch rounds the Q-values differently
         # from one row at a time, which can only decide a near-tie

@@ -288,6 +288,18 @@ class TestStepContracts:
             step_entry(env, -1)
         assert env.n == 0
 
+    @pytest.mark.parametrize("move", [-1, len(MOVES)])
+    def test_bad_move(self, move):
+        # a negative move must not wrap around to the last one
+        env = MecEnvironment(small_config(), seed=0)
+        fractions = action_catalog(env.config, 0)[0]
+        pos = env.uav_pos
+        with pytest.raises(IndexError, match="move"):
+            env.step(fractions, move)
+        assert env.n == 0 and env.uav_pos == pos
+        assert env.rng.random() == MecEnvironment(env.config,
+                                                  seed=0).rng.random()
+
     def test_uav_moves_and_clips(self):
         cfg = small_config(n_intervals=100)
         env = MecEnvironment(cfg, seed=0)
@@ -401,7 +413,7 @@ class TestStepPhysics:
                         w_local=0.35)
         fractions, moves = action_catalog(
             cfg, np.random.default_rng(3).integers(0, cfg.catalog_size, 400))
-        batch = Lockstep(MecEnvironment(cfg), range(400))
+        batch = Lockstep(cfg, range(400))
         batch.backlog = np.random.default_rng(4).uniform(
             0.0, 1e6, (3, 400, 2))
         want = split_stack(compute_splits(
@@ -466,7 +478,7 @@ class TestLockstep:
         seeds = [11, 12, 13]
         actions = np.random.default_rng(4).integers(
             0, cfg.catalog_size, size=(cfg.n_intervals, len(seeds)))
-        batch = Lockstep(MecEnvironment(cfg), seeds)
+        batch = Lockstep(cfg, seeds)
         obs = batch.observe()
         singles = [MecEnvironment(cfg, seed=s) for s in seeds]
         assert np.array_equal(obs, [env.observe() for env in singles])
@@ -487,7 +499,7 @@ class TestLockstep:
 
     def test_one_action_per_realization(self):
         cfg = small_config()
-        env = Lockstep(MecEnvironment(cfg), [1, 2])
+        env = Lockstep(cfg, [1, 2])
         fractions, moves = action_catalog(cfg, [0, 79])
         with pytest.raises(ValueError, match="shape"):
             env.step(fractions, [0, 0, 0])
@@ -505,7 +517,7 @@ class TestLockstep:
         # (R, K), so a realization's record is its own rows
         cfg = SimConfig(num_devices=3, n_intervals=4)
         fractions, moves = fixed_action("cloud_heavy", (2, 3))
-        batch = Lockstep(MecEnvironment(cfg), [5, 6])
+        batch = Lockstep(cfg, [5, 6])
         singles = [MecEnvironment(cfg, seed=s) for s in (5, 6)]
         while not batch.done:
             rec = batch.step(fractions, moves)
@@ -519,10 +531,37 @@ class TestLockstep:
                 u = env.step(*fixed_action("cloud_heavy", (3,)))
                 assert_same_values(rec.realization(r), u)
 
+    @pytest.mark.parametrize("move", [-1, len(MOVES)])
+    def test_bad_move(self, move):
+        # checked before any realization moves or draws
+        cfg = small_config()
+        batch = Lockstep(cfg, [1, 2])
+        fractions = action_catalog(cfg, [0, 0])[0]
+        with pytest.raises(IndexError, match="move"):
+            batch.step(fractions, [STAY, move])
+        assert batch.n == 0 and [e.n for e in batch.envs] == [0, 0]
+        assert [(e.uav_pos.x, e.uav_pos.y) for e in batch.envs] == \
+            [cfg.area_center] * 2
+        assert [e.rng.random() for e in batch.envs] == \
+            [MecEnvironment(cfg, seed=s).rng.random() for s in (1, 2)]
+
     @pytest.mark.parametrize("seeds", [[], iter(())])
     def test_needs_a_seed(self, seeds):
         with pytest.raises(ValueError, match="at least one seed"):
-            Lockstep(MecEnvironment(small_config()), seeds)
+            Lockstep(small_config(), seeds)
+
+    def test_realizations_are_seeded_environments(self):
+        cfg = small_config(n_intervals=3)
+        batch = Lockstep(cfg, [7, 8])
+        for env, seed in zip(batch.envs, (7, 8)):
+            fresh = MecEnvironment(cfg, seed)
+            assert env.device_positions == fresh.device_positions
+            # without fractions, step() returns the realization's draws
+            gains, arrivals = env.step(None, STAY)
+            record = fresh.step(*action_catalog(cfg, 0))
+            assert gains == record.power_gains.tolist()
+            assert np.array_equal(arrivals, record.arrivals)
+            assert env.n == fresh.n == 1
 
 
 # -- reference stepper ------------------------------------------------------
@@ -742,7 +781,7 @@ class TestMatchesReferenceStepper:
     def test_lockstep(self, name):
         cfg = REFERENCE_CONFIGS[name].validate()
         seeds = [31, 32, 33]
-        batch = Lockstep(MecEnvironment(cfg), seeds)
+        batch = Lockstep(cfg, seeds)
         ref = ReferenceLockstep(cfg, seeds)
         actions = np.random.default_rng(6).integers(
             0, cfg.catalog_size, (cfg.n_intervals, len(seeds)))

@@ -62,6 +62,16 @@ class TestRunEval:
         with pytest.raises(ValueError, match="trained network"):
             run_eval("dqn", quick_config(), seed=0, realizations=1)
 
+    @pytest.mark.parametrize("policy", ["greedy", "dqn"])
+    def test_bad_policy_fails_before_any_realization(self, monkeypatch,
+                                                     policy):
+        def fail(self, config, seeds):
+            raise AssertionError("realizations built before the policy")
+
+        monkeypatch.setattr(Lockstep, "__init__", fail)
+        with pytest.raises(ValueError, match="unknown policy|trained network"):
+            run_eval(policy, quick_config(), seed=0, realizations=1)
+
     def test_deterministic(self):
         a = run_eval("random", quick_config(), seed=4, realizations=3)
         b = run_eval("random", quick_config(), seed=4, realizations=3)
@@ -216,7 +226,9 @@ class TestCsv:
         emit_csv([self.ROW], str(path))
         text = path.read_text()
         lines = text.splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == (
+            "policy,i_max,seed,mean_pde,mean_cd,mean_pd,mean_ql,mean_qu,"
+            "mean_qc,c10_violation_rate,terminal_uav_distance")
         assert lines[1] == ("random,250000,3,123457,1.23457,98765.4,"
                             "333333,0,2,0.987654,42")
         assert text.endswith("\n")
