@@ -78,13 +78,18 @@ class QNetwork:
             np.maximum(h, 0.0, out=h)
         return h
 
+    def q_values(self, x: np.ndarray) -> np.ndarray:
+        """Action values of one observation or of each row of a batch: the
+        hidden stack, then the linear head."""
+        q = np.matmul(self.hidden(x), self.weights[-1])
+        q += self.biases[-1]
+        return q
+
     def forward_cached(self, x: np.ndarray) -> np.ndarray:
         """Action values for a batch (the target pass of train_step)."""
         if len(x) == 0:  # every next observation of the update is memoized
             return np.empty((0, self.output_size))
-        q = np.matmul(self.hidden(x), self.weights[-1])
-        q += self.biases[-1]
-        return q
+        return self.q_values(x)
 
 
 def forward(net: QNetwork, obs: np.ndarray) -> np.ndarray:
@@ -93,7 +98,7 @@ def forward(net: QNetwork, obs: np.ndarray) -> np.ndarray:
     if x.shape[1] != net.input_size:
         raise ValueError(f"observation width {x.shape[1]} does not match "
                          f"network input size {net.input_size}")
-    out = net.forward_cached(x)
+    out = net.q_values(x)
     return out[0] if np.ndim(obs) == 1 else out
 
 
@@ -103,9 +108,7 @@ def greedy_action(net: QNetwork, obs: np.ndarray):
     Ties break to the lowest index. A batch's matrix product can round
     Q-values differently in the last bit from a single row's.
     """
-    # Not forward_cached: perfbench times that method as the target pass alone.
-    q = np.matmul(net.hidden(np.asarray(obs, dtype=float)), net.weights[-1])
-    q += net.biases[-1]
+    q = net.q_values(np.asarray(obs, dtype=float))
     return int(np.argmax(q)) if q.ndim == 1 else np.argmax(q, axis=1)
 
 

@@ -77,9 +77,10 @@ def cmd_eval(args, config) -> int:
                   file=sys.stderr)
             return 1
         net = ag.load_checkpoint(path)
-    row, records = harness.run_eval(args.policy, config, args.seed,
-                                    config.eval_realizations, net=net,
-                                    collect_records=True)
+    out = harness.run_eval(args.policy, config, args.seed,
+                           config.eval_realizations, net=net,
+                           collect_records=args.dump_trajectory)
+    row, records = out if args.dump_trajectory else (out, None)
     name = f"{args.policy}_{int(config.i_max)}_{args.seed}.csv"
     out_path = os.path.join(args.out, f"eval_{name}")
     harness.emit_csv([row], out_path)

@@ -133,7 +133,6 @@ class MecEnvironment:
             eta0=config.eta0, theta=config.path_loss_exp,
             rice_k=config.rician_k, altitude=config.altitude)
         self._step_len = config.v_max * config.tau
-        self._tx_powers = np.full(config.num_devices, config.p_max)
         # Per-device CPU of the local, UAV and cloud tiers, one row each.
         self._tier_cpus = np.array([[config.local_cpu_max],
                                     [config.uav_cpu_per_device],
@@ -231,20 +230,16 @@ class MecEnvironment:
         backlog = state.backlog
 
         # (3) SINR, and the rates, whose scalar math runs per device.
-        sinrs = phy.sinr(gains, self._tx_powers, cfg.noise_power)
+        sinrs = phy.sinr(gains, cfg.p_max, cfg.noise_power)
         rates = np.array([phy.rate(g, cfg.bandwidth)
                           for g in sinrs.ravel().tolist()]).reshape(sinrs.shape)
 
-        # (4) split amounts from start-of-interval backlogs. From the rows
-        # x_uav, x_cloud, w_uav, w_cloud, the split stack per unit backlog
-        # is w_local (1 - x_uav), w_uav (1 - x_cloud), w_cloud, x_uav,
-        # x_cloud, w_cloud, rounded as compute_splits rounds it; each row
-        # then takes its share of its tier's backlog.
-        amounts = np.take(fractions, (0, 1, 3, 0, 1, 3), axis=0)
-        np.subtract(1.0, amounts[:2], out=amounts[:2])
-        amounts[0] *= cfg.w_local
-        amounts[1] *= fractions[2]
-        amounts *= backlog.take(qs.SPLIT_TIERS, axis=0)
+        # (4) split amounts from start-of-interval backlogs.
+        queues = qs.QueueTriple(*backlog)
+        x_uav, x_cloud, w_uav, w_cloud = fractions
+        splits = qs.compute_splits(queues, x_uav, x_cloud, cfg.w_local,
+                                   w_uav, w_cloud)
+        amounts = qs.split_stack(splits)
 
         # (5) delays and the per-device delay-bound indicator.
         t_local, t_uav, t_cloud = comp.comp_delay(
@@ -254,7 +249,7 @@ class MecEnvironment:
             t_local_comp=t_local,
             t_uplink_comm=phy.uplink_comm_delay(amounts[3], rates),
             t_uav_comp=t_uav,
-            t_cloud_comm=phy.cloud_comm_delay(fractions[1], cfg.install_delay),
+            t_cloud_comm=phy.cloud_comm_delay(x_cloud, cfg.install_delay),
             t_cloud_comp=t_cloud,
         )
         t_comm = phy.total_comm_delay(delays.t_uplink_comm,
@@ -262,10 +257,6 @@ class MecEnvironment:
         met = comp.total_task_delay(delays) <= cfg.tau
 
         # (6) reward against the accumulator state up to interval n-1.
-        queues = qs.QueueTriple(backlog[0], backlog[1], backlog[2])
-        splits = qs.SplitAmounts(
-            d_uav=amounts[3], b_local=amounts[0], d_cloud=amounts[4],
-            b_uav=amounts[1], b_cloud=amounts[2])
         hist_pde = state.acc.device_pde()
         b_tot = obj.processed_total(splits.b_local, splits.b_uav,
                                     splits.b_cloud)
@@ -301,10 +292,6 @@ class Lockstep:
                                      np.full(shape[0], cfg.area_center[1]))
         self.backlog = np.zeros((3,) + shape)
         self.acc = obj.PdeAccumulator(shape)
-
-    @property
-    def device_positions(self) -> list:
-        return [env.device_positions for env in self.envs]
 
     @property
     def done(self) -> bool:

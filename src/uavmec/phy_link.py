@@ -18,8 +18,8 @@ def sinr(power_gains, tx_powers, noise_power: float) -> np.ndarray:
     """Multi-access uplink SINR of every device at the UAV.
 
     power_gains (|h_k|^2) are (K,) arrays, or (R, K) for R realizations,
-    and tx_powers (W) are (K,); each interferer contributes with its own
-    channel gain.
+    and tx_powers (W) are (K,), or one power for every device; each
+    interferer contributes with its own channel gain.
     """
     received = np.multiply(power_gains, tx_powers)
     interference = received.sum(axis=-1, keepdims=True) - received

@@ -64,8 +64,6 @@ def compute_splits(q: QueueTriple, x_uav, x_cloud, w_local, w_uav,
 # uplink's; [3:] is the first drain of the local, UAV and cloud backlogs and
 # [:2] the second, so b_cloud is listed twice.
 SPLIT_ROWS = ("b_local", "b_uav", "b_cloud", "d_uav", "d_cloud", "b_cloud")
-# The backlog tier (local, UAV, cloud) that each row takes its share of.
-SPLIT_TIERS = (0, 1, 2, 0, 1, 2)
 
 
 def split_stack(s: SplitAmounts) -> np.ndarray:

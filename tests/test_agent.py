@@ -58,6 +58,25 @@ class TestQNetwork:
         other.weights[0][0, 0] += 1.0
         assert net.weights[0][0, 0] != other.weights[0][0, 0]
 
+    def test_one_q_value_pass(self, monkeypatch):
+        # greedy_action, forward and a non-empty forward_cached all run
+        # QNetwork.q_values, the pass the gradient tests check
+        seen = []
+        original = QNetwork.q_values
+
+        def spy(net, x):
+            seen.append(np.shape(x))
+            return original(net, x)
+
+        monkeypatch.setattr(QNetwork, "q_values", spy)
+        net = tiny_net()
+        agent.greedy_action(net, np.ones(3))
+        agent.greedy_action(net, np.ones((2, 3)))
+        forward(net, np.ones(3))
+        net.forward_cached(np.ones((4, 3)))
+        net.forward_cached(np.empty((0, 3)))
+        assert seen == [(3,), (2, 3), (1, 3), (4, 3)]
+
     def test_relu_nonlinearity(self):
         net = QNetwork(1, (1,), 1, rng=np.random.default_rng(0))
         net.weights[0][...] = 1.0

@@ -4,6 +4,7 @@ import pytest
 from uavmec import agent as ag
 from uavmec.cli import main
 from uavmec.config import load_config
+from uavmec.environment import IntervalRecord
 
 FAST = [
     "--override", "num_devices=1",
@@ -69,6 +70,23 @@ class TestEval:
         out = tmp_path / "eval_uav_heavy_250000_2.csv"
         assert out.exists()
         assert len(out.read_text().splitlines()) == 2
+
+    def test_records_copied_only_for_a_trajectory(self, tmp_path,
+                                                  monkeypatch):
+        # the eval row is the same with and without --dump-trajectory, and
+        # without it no interval's record is copied
+        args = ["eval", "--policy", "random"] + FAST
+        assert main(args + ["--out", str(tmp_path / "dump"),
+                            "--dump-trajectory"]) == 0
+
+        def no_copy(record, r):
+            raise AssertionError("record copied without --dump-trajectory")
+
+        monkeypatch.setattr(IntervalRecord, "realization", no_copy)
+        assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+        name = "eval_random_250000_0.csv"
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "dump" / name).read_bytes()
 
     def test_dqn_without_checkpoint_fails(self, tmp_path, capsys):
         rc = main(["eval", "--policy", "dqn", "--out", str(tmp_path)] + FAST)

@@ -252,7 +252,8 @@ class TestConstraintsOnEveryStep:
             rows = fractions.T   # x_uav, x_cloud, w_uav, w_cloud
             report = obj.check_feasibility(
                 fractions=np.insert(rows, 2, cfg.w_local, axis=1),
-                tx_powers=env._tx_powers, cpu_local=cpu_local,
+                tx_powers=np.full(cfg.num_devices, cfg.p_max),
+                cpu_local=cpu_local,
                 cpu_uav=cpu_uav, cpu_cloud=cpu_cloud,
                 prev_pos=prev, new_pos=rec.uav_pos,
                 total_delays=comp.total_task_delay(rec.delays), config=cfg)
@@ -407,8 +408,8 @@ class TestStepPhysics:
         assert rec.delays.t_cloud_comm.tolist() == [0.0]
 
     def test_split_stack_follows_compute_splits(self):
-        # the split stack _advance builds in place equals compute_splits'
-        # amounts, bit for bit, for every entry and random backlogs
+        # the record's split stack equals compute_splits' amounts, bit for
+        # bit, for every entry and random backlogs
         cfg = SimConfig(num_devices=2, frac_levels=(0.0, 0.3, 0.6, 1.0),
                         w_local=0.35)
         fractions, moves = action_catalog(
@@ -424,6 +425,21 @@ class TestStepPhysics:
         assert np.array_equal(got, want)
         assert np.array_equal(rec.delays.t_cloud_comm, phy.cloud_comm_delay(
             fractions[1], cfg.install_delay))
+
+    def test_one_compute_splits_call_per_step(self, monkeypatch):
+        # the step runs the split law that criteria 1 and 2 check, once per
+        # interval for one realization or for a Lockstep's R of them
+        calls = []
+
+        def spy(queues, *fractions):
+            calls.append(queues.q_local.shape)
+            return compute_splits(queues, *fractions)
+
+        monkeypatch.setattr(qs, "compute_splits", spy)
+        cfg = small_config(num_devices=2)
+        step_entry(MecEnvironment(cfg, seed=1), 0)
+        Lockstep(cfg, range(3)).step(*action_catalog(cfg, np.zeros(3, int)))
+        assert calls == [(2,), (3, 2)]
 
     def test_rates_follow_shannon(self):
         cfg = small_config()
@@ -494,8 +510,8 @@ class TestLockstep:
             assert batch.done == env.done
         assert batch.terminal_distance() == [env.terminal_distance()
                                              for env in singles]
-        assert batch.device_positions == [env.device_positions
-                                          for env in singles]
+        assert [e.device_positions for e in batch.envs] == \
+            [env.device_positions for env in singles]
 
     def test_one_action_per_realization(self):
         cfg = small_config()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavmec.queueing import (SPLIT_ROWS, SPLIT_TIERS, QueueTriple,
-                             SplitAmounts, compute_splits, draw_arrival,
-                             split_stack, step_queues)
+from uavmec.queueing import (QueueTriple, SplitAmounts, compute_splits,
+                             draw_arrival, split_stack, step_queues)
 
 fractions = st.floats(0.0, 1.0)
 backlogs = st.floats(0.0, 1e7)
@@ -103,9 +102,6 @@ class TestUpdates:
         s = SplitAmounts(d_uav=1.0, b_local=2.0, d_cloud=3.0, b_uav=4.0,
                          b_cloud=5.0)
         assert split_stack(s).tolist() == [2.0, 4.0, 5.0, 1.0, 3.0, 5.0]
-        assert [SPLIT_TIERS[SPLIT_ROWS.index(name)]
-                for name in ("b_local", "d_uav", "b_uav", "d_cloud",
-                             "b_cloud")] == [0, 0, 1, 1, 2]
 
     def test_leaves_its_input_unchanged(self):
         backlog = np.array([1000.0, 500.0, 200.0])
