@@ -305,10 +305,9 @@ class Policy:
 def make_policy(kind: str, config: SimConfig, realizations: int,
                 net: QNetwork = None, rng=None) -> Policy:
     """Policy kind for R realizations under config; ConfigError where
-    validate() or check_policy fails, ValueError for a missing or
-    mismatched network. The random policy draws every interval's entries
-    here, from rng."""
-    config.validate().check_policy(kind)
+    check_policy fails, ValueError for a missing or mismatched network.
+    The random policy draws every interval's entries here, from rng."""
+    config.check_policy(kind)
     if kind == "dqn":
         if net is None:
             raise ValueError("dqn policy requires a trained network")
@@ -433,6 +432,8 @@ def save_checkpoint(net: QNetwork, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> QNetwork:
+    """The network saved at path; ValueError for another version, or for a
+    layer whose arrays do not have the shapes its sizes give."""
     with open(path, "rb") as fh:
         data = np.load(fh)
         version = int(data["version"])
@@ -443,4 +444,10 @@ def load_checkpoint(path: str) -> QNetwork:
         net.sizes = sizes
         net.weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
         net.biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        for name, array, shape in ((f"w{i}", w, tuple(sizes[i:i + 2])),
+                                   (f"b{i}", b, (sizes[i + 1],))):
+            if array.shape != shape:
+                raise ValueError(f"checkpoint array {name} has shape "
+                                 f"{array.shape}; sizes {sizes} give {shape}")
     return net

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SimConfig
+
 
 @dataclass(frozen=True)
 class Position2D:
@@ -27,22 +29,14 @@ class Position2D:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    eta0: float          # linear power gain at the 1 m reference distance
-    theta: float         # path-loss exponent
-    rice_k: float        # Rician factor (LoS / scattered power ratio)
-    altitude: float      # m, UAV height above the device plane
-
-
 def distance(uav_xy: Position2D, device_xy: Position2D, altitude: float) -> float:
     """Slant range between the UAV and a ground device (devices at height 0)."""
     return math.sqrt(uav_xy.displacement(device_xy) ** 2 + altitude ** 2)
 
 
-def large_scale_gain(d: float, params: ChannelParams) -> float:
+def large_scale_gain(d: float, config: SimConfig) -> float:
     """Average channel power gain eta0 * d^-theta at distance d >= 1 m."""
-    return params.eta0 * d ** (-params.theta)
+    return config.eta0 * d ** (-config.path_loss_exp)
 
 
 def rician_sample(rng: np.random.Generator, rice_k: float, size=None):
@@ -66,14 +60,14 @@ def rician_amplitude(re, im, rice_k: float):
     return los_w + nlos_w * nlos
 
 
-def channel_gain(d: float, params: ChannelParams, re: float,
+def channel_gain(d: float, config: SimConfig, re: float,
                  im: float) -> float:
     """Power gain |h|^2 of one block-fading device-UAV channel realization.
 
     re and im are the standard normals of its scattered part; a pure LoS
-    channel (rice_k = inf) has none and ignores them.
+    channel (rician_k = inf) has none and ignores them.
     """
-    fading = (1.0 + 0j if math.isinf(params.rice_k)
-              else rician_amplitude(re, im, params.rice_k))
-    amp = math.sqrt(large_scale_gain(d, params)) * fading
+    fading = (1.0 + 0j if math.isinf(config.rician_k)
+              else rician_amplitude(re, im, config.rician_k))
+    amp = math.sqrt(large_scale_gain(d, config)) * fading
     return abs(amp) ** 2

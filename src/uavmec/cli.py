@@ -21,6 +21,14 @@ def _parse_overrides(pairs):
     return overrides
 
 
+def non_negative_int(raw: str) -> int:
+    """An integer of at least 0, as numpy's generators take for a seed."""
+    seed = int(raw)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavmec",
@@ -29,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable")

@@ -42,12 +42,13 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """All physical, network, and learning constants.
 
     Defaults reproduce the reference scenario: two devices in a 500x500 m
-    area, UAV at 100 m altitude, 180 kHz uplink, 1 s intervals.
+    area, UAV at 100 m altitude, 180 kHz uplink, 1 s intervals. Frozen, and
+    validated when built (by dataclasses.replace too).
     """
 
     # --- network size / geometry ---
@@ -113,6 +114,9 @@ class SimConfig:
     sweep_policies: tuple = ("dqn", "random", "uav_heavy", "cloud_heavy")
     eval_realizations: int = 1000
     shared_model: bool = False          # one model per seed, reused across i_max
+
+    def __post_init__(self):
+        self.validate()
 
     # ----- derived quantities -----
 
@@ -260,7 +264,7 @@ def _parse_value(key: str, raw: str):
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> SimConfig:
-    """Build a SimConfig from defaults <- file <- overrides, then validate.
+    """Build a SimConfig from defaults <- file <- overrides.
 
     The file format is flat ``key = value`` lines with ``#`` comments.
     Overrides use the same string values as the file.
@@ -286,4 +290,4 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> SimCo
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _parse_value(key, str(raw))
-    return SimConfig(**values).validate()
+    return SimConfig(**values)

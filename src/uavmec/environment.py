@@ -123,15 +123,10 @@ class MecEnvironment:
     """
 
     def __init__(self, config: SimConfig, seed=0):
-        # validate() is the only gate: under a config it accepts, c1 holds
-        # because every device transmits at p_max, c2-c4 are its own checks
-        # (on the catalog's levels; the fixed baselines' fractions are
-        # constants) and c5-c9 hold by the equal CPU shares and the clipped
-        # _move below, on every step.
-        self.config = config.validate()
-        self.chan_params = ch.ChannelParams(
-            eta0=config.eta0, theta=config.path_loss_exp,
-            rice_k=config.rician_k, altitude=config.altitude)
+        # Every SimConfig is validated when built: c1 holds because every
+        # device sends at p_max, c2-c4 are validate()'s own checks, and c5-c9
+        # hold by the equal CPU shares and the clipped _move, on every step.
+        self.config = config
         self._step_len = config.v_max * config.tau
         # Per-device CPU of the local, UAV and cloud tiers, one row each.
         self._tier_cpus = np.array([[config.local_cpu_max],
@@ -205,7 +200,7 @@ class MecEnvironment:
         normals = ([0.0] * (2 * k) if math.isinf(cfg.rician_k)
                    else self.rng.standard_normal(2 * k).tolist())
         gains = [ch.channel_gain(ch.distance(self.uav_pos, dev, cfg.altitude),
-                                 self.chan_params, re, im)
+                                 cfg, re, im)
                  for dev, re, im in zip(self.device_positions, normals[::2],
                                         normals[1::2])]
         arrivals = qs.draw_arrival(self.rng, cfg.i_max, k)

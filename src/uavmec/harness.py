@@ -140,7 +140,6 @@ def run_sweep(config: SimConfig, seed: int = 0, out_dir: str = None):
     every i_max. A sweep policy that cannot run under the config raises
     ConfigError before any network is trained.
     """
-    config.validate()
     for policy in config.sweep_policies:
         config.check_policy(policy)
     seeds = range(seed, seed + config.sweep_seeds)
@@ -148,7 +147,7 @@ def run_sweep(config: SimConfig, seed: int = 0, out_dir: str = None):
     rows = []
     for policy in sorted(config.sweep_policies):
         for i_max in sorted(config.sweep_i_max):
-            cfg = replace(config, i_max=i_max).validate()
+            cfg = replace(config, i_max=i_max)
             train_cfg = (replace(config, i_max=max(config.sweep_i_max))
                          if config.shared_model else cfg)
             for s in seeds:

@@ -4,8 +4,8 @@ The system utility is Processed-Data Efficiency (PDE): aggregate processed
 bits divided by aggregate communication delay. The per-interval reward
 combines weighted queue-drain terms with a PDE-improvement term that is
 gated by the per-device delay-bound indicator eta. check_feasibility is the
-c1-c10 oracle; under a config that passes SimConfig.validate(), c1-c9 hold
-by construction on every step, so the simulator never calls it.
+c1-c10 oracle; under every SimConfig, c1-c9 hold by construction on every
+step, so the simulator never calls it.
 """
 
 from __future__ import annotations

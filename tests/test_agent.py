@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ from uavmec.environment import STAY, Lockstep, action_catalog
 def tiny_net(rng_seed=0, input_size=3, hidden=(8,), output_size=5):
     return QNetwork(input_size, hidden, output_size,
                     rng=np.random.default_rng(rng_seed))
+
+
+def zero_rate_config(discount):
+    """The three fields train_step reads, with a zero learning rate, which
+    no SimConfig accepts."""
+    return SimpleNamespace(discount=discount, learning_rate=0.0,
+                           grad_clip=10.0)
 
 
 def random_batch(rng, net, n=16):
@@ -166,7 +174,7 @@ class TestTrainStep:
         # every TD error is exactly -1 and the MSE is 1
         net = tiny_net()
         target = net.copy()
-        cfg = SimConfig(discount=0.0, learning_rate=0.0)
+        cfg = zero_rate_config(discount=0.0)
         obs = np.zeros((4, 3))
         batch = (obs, np.zeros(4, dtype=np.int64), np.ones(4), obs,
                  np.zeros(4, dtype=bool))
@@ -406,7 +414,7 @@ class TestTargetMemo:
     def test_copied_and_loaded_nets_start_without_memo(self, tmp_path):
         net, target = self._nets(output_size=5)
         batch = random_batch(np.random.default_rng(14), net)
-        cfg = SimConfig(learning_rate=0.0)
+        cfg = zero_rate_config(discount=SimConfig().discount)
         loss = train_step(net, target, batch, cfg)
         assert len(target._max_q_memo) == len(batch[3])
         path = tmp_path / "target.ckpt"
@@ -684,4 +692,18 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             np.savez(fh, **data)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("name, shape", [("w1", (8, 5)), ("b1", (5,)),
+                                             ("w0", (8, 6)), ("b0", (1, 8))])
+    def test_arrays_must_match_sizes(self, tmp_path, name, shape):
+        # a head of 5 outputs under sizes that give 1280 used to load and
+        # pass make_policy's size check
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(QNetwork(6, (8,), 1280), str(path))
+        data = dict(np.load(path))
+        data[name] = np.zeros(shape)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        with pytest.raises(ValueError, match=f"array {name} has shape"):
             load_checkpoint(str(path))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uavmec.channel import (ChannelParams, Position2D, channel_gain, distance,
+from uavmec.channel import (Position2D, channel_gain, distance,
                             large_scale_gain, rician_amplitude, rician_sample)
+from uavmec.config import SimConfig
 
-PARAMS = ChannelParams(eta0=1e-4, theta=2.0, rice_k=10.0, altitude=100.0)
+PARAMS = SimConfig(eta0_db=-40.0, path_loss_exp=2.0, rician_k=10.0,
+                   altitude=100.0)
 
 
 class TestDistance:
@@ -76,8 +78,8 @@ class TestRicianSample:
 
 class TestChannelGain:
     def test_los_limit_power(self):
-        params = ChannelParams(eta0=1e-4, theta=2.0, rice_k=math.inf,
-                               altitude=100.0)
+        params = SimConfig(eta0_db=-40.0, path_loss_exp=2.0,
+                           rician_k=math.inf, altitude=100.0)
         assert channel_gain(100.0, params, 0.3, -1.2) == pytest.approx(1e-8)
 
     def test_mean_power_tracks_path_loss(self):

@@ -213,6 +213,14 @@ class TestConfigHandling:
         assert rc == 2
         assert "num_devices" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # numpy's generators take only non-negative seeds
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--policy", "random", "--seed", "-1",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["replay"])

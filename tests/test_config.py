@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,6 +50,33 @@ class TestDefaults:
 
     def test_defaults_validate(self):
         SimConfig().validate()
+
+
+class TestCheckedOnce:
+    """A SimConfig is validated when built and cannot change afterwards."""
+
+    def test_frozen(self):
+        cfg = SimConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tau = -1.0
+        assert cfg.tau == 1.0
+
+    def test_replace_validates(self):
+        with pytest.raises(ConfigError, match="tau must be positive"):
+            dataclasses.replace(SimConfig(), tau=-1.0)
+
+    def test_no_revalidation_downstream(self, monkeypatch):
+        cfg = SimConfig(n_intervals=5)
+        calls = []
+        original = SimConfig.validate
+
+        def spy(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SimConfig, "validate", spy)
+        run_eval("random", cfg, 0, 4)
+        assert calls == []
 
 
 class TestValidate:

@@ -207,15 +207,15 @@ class TestConstraintsAtConstruction:
         (dict(local_cpu_max=-1.0), "c4_local_cpu"),
     ])
     def test_unvalidated_violation_raises(self, overrides, name):
-        # the environment validates the config it is given, so values that
-        # would break c1-c4 are rejected with validate()'s own message
+        # a config is validated when built, so values that would break c1-c4
+        # never reach an environment: validate() rejects them with its own
+        # message
         message = {"c1_power": "p_max must be positive",
                    "c2_offload_fracs": "frac_levels",
                    "c3_compute_fracs": "w_local",
                    "c4_local_cpu": "local_cpu_max"}[name]
-        cfg = small_config(**overrides)
         with pytest.raises(ConfigError, match=message):
-            MecEnvironment(cfg)
+            MecEnvironment(small_config(**overrides))
 
     def test_step_does_not_recheck(self, monkeypatch):
         env = MecEnvironment(small_config(), seed=0)
@@ -601,9 +601,9 @@ def reference_rician_sample(rng, rice_k):
     return los_w + nlos_w * nlos
 
 
-def reference_channel_gain(d, params, rng):
-    amp = math.sqrt(ch.large_scale_gain(d, params)) * reference_rician_sample(
-        rng, params.rice_k)
+def reference_channel_gain(d, config, rng):
+    amp = math.sqrt(ch.large_scale_gain(d, config)) * reference_rician_sample(
+        rng, config.rician_k)
     return abs(amp) ** 2
 
 
@@ -628,9 +628,6 @@ class ReferenceEnv:
     def __init__(self, config, seed):
         cfg = self.config = config.validate()
         self._fraction_rows, self.moves = reference_catalog(cfg)
-        self.chan_params = ch.ChannelParams(
-            eta0=cfg.eta0, theta=cfg.path_loss_exp, rice_k=cfg.rician_k,
-            altitude=cfg.altitude)
         self._step_len = cfg.v_max * cfg.tau
         self._tx_powers = np.full(cfg.num_devices, cfg.p_max)
         self._tier_cpus = np.array([[cfg.local_cpu_max],
@@ -659,8 +656,8 @@ class ReferenceEnv:
             min(size, max(0.0, pos.x + dx * self._step_len)),
             min(size, max(0.0, pos.y + dy * self._step_len)))
         gains = [reference_channel_gain(
-            ch.distance(self.uav_pos, dev, cfg.altitude), self.chan_params,
-            self.rng) for dev in self.device_positions]
+            ch.distance(self.uav_pos, dev, cfg.altitude), cfg, self.rng)
+            for dev in self.device_positions]
         arrivals = qs.draw_arrival(self.rng, cfg.i_max, cfg.num_devices)
         return gains, arrivals
 
