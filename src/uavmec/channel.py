@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimConfig
+from .config import SimConfig, rician_weights
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -53,11 +55,13 @@ def rician_sample(rng: np.random.Generator, rice_k: float, size=None):
 
 def rician_amplitude(re, im, rice_k: float):
     """Rician amplitude whose scattered part is (re + j im) / sqrt(2), for
-    standard normal re and im and a finite rice_k."""
-    nlos = (re + 1j * im) / math.sqrt(2.0)
-    los_w = math.sqrt(rice_k / (rice_k + 1.0))
-    nlos_w = math.sqrt(1.0 / (rice_k + 1.0))
-    return los_w + nlos_w * nlos
+    standard normal re and im."""
+    return _weighted(re, im, *rician_weights(rice_k))
+
+
+def _weighted(re, im, los_w, nlos_w):
+    """Rician amplitude from the weights of its LoS and scattered parts."""
+    return los_w + nlos_w * ((re + 1j * im) / _SQRT2)
 
 
 def channel_gain(d: float, config: SimConfig, re: float,
@@ -65,9 +69,9 @@ def channel_gain(d: float, config: SimConfig, re: float,
     """Power gain |h|^2 of one block-fading device-UAV channel realization.
 
     re and im are the standard normals of its scattered part; a pure LoS
-    channel (rician_k = inf) has none and ignores them.
+    channel (rician_k = inf) weighs them by 0, so finite normals leave its
+    amplitude at exactly 1.
     """
-    fading = (1.0 + 0j if math.isinf(config.rician_k)
-              else rician_amplitude(re, im, config.rician_k))
+    fading = _weighted(re, im, *config.fading_weights)
     amp = math.sqrt(large_scale_gain(d, config)) * fading
     return abs(amp) ** 2

@@ -34,7 +34,11 @@ def work_delay(work, capacity, amount):
 
 
 def comp_delay(bits, cpu, cycles_per_bit):
-    """Processing delay bits*C/cpu in seconds; 0 for no work, inf at zero CPU."""
+    """Processing delay bits*C/cpu in seconds; 0 for no work, inf at zero CPU.
+
+    With C = 1 and a rate for cpu it is a transfer delay, bit for bit the
+    uplink delay, since bits * 1.0 is bits.
+    """
     return work_delay(np.multiply(bits, cycles_per_bit), cpu, bits)
 
 

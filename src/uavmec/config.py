@@ -10,6 +10,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ConfigError(ValueError):
@@ -42,13 +43,24 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def rician_weights(rice_k: float) -> tuple:
+    """Amplitude weights (LoS, scattered) of unit-mean-power Rician fading
+    with K-factor rice_k; (1, 0) for pure line of sight (rice_k = inf)."""
+    if math.isinf(rice_k):
+        return 1.0, 0.0
+    return math.sqrt(rice_k / (rice_k + 1.0)), math.sqrt(1.0 / (rice_k + 1.0))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """All physical, network, and learning constants.
 
     Defaults reproduce the reference scenario: two devices in a 500x500 m
     area, UAV at 100 m altitude, 180 kHz uplink, 1 s intervals. Frozen, and
-    validated when built (by dataclasses.replace too).
+    validated when built (by dataclasses.replace too). The derived constants
+    that every step reads are computed once per config, as cached
+    properties: these are no fields, so they stay out of eq, hash, repr,
+    replace and the checkpoint key.
     """
 
     # --- network size / geometry ---
@@ -120,14 +132,19 @@ class SimConfig:
 
     # ----- derived quantities -----
 
-    @property
+    @cached_property
     def eta0(self) -> float:
         return db_to_linear(self.eta0_db)
 
-    @property
+    @cached_property
     def noise_power(self) -> float:
         """Total noise power in W over the configured bandwidth."""
         return dbm_to_watts(self.noise_density_dbm) * self.bandwidth
+
+    @cached_property
+    def fading_weights(self) -> tuple:
+        """The (LoS, scattered) amplitude weights of rician_k's fading."""
+        return rician_weights(self.rician_k)
 
     @property
     def queue_cap(self) -> float:
@@ -145,7 +162,7 @@ class SimConfig:
     def area_center(self) -> tuple:
         return (self.area_size / 2.0, self.area_size / 2.0)
 
-    @property
+    @cached_property
     def catalog_size(self) -> int:
         """Entries in the joint action catalog: every per-device choice of
         (x_uav, x_cloud, w_uav, w_cloud) levels times the UAV moves."""

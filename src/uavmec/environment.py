@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,14 +78,23 @@ def action_catalog(config: SimConfig, index):
     if size > MAX_INDEXED_CATALOG or min(flat) < 0 or max(flat) >= size:
         raise IndexError(f"action index {index} outside catalog of size "
                          f"{size} (int64 indices reach {MAX_INDEXED_CATALOG})")
-    levels = np.array(config.frac_levels, dtype=float)
-    k = config.num_devices
-    entry, moves = divmod(index, len(MOVES))
-    # The place value of each fraction's digit, as (4, K) rows.
-    places = (len(levels) ** np.arange(4 * k - 1, -1, -1)).reshape(k, 4).T
-    digits = entry[..., None] // places.reshape(
-        (4,) + (1,) * index.ndim + (k,)) % len(levels)
-    return levels.take(digits), moves
+    levels, places = _catalog_digits(tuple(config.frac_levels),
+                                     config.num_devices, index.ndim)
+    digits = index[..., None] // places % len(levels)
+    return levels.take(digits), index % len(MOVES)
+
+
+@lru_cache(maxsize=64)
+def _catalog_digits(frac_levels: tuple, k: int, ndim: int):
+    """The level values and the place value in an index of each fraction's
+    digit, the moves' radix included, as (4, K) rows with ndim unit axes
+    between, for an index of rank ndim. Read-only, since every decode under
+    the same levels shares them."""
+    levels = np.array(frac_levels, dtype=float)
+    places = len(MOVES) * len(levels) ** np.arange(4 * k - 1, -1, -1)
+    places = places.reshape(k, 4).T.reshape((4,) + (1,) * ndim + (k,))
+    levels.flags.writeable = places.flags.writeable = False
+    return levels, places
 
 
 def observation_size(config: SimConfig) -> int:
@@ -128,10 +138,13 @@ class MecEnvironment:
         # hold by the equal CPU shares and the clipped _move, on every step.
         self.config = config
         self._step_len = config.v_max * config.tau
-        # Per-device CPU of the local, UAV and cloud tiers, one row each.
+        # Per-device CPU of the local, UAV and cloud tiers, one row each, and
+        # the work per bit of their compute and of the uplink, whose
+        # capacity is the interval's rate.
         self._tier_cpus = np.array([[config.local_cpu_max],
                                     [config.uav_cpu_per_device],
                                     [config.cloud_cpu_per_device]])
+        self._work_per_bit = np.array([[config.cycles_per_bit]] * 3 + [[1.0]])
         self.reset(seed)
 
     # -- lifecycle ---------------------------------------------------------
@@ -145,6 +158,8 @@ class MecEnvironment:
                           self.rng.uniform(0.0, cfg.area_size))
             for _ in range(cfg.num_devices)]
         self.uav_pos = ch.Position2D(*cfg.area_center)
+        # The devices' slant ranges, which step() keeps with the position.
+        self._ranges = self._slant_ranges()
         # Local, UAV and cloud backlog of each device, one row per tier.
         self.backlog = np.zeros((3, cfg.num_devices))
         self.acc = obj.PdeAccumulator(cfg.num_devices)
@@ -172,6 +187,11 @@ class MecEnvironment:
             min(size, max(0.0, pos.x + dx * self._step_len)),
             min(size, max(0.0, pos.y + dy * self._step_len)))
 
+    def _slant_ranges(self) -> list:
+        """Slant range from the UAV's position to each device."""
+        return [ch.distance(self.uav_pos, dev, self.config.altitude)
+                for dev in self.device_positions]
+
     def step(self, fractions, move):
         """Advance one interval and return its record; observe() gives the
         next observation.
@@ -189,20 +209,23 @@ class MecEnvironment:
         if not 0 <= move < len(MOVES):
             raise IndexError(f"UAV move {move} outside range({len(MOVES)})")
 
-        # (1) UAV motion, clipped to the service area.
-        self.uav_pos = self._move(self.uav_pos, move)
+        # (1) UAV motion, clipped to the service area. A stay would give
+        # the same position back, so it keeps the position and the slant
+        # ranges.
+        if move != STAY:
+            self.uav_pos = self._move(self.uav_pos, move)
+            self._ranges = self._slant_ranges()
 
         # (2) fresh block-fading channels, then the interval's arrivals for
         # (7); nothing in between draws from the stream. One draw gives the
         # 2K normals of the scattered parts, the same values as K pairs of
-        # scalar draws; a pure LoS channel draws none.
+        # scalar draws, taken in pairs off one iterator; a pure LoS channel
+        # draws none.
         k = cfg.num_devices
-        normals = ([0.0] * (2 * k) if math.isinf(cfg.rician_k)
-                   else self.rng.standard_normal(2 * k).tolist())
-        gains = [ch.channel_gain(ch.distance(self.uav_pos, dev, cfg.altitude),
-                                 cfg, re, im)
-                 for dev, re, im in zip(self.device_positions, normals[::2],
-                                        normals[1::2])]
+        normals = iter([0.0] * (2 * k) if math.isinf(cfg.rician_k)
+                       else self.rng.standard_normal(2 * k).tolist())
+        gains = [ch.channel_gain(d, cfg, re, im)
+                 for d, re, im in zip(self._ranges, normals, normals)]
         arrivals = qs.draw_arrival(self.rng, cfg.i_max, k)
         if fractions is None:
             self.n += 1
@@ -224,25 +247,32 @@ class MecEnvironment:
         cfg = self.config
         backlog = state.backlog
 
-        # (3) SINR, and the rates, whose scalar math runs per device.
+        # (3) SINR, and the rates, whose scalar math runs per device. The
+        # rates fill the last of (5)'s capacity rows, under the three tiers'
+        # CPUs, with one column per device (and realization).
         sinrs = phy.sinr(gains, cfg.p_max, cfg.noise_power)
-        rates = np.array([phy.rate(g, cfg.bandwidth)
-                          for g in sinrs.ravel().tolist()]).reshape(sinrs.shape)
+        capacity = np.empty((4, sinrs.size))
+        capacity[:3] = self._tier_cpus
+        capacity[3] = [phy.rate(g, cfg.bandwidth)
+                       for g in sinrs.ravel().tolist()]
+        rates = capacity[3].reshape(sinrs.shape)
 
         # (4) split amounts from start-of-interval backlogs.
-        queues = qs.QueueTriple(*backlog)
+        queues = qs.QueueTriple(backlog[0], backlog[1], backlog[2])
         x_uav, x_cloud, w_uav, w_cloud = fractions
         splits = qs.compute_splits(queues, x_uav, x_cloud, cfg.w_local,
                                    w_uav, w_cloud)
         amounts = qs.split_stack(splits)
 
-        # (5) delays and the per-device delay-bound indicator.
-        t_local, t_uav, t_cloud = comp.comp_delay(
-            amounts[:3], self._tier_cpus.reshape((3,) + (1,) * gains.ndim),
-            cfg.cycles_per_bit)
+        # (5) the three compute delays and the uplink delay in one pass,
+        # work over capacity, then the per-device delay-bound indicator.
+        work = amounts[:4]
+        t_local, t_uav, t_cloud, t_uplink = comp.comp_delay(
+            work.reshape(4, -1), capacity, self._work_per_bit
+        ).reshape(work.shape)
         delays = comp.DelayBreakdown(
             t_local_comp=t_local,
-            t_uplink_comm=phy.uplink_comm_delay(amounts[3], rates),
+            t_uplink_comm=t_uplink,
             t_uav_comp=t_uav,
             t_cloud_comm=phy.cloud_comm_delay(x_cloud, cfg.install_delay),
             t_cloud_comp=t_cloud,
@@ -312,13 +342,14 @@ class Lockstep:
         moves = np.asarray(moves).tolist()
         if min(moves) < 0 or max(moves) >= len(MOVES):
             raise IndexError(f"UAV moves {moves} outside range({len(MOVES)})")
-        gains = np.empty(self._shape)
-        arrivals = np.empty(self._shape)
-        for r, (env, move) in enumerate(zip(self.envs, moves)):
-            gains[r], arrivals[r] = env.step(None, move)
-        self.uav_pos = ch.Position2D(
-            np.array([env.uav_pos.x for env in self.envs]),
-            np.array([env.uav_pos.y for env in self.envs]))
+        gains, arrivals = map(np.array, zip(*[
+            env.step(None, move) for env, move in zip(self.envs, moves)]))
+        # A stay keeps a realization's position, so the batch's positions
+        # change only when some UAV moved.
+        if moves.count(STAY) < len(moves):
+            self.uav_pos = ch.Position2D(
+                np.array([env.uav_pos.x for env in self.envs]),
+                np.array([env.uav_pos.y for env in self.envs]))
         record = self.envs[0]._advance(self, fractions, gains, arrivals)
         self.n += 1
         return record

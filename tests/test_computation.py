@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from uavmec.computation import DelayBreakdown, comp_delay, total_task_delay
+from uavmec.phy_link import uplink_comm_delay
 
 
 class TestCompDelay:
@@ -68,3 +70,36 @@ class TestTotalTaskDelay:
         assert total_task_delay(b).tolist() == [
             total_task_delay(DelayBreakdown(0.3, 0.2, 0.1, 0.25, 0.05)),
             math.inf]
+
+
+class TestOneDelayPass:
+    """One comp_delay pass over the three tiers' work and the uplink's bits,
+    at C, C, C and 1 work per bit, gives every delay's own call bit for bit:
+    bits * 1.0 is bits."""
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 6)])
+    def test_matches_separate_calls(self, shape):
+        rng = np.random.default_rng(17)
+        bits = rng.uniform(0.0, 1e6, (4,) + shape)
+        rates = rng.uniform(1e4, 1e6, shape)
+        bits[..., 0] = 0.0                 # no amounts at all
+        rates[..., 1:3] = 0.0              # zero rate with uplink traffic
+        bits[3, ..., 2] = 0.0              # and without
+        cpus = np.array([[1e6], [2.5e6], [5e7]])
+        cycles = 1024.0
+        capacity = np.empty((4, rates.size))
+        capacity[:3] = cpus
+        capacity[3] = rates.ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = comp_delay(bits.reshape(4, -1), capacity,
+                             np.array([[cycles]] * 3 + [[1.0]])
+                             ).reshape(bits.shape)
+            tiers = comp_delay(bits[:3],
+                               cpus.reshape((3,) + (1,) * len(shape)), cycles)
+            uplink = uplink_comm_delay(bits[3], rates)
+        assert np.array_equal(one[:3], tiers)
+        assert np.array_equal(one[3], uplink)
+        assert np.all(one[..., 0] == 0.0)
+        assert np.all(one[3, ..., 1] == math.inf)
+        assert np.all(one[3, ..., 2] == 0.0)

@@ -6,7 +6,7 @@ import pytest
 
 from uavmec.config import (POLICY_KINDS, ConfigError, SimConfig,
                            db_to_linear, dbm_to_watts, load_config)
-from uavmec.harness import run_eval
+from uavmec.harness import checkpoint_path, run_eval
 
 
 class TestConversions:
@@ -44,6 +44,33 @@ class TestDefaults:
         assert cfg.uav_cpu_per_device == 2.5e6
         assert cfg.cloud_cpu_per_device == 5e7
         assert cfg.area_center == (250.0, 250.0)
+
+    def test_cached_constants_follow_their_fields(self):
+        cfg = SimConfig()
+        assert dataclasses.replace(cfg, eta0_db=-30.0).eta0 == 1e-3
+        assert cfg.fading_weights == (math.sqrt(10.0 / 11.0),
+                                      math.sqrt(1.0 / 11.0))
+        other = dataclasses.replace(cfg, rician_k=3.0)
+        assert other.fading_weights == (math.sqrt(0.75), math.sqrt(0.25))
+        assert dataclasses.replace(cfg, rician_k=math.inf).fading_weights \
+            == (1.0, 0.0)
+        louder = dataclasses.replace(cfg, noise_density_dbm=-170.0)
+        assert louder.noise_power == dbm_to_watts(-170.0) * cfg.bandwidth
+        assert dataclasses.replace(cfg, frac_levels=(0.0, 0.5, 1.0)
+                                   ).catalog_size == 3 ** 8 * 5
+
+    def test_cached_constants_stay_out_of_identity(self):
+        # read or not, a config keeps its checkpoint key, equality, hash
+        # and repr; the cached values are no fields
+        fresh, read = SimConfig(), SimConfig()
+        key, text = checkpoint_path(".", fresh, 0), repr(fresh)
+        read.eta0, read.noise_power, read.fading_weights, read.catalog_size
+        assert checkpoint_path(".", read, 0) == key
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(dataclasses.replace(read)) == text
+        names = {f.name for f in dataclasses.fields(SimConfig)}
+        assert names.isdisjoint({"eta0", "noise_power", "fading_weights",
+                                 "catalog_size"})
 
     def test_queue_cap_override(self):
         assert SimConfig(q_cap=5e5).queue_cap == 5e5

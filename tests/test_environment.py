@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from uavmec import (channel as ch, computation as comp, objective as obj,
-                    phy_link as phy, queueing as qs)
+from uavmec import (channel as ch, computation as comp, environment,
+                    objective as obj, phy_link as phy, queueing as qs)
 from uavmec.agent import fixed_action
 from uavmec.config import MAX_INDEXED_CATALOG, MOVES, ConfigError, SimConfig
 from uavmec.environment import (STAY, IntervalRecord, Lockstep,
@@ -125,6 +126,23 @@ class TestActionCatalog:
         for outside in (cfg.catalog_size, -1, [0, cfg.catalog_size]):
             with pytest.raises(IndexError, match="outside catalog"):
                 action_catalog(cfg, outside)
+
+    def test_cached_tables_follow_the_levels(self):
+        # the decoder keeps its level values and place values per
+        # (frac_levels, K, rank); each config still decodes to its own
+        for levels in ((0.3, 0.6), (0.0, 0.5, 1.0), (0.3, 0.6)):
+            cfg = SimConfig(frac_levels=levels)
+            fractions, moves = every_entry(cfg)
+            want_fractions, want_moves = reference_catalog(cfg)
+            assert np.array_equal(fractions, want_fractions)
+            assert np.array_equal(moves, want_moves)
+            index = 5 * len(levels) ** 8 - 1
+            assert np.array_equal(action_catalog(cfg, index)[0],
+                                  want_fractions[:, index])
+        tables = environment._catalog_digits((0.3, 0.6), 2, 1)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     def test_move_tables_consistent(self):
         assert len(MOVES) == 5
@@ -327,6 +345,17 @@ class TestStepContracts:
             assert 0.0 <= env.uav_pos.x <= cfg.area_size
             assert 0.0 <= env.uav_pos.y <= cfg.area_size
 
+    def test_stay_keeps_the_position(self):
+        env = MecEnvironment(small_config(), seed=1)
+        batch = Lockstep(small_config(), [1, 2])
+        pos, batch_pos = env.uav_pos, batch.uav_pos
+        env.step(*action_catalog(env.config, STAY))
+        batch.step(*action_catalog(env.config, [STAY, STAY]))
+        assert env.uav_pos is pos and batch.uav_pos is batch_pos
+        batch.step(*action_catalog(env.config, [STAY, 1]))
+        assert batch.uav_pos.x.tolist() == [
+            e.uav_pos.x for e in batch.envs] != list(batch_pos.x)
+
     def test_terminal_distance(self):
         env = MecEnvironment(small_config(), seed=0)
         assert env.terminal_distance() == 0.0
@@ -440,6 +469,40 @@ class TestStepPhysics:
         step_entry(MecEnvironment(cfg, seed=1), 0)
         Lockstep(cfg, range(3)).step(*action_catalog(cfg, np.zeros(3, int)))
         assert calls == [(2,), (3, 2)]
+
+    @pytest.mark.parametrize("realizations", [None, 2])
+    def test_one_delay_pass_matches_separate_calls(self, realizations):
+        # the compute delays and the uplink delay come from one comp_delay
+        # pass: each equals its own call bit for bit. Device 0 has nothing
+        # to do, devices 1 and 2 a zero rate, with and without uplink traffic.
+        cfg = SimConfig(num_devices=4, n_intervals=5)
+        shape = (4,) if realizations is None else (realizations, 4)
+        state = (MecEnvironment(cfg, seed=3) if realizations is None
+                 else Lockstep(cfg, range(realizations)))
+        env = state if realizations is None else state.envs[0]
+        state.backlog = np.full((3,) + shape, 1e5)
+        state.backlog[..., 0] = 0.0
+        fractions = np.empty((4,) + shape)
+        fractions.T[...] = (0.6, 0.3, 0.3, 0.6)
+        fractions[0, ..., 2] = 0.0
+        gains = np.full(shape, 1e-9)
+        gains[..., 1:3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = env._advance(state, fractions, gains, np.zeros(shape))
+        d, s = rec.delays, rec.splits
+        assert np.array_equal(d.t_uplink_comm,
+                              phy.uplink_comm_delay(s.d_uav, rec.rates))
+        for delay, bits, cpu in (
+                (d.t_local_comp, s.b_local, cfg.local_cpu_max),
+                (d.t_uav_comp, s.b_uav, cfg.uav_cpu_per_device),
+                (d.t_cloud_comp, s.b_cloud, cfg.cloud_cpu_per_device)):
+            assert np.array_equal(
+                delay, comp.comp_delay(bits, cpu, cfg.cycles_per_bit))
+        assert np.all(rec.rates[..., 1:3] == 0.0)
+        assert np.all(d.t_uplink_comm[..., :3] == [0.0, math.inf, 0.0])
+        for delay in (d.t_local_comp, d.t_uav_comp, d.t_cloud_comp):
+            assert np.all(delay[..., 0] == 0.0)
 
     def test_rates_follow_shannon(self):
         cfg = small_config()
@@ -586,9 +649,14 @@ class TestLockstep:
 # with a split stack built from the fraction rows, before one draw gave each
 # interval's channel normals, and before the catalog became a decoder: the
 # catalog as reference_catalog's tables, the backlogs as a QueueTriple of
-# (K,) or (R, K) arrays, 2K scalar normal draws per realization, and every
-# stage function called by name. MecEnvironment and Lockstep, stepped with
-# action_catalog's values, must match it bit for bit.
+# (K,) or (R, K) arrays, 2K scalar normal draws per realization, and each
+# delay computed on its own. The laws of the channel gain, the noise power,
+# the arrivals, the delays, the delay bound and the reward are written out
+# here as plain expressions, so a change to the functions that run them moves
+# only one side; the split law (criteria 1 and 2 check it against their own
+# oracle), the SINR, the rate and the distance are called by name.
+# MecEnvironment and Lockstep, stepped with action_catalog's values, must
+# match it bit for bit.
 
 
 def reference_rician_sample(rng, rice_k):
@@ -602,9 +670,16 @@ def reference_rician_sample(rng, rice_k):
 
 
 def reference_channel_gain(d, config, rng):
-    amp = math.sqrt(ch.large_scale_gain(d, config)) * reference_rician_sample(
-        rng, config.rician_k)
+    eta0 = 10.0 ** (config.eta0_db / 10.0)
+    amp = math.sqrt(eta0 * d ** (-config.path_loss_exp)) \
+        * reference_rician_sample(rng, config.rician_k)
     return abs(amp) ** 2
+
+
+def reference_delay(work, capacity):
+    """work / capacity; 0 without work, inf at zero capacity."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(work > 0.0, work / capacity, 0.0)
 
 
 def reference_observation(config, queues, uav_pos):
@@ -658,7 +733,8 @@ class ReferenceEnv:
         gains = [reference_channel_gain(
             ch.distance(self.uav_pos, dev, cfg.altitude), cfg, self.rng)
             for dev in self.device_positions]
-        arrivals = qs.draw_arrival(self.rng, cfg.i_max, cfg.num_devices)
+        arrivals = (self.rng.uniform(0.0, cfg.i_max, cfg.num_devices)
+                    if cfg.i_max > 0.0 else np.zeros(cfg.num_devices))
         return gains, arrivals
 
     def step(self, action_index):
@@ -707,33 +783,39 @@ def reference_advance(env, state, actions, gains, arrivals):
     cfg = env.config
     x_uav, x_cloud, w_uav, w_cloud = env._fraction_rows[:, actions]
 
-    sinrs = phy.sinr(gains, env._tx_powers, cfg.noise_power)
+    noise_power = 10.0 ** ((cfg.noise_density_dbm - 30.0) / 10.0) \
+        * cfg.bandwidth
+    sinrs = phy.sinr(gains, env._tx_powers, noise_power)
     rates = np.array([phy.rate(g, cfg.bandwidth)
                       for g in sinrs.flat]).reshape(sinrs.shape)
 
-    queues = state.queues
-    splits = qs.compute_splits(queues, x_uav, x_cloud, cfg.w_local,
-                               w_uav, w_cloud)
+    q = queues = state.queues
+    s = splits = qs.compute_splits(queues, x_uav, x_cloud, cfg.w_local,
+                                   w_uav, w_cloud)
 
-    t_local, t_uav, t_cloud = comp.comp_delay(
-        np.array((splits.b_local, splits.b_uav, splits.b_cloud)),
-        env._tier_cpus.reshape((3,) + (1,) * gains.ndim),
-        cfg.cycles_per_bit)
+    local_cpu, uav_cpu, cloud_cpu = env._tier_cpus[:, 0]
+    c = cfg.cycles_per_bit
     delays = comp.DelayBreakdown(
-        t_local_comp=t_local,
-        t_uplink_comm=phy.uplink_comm_delay(splits.d_uav, rates),
-        t_uav_comp=t_uav,
-        t_cloud_comm=phy.cloud_comm_delay(x_cloud, cfg.install_delay),
-        t_cloud_comp=t_cloud,
+        t_local_comp=reference_delay(s.b_local * c, local_cpu),
+        t_uplink_comm=reference_delay(s.d_uav, rates),
+        t_uav_comp=reference_delay(s.b_uav * c, uav_cpu),
+        t_cloud_comm=np.where(x_cloud > 0.0, cfg.install_delay, 0.0),
+        t_cloud_comp=reference_delay(s.b_cloud * c, cloud_cpu),
     )
-    t_comm = phy.total_comm_delay(delays.t_uplink_comm,
-                                  delays.t_cloud_comm)
-    eta = (comp.total_task_delay(delays) <= cfg.tau).astype(int)
+    t_comm = delays.t_uplink_comm + delays.t_cloud_comm
+    total_delay = (np.maximum(delays.t_local_comp, delays.t_uplink_comm)
+                   + np.maximum(delays.t_uav_comp, delays.t_cloud_comm)
+                   + delays.t_cloud_comp)
+    eta = (total_delay <= cfg.tau).astype(int)
 
     hist_pde = state.acc.device_pde()
-    b_tot = obj.processed_total(splits.b_local, splits.b_uav,
-                                splits.b_cloud)
-    rewards = obj.reward(queues, splits, t_comm, hist_pde, cfg, eta)
+    b_tot = s.b_local + s.b_uav + s.b_cloud
+    met = eta == 1
+    drain = (cfg.v1 * q.q_local * (s.b_local + s.d_uav)
+             - cfg.v2 * q.q_uav * (s.d_uav - s.b_uav - s.d_cloud)
+             - cfg.v3 * q.q_cloud * (s.d_cloud - s.b_cloud))
+    gain = cfg.v4 * (b_tot - np.where(met, t_comm, 0.0) * hist_pde)
+    rewards = drain + np.where(met, gain, -cfg.violation_penalty)
 
     state.queues = reference_step_queues(queues, splits, arrivals)
     state.acc.record_interval(b_tot, t_comm)

@@ -159,6 +159,16 @@ class TestArrivals:
             assert draw_arrival(b, 2.5e5, 3).tolist() == scalar
             assert a.random() == b.random()
 
+    @pytest.mark.parametrize("size", [None, 2, (3, 2)])
+    def test_equals_uniform_bit_for_bit(self, size):
+        # the scaled random() is uniform(0, max_bits) and takes as many draws
+        for seed in range(20):
+            for max_bits in (2.5e5, 1.0, 3.7e-3):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert np.array_equal(draw_arrival(a, max_bits, size),
+                                      b.uniform(0.0, max_bits, size))
+                assert a.random() == b.random()
+
     def test_zero_budget_draws_nothing(self):
         a, b = np.random.default_rng(4), np.random.default_rng(4)
         assert draw_arrival(a, 0.0, 2).tolist() == [0.0, 0.0]
