@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FIXED_POLICY_FRACS, SimConfig
-from .environment import STAY, MecEnvironment, action_catalog, observation_size
+# action_catalog is looked up on its module at each call, so that a patched
+# environment.action_catalog, as perfbench's tracer installs, sees every decode.
+from . import environment
+from .environment import STAY, MecEnvironment, observation_size
 
 CHECKPOINT_VERSION = 1
 
@@ -73,9 +76,7 @@ class QNetwork:
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             if inputs is not None:
                 inputs.append(h)
-            h = np.matmul(h, w)
-            h += b
-            np.maximum(h, 0.0, out=h)
+            h = np.maximum(h @ w + b, 0.0)
         return h
 
     def q_values(self, x: np.ndarray) -> np.ndarray:
@@ -223,17 +224,8 @@ def train_step(net: QNetwork, target_net: QNetwork, batch,
     # the output-layer gradient lives on the selected columns alone and is
     # kept in compact form (one column per distinct action in the batch).
     dq = 2.0 * err / n                              # (n,)
-    # The distinct actions, the batch position of each and the column of
-    # each batch row, from one stable sort (np.unique does the same sort
-    # with more overhead).
-    order = np.argsort(actions, kind="stable")
-    sorted_actions = actions[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_actions[1:], sorted_actions[:-1], out=first[1:])
-    uniq, pos = sorted_actions[first], order[first]
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
+    uniq, pos, inverse = np.unique(actions, return_index=True,
+                                   return_inverse=True)
     # Head weight and bias gradients as the rows of one (hidden + 1,
     # len(uniq)) array, binned from [dq * h.T; dq]. bincount adds each bin in
     # batch order, so the sums round as sequential scatter-adds would.
@@ -342,9 +334,11 @@ def baseline_action(policy: Policy, n: int, observe):
     """
     if policy.kind == "dqn":
         obs = normalize_observation(observe(), policy.config)
-        return action_catalog(policy.config, greedy_action(policy.net, obs))
+        return environment.action_catalog(policy.config,
+                                          greedy_action(policy.net, obs))
     if policy.kind == "random":
-        return action_catalog(policy.config, policy.entries[:, n])
+        return environment.action_catalog(policy.config,
+                                          policy.entries[:, n])
     return policy.action
 
 
@@ -370,8 +364,8 @@ def train(config: SimConfig, seed=0) -> TrainResult:
     """Full DQN training run; fully reproducible from the seed."""
     ss = np.random.SeedSequence(seed)
     init_ss, action_ss, sample_ss, env_root = ss.spawn(4)
-    env = MecEnvironment(config)
     config.check_policy("dqn")
+    env = MecEnvironment(config)
     rng_actions = np.random.default_rng(action_ss)
     rng_sample = np.random.default_rng(sample_ss)
 
@@ -397,7 +391,7 @@ def train(config: SimConfig, seed=0) -> TrainResult:
             frac = min(1.0, t / decay_horizon)
             eps = config.eps_start + (config.eps_end - config.eps_start) * frac
             action = select_action(net, obs, eps, rng_actions)
-            record = env.step(*action_catalog(config, action))
+            record = env.step(*environment.action_catalog(config, action))
             reward = float(np.sum(record.reward_per_device))
             next_obs = normalize_observation(env.observe(), config)
             buffer.push(obs, action, reward / config.reward_scale, next_obs,

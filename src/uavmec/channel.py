@@ -49,18 +49,14 @@ def rician_sample(rng: np.random.Generator, rice_k: float, size=None):
     """
     if math.isinf(rice_k):
         return 1.0 + 0j if size is None else np.ones(size, dtype=complex)
-    return rician_amplitude(rng.standard_normal(size),
-                            rng.standard_normal(size), rice_k)
-
-
-def rician_amplitude(re, im, rice_k: float):
-    """Rician amplitude whose scattered part is (re + j im) / sqrt(2), for
-    standard normal re and im."""
-    return _weighted(re, im, *rician_weights(rice_k))
+    return _weighted(rng.standard_normal(size), rng.standard_normal(size),
+                     *rician_weights(rice_k))
 
 
 def _weighted(re, im, los_w, nlos_w):
-    """Rician amplitude from the weights of its LoS and scattered parts."""
+    """Rician amplitude from the weights of its LoS and scattered parts;
+    the scattered part is (re + j im) / sqrt(2), for standard normal re and
+    im."""
     return los_w + nlos_w * ((re + 1j * im) / _SQRT2)
 
 

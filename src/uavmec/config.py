@@ -263,7 +263,7 @@ def _parse_number(key: str, raw: str, integer: bool = False):
 def _parse_value(key: str, raw: str):
     f = _FIELD_TYPES[key]
     raw = raw.strip()
-    if f.type == "bool" or isinstance(f.default, bool):
+    if isinstance(f.default, bool):
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
@@ -272,10 +272,12 @@ def _parse_value(key: str, raw: str):
     if isinstance(f.default, (int, float)):
         return _parse_number(key, raw, integer=f.type == "int")
     if isinstance(f.default, tuple):
+        # Items take the type of the default's items: str, int or float.
         items = [s.strip() for s in raw.split(",") if s.strip()]
-        if key == "sweep_policies":
+        item = f.default[0]
+        if isinstance(item, str):
             return tuple(items)
-        return tuple(_parse_number(key, s, integer=key == "hidden_sizes")
+        return tuple(_parse_number(key, s, integer=isinstance(item, int))
                      for s in items)
     return raw
 

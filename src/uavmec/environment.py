@@ -219,13 +219,12 @@ class MecEnvironment:
         # (2) fresh block-fading channels, then the interval's arrivals for
         # (7); nothing in between draws from the stream. One draw gives the
         # 2K normals of the scattered parts, the same values as K pairs of
-        # scalar draws, taken in pairs off one iterator; a pure LoS channel
-        # draws none.
+        # scalar draws; a pure LoS channel draws none.
         k = cfg.num_devices
-        normals = iter([0.0] * (2 * k) if math.isinf(cfg.rician_k)
-                       else self.rng.standard_normal(2 * k).tolist())
-        gains = [ch.channel_gain(d, cfg, re, im)
-                 for d, re, im in zip(self._ranges, normals, normals)]
+        normals = ([0.0] * (2 * k) if math.isinf(cfg.rician_k)
+                   else self.rng.standard_normal(2 * k).tolist())
+        gains = [ch.channel_gain(d, cfg, re, im) for d, re, im
+                 in zip(self._ranges, normals[::2], normals[1::2])]
         arrivals = qs.draw_arrival(self.rng, cfg.i_max, k)
         if fractions is None:
             self.n += 1

@@ -12,7 +12,6 @@ and the update runs on the three backlogs stacked into one array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -65,12 +64,11 @@ def compute_splits(q: QueueTriple, x_uav, x_cloud, w_local, w_uav,
 # uplink's; [3:] is the first drain of the local, UAV and cloud backlogs and
 # [:2] the second, so b_cloud is listed twice.
 SPLIT_ROWS = ("b_local", "b_uav", "b_cloud", "d_uav", "d_cloud", "b_cloud")
-_split_rows = attrgetter(*SPLIT_ROWS)
 
 
 def split_stack(s: SplitAmounts) -> np.ndarray:
     """s's amounts as a split stack, in SPLIT_ROWS order."""
-    return np.array(_split_rows(s))
+    return np.array([getattr(s, name) for name in SPLIT_ROWS])
 
 
 def step_queues(backlog, splits, arrival):
@@ -94,11 +92,8 @@ def draw_arrival(rng: np.random.Generator, max_bits: float, size=None):
     """I.i.d. uniform task arrivals on [0, max_bits], in bits.
 
     A float, or ``size`` draws equal to as many scalar draws; nothing is
-    drawn when max_bits <= 0. The draws are rng.uniform(0.0, max_bits,
-    size) bit for bit: uniform takes low + (high - low) * random(), and
-    0.0 + x is x, so the scaled random() skips only uniform's argument
-    handling.
+    drawn when max_bits <= 0.
     """
     if max_bits <= 0.0:
         return 0.0 if size is None else np.zeros(size)
-    return rng.random(size) * max_bits
+    return rng.uniform(0.0, max_bits, size)

@@ -4,14 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uavmec import agent
+from uavmec import agent, environment, harness
 from uavmec.agent import (QNetwork, ReplayBuffer, baseline_action,
                           forward, load_checkpoint,
                           make_policy, normalize_observation, save_checkpoint,
                           select_action, sync_target, target_max_q, td_loss,
                           train, train_step)
 from uavmec.config import FIXED_POLICY_FRACS, ConfigError, SimConfig
-from uavmec.environment import STAY, Lockstep, action_catalog
+from uavmec.environment import (STAY, Lockstep, MecEnvironment,
+                                action_catalog)
 
 
 def tiny_net(rng_seed=0, input_size=3, hidden=(8,), output_size=5):
@@ -663,6 +664,48 @@ class TestTraining:
         # training starts once the buffer holds one batch
         assert len(res.losses) == total - (cfg.batch_size - 1)
         assert res.net.output_size == 80
+
+    def test_oversized_catalog_fails_before_any_environment(self,
+                                                            monkeypatch):
+        built = []
+        init = MecEnvironment.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(MecEnvironment, "__init__", spy)
+        cfg = SimConfig(num_devices=3)
+        assert cfg.catalog_size > cfg.max_catalog_size
+        with pytest.raises(ConfigError, match="max_catalog_size"):
+            train(cfg, seed=0)
+        assert built == []
+
+
+class TestDecodesThroughEnvironment:
+    """Every decode goes through environment.action_catalog as looked up
+    at call time, so a patched one (perfbench's tracer) sees each of them."""
+
+    def _spy(self, monkeypatch):
+        indices = []
+        decode = environment.action_catalog
+
+        def spy(config, index):
+            indices.append(index)
+            return decode(config, index)
+        monkeypatch.setattr(environment, "action_catalog", spy)
+        return indices
+
+    def test_random_eval_decodes_once_per_interval(self, monkeypatch):
+        indices = self._spy(monkeypatch)
+        harness.run_eval("random", SimConfig(n_intervals=5), seed=0,
+                         realizations=2)
+        assert len(indices) == 5
+        assert all(np.shape(index) == (2,) for index in indices)
+
+    def test_training_decodes_once_per_interval(self, monkeypatch):
+        indices = self._spy(monkeypatch)
+        train(SimConfig(n_intervals=5, episodes=1), seed=0)
+        assert len(indices) == 5
 
 
 class TestCheckpoint:
