@@ -106,8 +106,10 @@ def forward(net: QNetwork, obs: np.ndarray) -> np.ndarray:
 def greedy_action(net: QNetwork, obs: np.ndarray):
     """Argmax action of one observation, or of each row of a batch.
 
-    Ties break to the lowest index. A batch's matrix product can round
-    Q-values differently in the last bit from a single row's.
+    Ties break to the lowest index. The rounding rule both memos rely on
+    (target_max_q's and baseline_action's): a row's Q-values have the same
+    bits in every pass of 2 or more rows, whatever the other rows, while a
+    1-row pass goes to gemv and may round them differently.
     """
     q = net.q_values(np.asarray(obs, dtype=float))
     return int(np.argmax(q)) if q.ndim == 1 else np.argmax(q, axis=1)
@@ -139,25 +141,35 @@ def target_max_q(target_net: QNetwork, next_obs: np.ndarray) -> np.ndarray:
     Each distinct observation is valued once per sync window: values are
     kept in the target's memo until the next sync_target, and one
     forward_cached pass per call covers only the rows not yet in it (none,
-    possibly). Every row of a pass of 2 to 64 rows rounds as it would in a
-    pass over the whole batch, so while the batch size holds, as in train,
-    the values are bit-equal to valuing every row at once. A 1-row pass goes
-    to gemv, which rounds differently, so a single new row of a larger batch
-    is passed twice.
+    possibly). By greedy_action's rounding rule, while the batch size
+    holds, as in train, the values are bit-equal to valuing every row at
+    once.
     """
     memo = target_net._max_q_memo
     if memo is None:
         memo = target_net._max_q_memo = {}
-    # One bytes key per row: the row's bytes in C order, whatever the layout.
-    rows_c = np.ascontiguousarray(next_obs)
+    keys, new, rows = _new_rows(memo, next_obs)
+    values = target_net.forward_cached(next_obs[rows]).max(axis=1)
+    memo.update(zip(new, values.tolist()))
+    return np.fromiter(map(memo.__getitem__, keys), float, len(keys))
+
+
+def _new_rows(memo: dict, x: np.ndarray):
+    """The keys of a batch's rows, the keys not yet in memo and the rows
+    that value them.
+
+    A key is the row's bytes in C order, whatever the layout. Each new key
+    is valued from its first row; a single new row of a batch of 2 or more
+    is listed twice, so that its pass is not a 1-row pass (see
+    greedy_action).
+    """
+    rows_c = np.ascontiguousarray(x)
     keys = rows_c.view((np.void, rows_c.strides[0])).ravel().tolist()
     new = {key: i for i, key in enumerate(keys) if key not in memo}
     rows = list(new.values())
     if len(rows) == 1 and len(keys) > 1:
         rows *= 2
-    values = target_net.forward_cached(next_obs[rows]).max(axis=1)
-    memo.update(zip(new, values.tolist()))
-    return np.fromiter(map(memo.__getitem__, keys), float, len(keys))
+    return keys, new, rows
 
 
 class ReplayBuffer:
@@ -286,12 +298,14 @@ def td_loss(net: QNetwork, target_net: QNetwork, batch,
 class Policy:
     """A policy kind's actions, prepared for R realizations: a fixed
     baseline's action, the random policy's (R, n_intervals) catalog
-    entries, or the dqn's network."""
+    entries, or the dqn's network with its memo of greedy actions, keyed
+    by the raw observation's bytes (see baseline_action)."""
     kind: str
     config: SimConfig
     net: QNetwork = None
     action: tuple = None
     entries: np.ndarray = None
+    memo: dict = None
 
 
 def make_policy(kind: str, config: SimConfig, realizations: int,
@@ -308,7 +322,7 @@ def make_policy(kind: str, config: SimConfig, realizations: int,
             raise ValueError(f"network maps {net.input_size} inputs to "
                              f"{net.output_size} actions; this config "
                              f"needs {want[0]} and {want[1]}")
-        return Policy(kind, config, net=net)
+        return Policy(kind, config, net=net, memo={})
     if kind == "random":
         entries = np.random.default_rng(rng).integers(
             config.catalog_size, size=(realizations, config.n_intervals))
@@ -331,11 +345,22 @@ def baseline_action(policy: Policy, n: int, observe):
 
     Only the dqn calls observe() for the realizations' observations, and
     acts greedily on them; the random policy decodes its entries for n.
+    The dqn values each distinct observation once per policy: only the
+    rows not yet in its memo go through the net, in one pass, or none. By
+    greedy_action's rounding rule the actions are those of one pass over
+    every row (at R = 1, of a 1-row pass). A network changed after
+    make_policy is not seen.
     """
     if policy.kind == "dqn":
-        obs = normalize_observation(observe(), policy.config)
-        return environment.action_catalog(policy.config,
-                                          greedy_action(policy.net, obs))
+        obs = observe()
+        memo = policy.memo
+        keys, new, rows = _new_rows(memo, obs)
+        if new:
+            memo.update(zip(new, greedy_action(
+                policy.net,
+                normalize_observation(obs[rows], policy.config)).tolist()))
+        index = np.fromiter(map(memo.__getitem__, keys), np.int64, len(keys))
+        return environment.action_catalog(policy.config, index)
     if policy.kind == "random":
         return environment.action_catalog(policy.config,
                                           policy.entries[:, n])

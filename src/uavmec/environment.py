@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class IntervalRecord:
     """One interval's values for metrics and replay.
 
     Per-device values are (K,) arrays, or (R, K) arrays for a Lockstep's R
-    realizations.
+    realizations. The reward is computed from them when first read, under
+    the config the record is built with; evaluation never reads it.
     """
     interval: int
     uav_pos: ch.Position2D
@@ -46,12 +47,24 @@ class IntervalRecord:
     b_tot: np.ndarray
     eta: np.ndarray
     hist_pde: np.ndarray
-    reward_per_device: np.ndarray
     arrivals: np.ndarray
+    config: dataclasses.InitVar[SimConfig]
+
+    def __post_init__(self, config: SimConfig):
+        self._config = config
+
+    @cached_property
+    def reward_per_device(self) -> np.ndarray:
+        """Per-device reward against the accumulator state up to the
+        interval before this one (objective.reward)."""
+        return obj.reward(self.queues_before, self.splits, self.t_comm,
+                          self.hist_pde, self._config, self.eta)
 
     def realization(self, r: int) -> "IntervalRecord":
         """Realization r's record, cut from a Lockstep's record."""
-        return _row(self, r)
+        return IntervalRecord(*(_row(getattr(self, f.name), r)
+                                for f in dataclasses.fields(self)),
+                              self._config)
 
 
 def _row(value, r):
@@ -280,11 +293,11 @@ class MecEnvironment:
                                       delays.t_cloud_comm)
         met = comp.total_task_delay(delays) <= cfg.tau
 
-        # (6) reward against the accumulator state up to interval n-1.
+        # (6) the accumulator state up to interval n-1, for the reward the
+        # record computes when read.
         hist_pde = state.acc.device_pde()
         b_tot = obj.processed_total(splits.b_local, splits.b_uav,
                                     splits.b_cloud)
-        rewards = obj.reward(queues, splits, t_comm, hist_pde, cfg, met)
 
         # (7) queue updates with the drawn arrivals, (8) accumulators.
         state.backlog = qs.step_queues(backlog, amounts, arrivals)
@@ -294,7 +307,7 @@ class MecEnvironment:
             interval=state.n, uav_pos=state.uav_pos, queues_before=queues,
             splits=splits, power_gains=gains, sinrs=sinrs, rates=rates,
             delays=delays, t_comm=t_comm, b_tot=b_tot, eta=met.astype(int),
-            hist_pde=hist_pde, reward_per_device=rewards, arrivals=arrivals)
+            hist_pde=hist_pde, arrivals=arrivals, config=cfg)
 
 
 class Lockstep:

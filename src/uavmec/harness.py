@@ -71,12 +71,14 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     Every realization gets fresh channel/arrival streams derived from the
     seed, and all of them run in one Lockstep: per interval, each makes its
     own draws in its step(), and one pass of the backlog stages and one
-    baseline_action call serve them all, whatever the policy kind. PD and
-    CD are read from the Lockstep's accumulator; the backlogs and the
-    delay-bound violations are summed here. The sums run in a different
-    order than one episode after another would add them, so a row matches
-    one-realization-at-a-time stepping to within about 1e-13 relative, not
-    bit for bit.
+    baseline_action call serve them all, whatever the policy kind. The dqn
+    values each distinct observation once per call, and keeps its greedy
+    action for the rest of the call. No reward is computed, save those of
+    collected records that the caller reads. PD and CD are read from the
+    Lockstep's accumulator; the backlogs and the delay-bound violations
+    are summed here. The sums run in a different order than one episode
+    after another would add them, so a row matches one-realization-at-a-time
+    stepping to within about 1e-13 relative, not bit for bit.
 
     Returns a ResultRow of plain Python numbers (plus the per-interval
     records of the last episode when collect_records is set).

@@ -453,16 +453,25 @@ class TestTargetMemo:
         assert np.array_equal(target_max_q(target, batch), want)
 
     def test_blas_rounds_sub_batches_like_the_full_batch(self):
-        """The memo's byte identity rests on this property of the BLAS."""
+        """The byte identity of both memos, target_max_q's (batches of 64)
+        and baseline_action's (one row per realization, 1000 in a sweep),
+        rests on this property of the BLAS."""
         _, target = self._nets()
         rng = np.random.default_rng(15)
-        x = rng.integers(0, 10, (64, 6)) / 9.0
-        full = target.forward_cached(x)
-        for m in range(2, 65):
-            idx = np.sort(rng.choice(64, size=m, replace=False))
-            assert np.array_equal(target.forward_cached(x[idx]), full[idx]), \
-                (f"{blas_name()}: a {m}-row pass rounds differently from the "
-                 f"64-row pass, so memoized TD targets are not bit-exact")
+        for batch, sizes in [
+                (64, range(2, 65)),
+                # Every size up to 64, then a spread up to the whole batch.
+                (1000, [*range(2, 65), *range(65, 1000, 37), 127, 128, 129,
+                        255, 256, 257, 511, 512, 513, 999, 1000])]:
+            x = rng.integers(0, 10, (batch, 6)) / 9.0
+            full = target.forward_cached(x)
+            for m in sizes:
+                idx = np.sort(rng.choice(batch, size=m, replace=False))
+                assert np.array_equal(target.forward_cached(x[idx]),
+                                      full[idx]), \
+                    (f"{blas_name()}: a {m}-row pass rounds differently from "
+                     f"the {batch}-row pass, so neither memoized TD targets "
+                     f"nor memoized greedy actions are bit-exact")
 
 
 class TestSyncTarget:

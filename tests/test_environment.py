@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from uavmec import (channel as ch, computation as comp, environment,
+from uavmec import (channel as ch, computation as comp, environment, harness,
                     objective as obj, phy_link as phy, queueing as qs)
-from uavmec.agent import fixed_action
+from uavmec.agent import QNetwork, fixed_action, train
 from uavmec.config import MAX_INDEXED_CATALOG, MOVES, ConfigError, SimConfig
 from uavmec.environment import (STAY, IntervalRecord, Lockstep,
                                 MecEnvironment, action_catalog,
@@ -536,8 +536,66 @@ class TestStepPhysics:
         assert run() == run()
 
 
+class TestRewardWhenRead:
+    """A record computes its reward when it is first read; evaluation
+    reads none."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        reward = obj.reward
+
+        def spy(*args):
+            calls.append(args)
+            return reward(*args)
+        monkeypatch.setattr(obj, "reward", spy)
+        return calls
+
+    @pytest.mark.parametrize("policy", ["dqn", "random", "uav_heavy"])
+    def test_evaluation_computes_no_reward(self, monkeypatch, policy):
+        cfg = SimConfig(n_intervals=5)
+        net = QNetwork(observation_size(cfg), cfg.hidden_sizes,
+                       cfg.catalog_size, rng=np.random.default_rng(0))
+        calls = self._spy(monkeypatch)
+        harness.run_eval(policy, cfg, seed=0, realizations=3,
+                         net=net if policy == "dqn" else None)
+        assert calls == []
+
+    def test_training_computes_one_reward_per_interval(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        train(SimConfig(n_intervals=5, episodes=2), seed=0)
+        assert len(calls) == 10
+
+    def test_a_collected_record_computes_its_reward_once(self, monkeypatch,
+                                                         tmp_path):
+        cfg = SimConfig(n_intervals=4)
+        calls = self._spy(monkeypatch)
+        _, records = harness.run_eval("random", cfg, seed=1, realizations=3,
+                                      collect_records=True)
+        assert calls == []
+        harness.dump_trajectory(records, str(tmp_path / "traj.csv"))
+        assert len(calls) == cfg.n_intervals
+        assert all(call[4] is cfg for call in calls)
+        for rec in records:
+            assert rec.reward_per_device is rec.reward_per_device
+        assert len(calls) == cfg.n_intervals
+
+    def test_a_realization_row_keeps_its_reward(self):
+        cfg = SimConfig(n_intervals=3, tau=TIGHT_TAU, violation_penalty=1e4)
+        batch = Lockstep(cfg, [1, 2, 3])
+        rng = np.random.default_rng(2)
+        while not batch.done:
+            rec = batch.step(*action_catalog(
+                cfg, rng.integers(0, cfg.catalog_size, 3)))
+            for r in range(3):
+                assert np.array_equal(rec.realization(r).reward_per_device,
+                                      rec.reward_per_device[r])
+
+
 def assert_same_values(a, b):
-    """Every field of two records (nested dataclasses of arrays) bit for bit."""
+    """Every field of two records (nested dataclasses of arrays) bit for
+    bit, and their rewards, which are not fields."""
+    if isinstance(a, IntervalRecord):
+        assert np.array_equal(a.reward_per_device, b.reward_per_device)
     if dataclasses.is_dataclass(a):
         for f in dataclasses.fields(a):
             assert_same_values(getattr(a, f.name), getattr(b, f.name))
@@ -738,11 +796,12 @@ class ReferenceEnv:
         return gains, arrivals
 
     def step(self, action_index):
+        """The interval's record and its rewards."""
         gains, arrivals = self.draw(action_index)
-        record = reference_advance(self, self, action_index,
-                                   np.array(gains), arrivals)
+        out = reference_advance(self, self, action_index, np.array(gains),
+                                arrivals)
         self.n += 1
-        return record
+        return out
 
 
 class ReferenceLockstep:
@@ -765,10 +824,9 @@ class ReferenceLockstep:
         self.uav_pos = ch.Position2D(
             np.array([env.uav_pos.x for env in self.envs]),
             np.array([env.uav_pos.y for env in self.envs]))
-        record = reference_advance(self.envs[0], self, actions, gains,
-                                   arrivals)
+        out = reference_advance(self.envs[0], self, actions, gains, arrivals)
         self.n += 1
-        return record
+        return out
 
 
 def reference_step_queues(q, s, arrival):
@@ -780,6 +838,8 @@ def reference_step_queues(q, s, arrival):
 
 
 def reference_advance(env, state, actions, gains, arrivals):
+    """The interval's record, and its rewards as the reference computes
+    them (the record computes its own when read)."""
     cfg = env.config
     x_uav, x_cloud, w_uav, w_cloud = env._fraction_rows[:, actions]
 
@@ -820,11 +880,12 @@ def reference_advance(env, state, actions, gains, arrivals):
     state.queues = reference_step_queues(queues, splits, arrivals)
     state.acc.record_interval(b_tot, t_comm)
 
-    return IntervalRecord(
+    record = IntervalRecord(
         interval=state.n, uav_pos=state.uav_pos, queues_before=queues,
         splits=splits, power_gains=gains, sinrs=sinrs, rates=rates,
         delays=delays, t_comm=t_comm, b_tot=b_tot, eta=eta,
-        hist_pde=hist_pde, reward_per_device=rewards, arrivals=arrivals)
+        hist_pde=hist_pde, arrivals=arrivals, config=cfg)
+    return record, rewards
 
 
 def stacked(queues):
@@ -862,8 +923,9 @@ class TestMatchesReferenceStepper:
         etas = set()
         for a in actions.tolist():
             rec = step_entry(env, a)
-            record = ref.step(a)
+            record, rewards = ref.step(a)
             assert_same_values(rec, record)
+            assert np.array_equal(rec.reward_per_device, rewards)
             assert np.array_equal(env.observe(), ref.observe())
             assert np.array_equal(env.backlog, stacked(ref.queues))
             assert env.uav_pos == ref.uav_pos
@@ -882,9 +944,8 @@ class TestMatchesReferenceStepper:
             0, cfg.catalog_size, (cfg.n_intervals, len(seeds)))
         for row in actions:
             rec = batch.step(*action_catalog(cfg, row))
-            record = ref.step(row)
-            assert np.array_equal(rec.reward_per_device,
-                                  record.reward_per_device)
+            record, rewards = ref.step(row)
+            assert np.array_equal(rec.reward_per_device, rewards)
             assert_same_values(rec, record)
             assert np.array_equal(batch.observe(), ref.observe())
             assert np.array_equal(batch.backlog, stacked(ref.queues))

@@ -1,12 +1,13 @@
 import dataclasses
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uavmec import agent as ag
-from uavmec import harness
+from uavmec import environment, harness
 from uavmec.config import SimConfig
 from uavmec.environment import Lockstep
 from uavmec.harness import (CSV_HEADER, TRAJECTORY_HEADER, ResultRow,
@@ -285,3 +286,94 @@ class TestTrajectoryDump:
             assert float(f[2]) == pytest.approx(rec.queues_before.q_local[0],
                                                 rel=1e-5)
             assert int(f[6]) == int(rec.eta[0])
+
+
+# -- the dqn's greedy memo ----------------------------------------------------
+
+ACCEPTANCE_CACHE = Path(__file__).parent / "_acceptance_cache"
+
+
+def memoless_baseline_action(policy, n, observe):
+    """The dqn's baseline_action before the greedy memo: one pass over every
+    observation."""
+    obs = ag.normalize_observation(observe(), policy.config)
+    return environment.action_catalog(policy.config,
+                                      ag.greedy_action(policy.net, obs))
+
+
+def row_bytes(row):
+    return repr(dataclasses.astuple(row))
+
+
+@pytest.fixture(scope="module")
+def short_trained_net():
+    return harness.train_dqn(SimConfig(episodes=1, n_intervals=200), 7)
+
+
+@pytest.fixture(scope="module")
+def acceptance_net():
+    path = checkpoint_path(str(ACCEPTANCE_CACHE), SimConfig(), 0)
+    if not Path(path).exists():
+        pytest.skip("no cached acceptance network (tests/test_acceptance.py "
+                    "trains and caches them)")
+    return ag.load_checkpoint(path)
+
+
+class TestGreedyMemo:
+    """run_eval's dqn rows keep the bytes of valuing every observation in
+    every interval."""
+
+    def _pass_rows(self, monkeypatch):
+        """Record the row count of every Q-value pass."""
+        rows = []
+        q_values = ag.QNetwork.q_values
+
+        def spy(self, x):
+            rows.append(len(x))
+            return q_values(self, x)
+        monkeypatch.setattr(ag.QNetwork, "q_values", spy)
+        return rows
+
+    def _reference_row(self, monkeypatch, *args, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(ag, "baseline_action", memoless_baseline_action)
+            return run_eval(*args, **kw)
+
+    @pytest.mark.parametrize("net_name", ["short_trained_net",
+                                          "acceptance_net"])
+    @pytest.mark.parametrize("realizations,n_intervals",
+                             [(1, 100), (2, 100), (3, 100), (70, 100),
+                              (1000, 5)])
+    def test_rows_match_the_memoless_reference(self, request, monkeypatch,
+                                               net_name, realizations,
+                                               n_intervals):
+        net = request.getfixturevalue(net_name)
+        cfg = SimConfig(n_intervals=n_intervals)
+        want = self._reference_row(monkeypatch, "dqn", cfg, 3, realizations,
+                                   net=net)
+        passes = self._pass_rows(monkeypatch)
+        got = run_eval("dqn", cfg, 3, realizations, net=net)
+        assert row_bytes(got) == row_bytes(want)
+        assert 0 < len(passes) <= n_intervals
+        if realizations == 1:
+            assert set(passes) == {1}
+        else:
+            # No 1-row pass, whose gemv rounds differently from a batch.
+            assert min(passes) >= 2
+        if realizations > 1 and n_intervals > 5:
+            # Seen observations are not valued again.
+            assert len(passes) < n_intervals
+
+    def test_memo_does_not_outlive_a_call(self, monkeypatch,
+                                          short_trained_net):
+        net = short_trained_net.copy()
+        cfg = SimConfig(n_intervals=100)
+        first = run_eval("dqn", cfg, 4, 3, net=net)
+        # A new head, in place: the greedy actions of every observation
+        # change.
+        net.biases[-1][:] = np.random.default_rng(9).standard_normal(
+            net.output_size) * 1e6
+        second = run_eval("dqn", cfg, 4, 3, net=net)
+        assert row_bytes(second) != row_bytes(first)
+        want = self._reference_row(monkeypatch, "dqn", cfg, 4, 3, net=net)
+        assert row_bytes(second) == row_bytes(want)
