@@ -9,6 +9,8 @@ differences.
 from __future__ import annotations
 
 import math
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ from .config import FIXED_POLICY_FRACS, SimConfig
 # action_catalog is looked up on its module at each call, so that a patched
 # environment.action_catalog, as perfbench's tracer installs, sees every decode.
 from . import environment
-from .environment import STAY, MecEnvironment, observation_size
+from .environment import STAY, Lockstep, observation_size
 
 CHECKPOINT_VERSION = 1
 
@@ -386,11 +388,11 @@ class TrainResult:
 
 
 def train(config: SimConfig, seed=0) -> TrainResult:
-    """Full DQN training run; fully reproducible from the seed."""
+    """Full DQN training run; fully reproducible from the seed. Each
+    episode steps a one-realization Lockstep."""
     ss = np.random.SeedSequence(seed)
     init_ss, action_ss, sample_ss, env_root = ss.spawn(4)
     config.check_policy("dqn")
-    env = MecEnvironment(config)
     rng_actions = np.random.default_rng(action_ss)
     rng_sample = np.random.default_rng(sample_ss)
 
@@ -409,16 +411,17 @@ def train(config: SimConfig, seed=0) -> TrainResult:
     episode_losses = []
     t = 0
     for ep in range(config.episodes):
-        obs = normalize_observation(env.reset(episode_seeds[ep]), config)
+        env = Lockstep(config, [episode_seeds[ep]])
+        obs = normalize_observation(env.observe()[0], config)
         first_loss = len(losses)
         ep_reward = 0.0
         while not env.done:
             frac = min(1.0, t / decay_horizon)
             eps = config.eps_start + (config.eps_end - config.eps_start) * frac
             action = select_action(net, obs, eps, rng_actions)
-            record = env.step(*environment.action_catalog(config, action))
+            record = env.step(*environment.action_catalog(config, [action]))
             reward = float(np.sum(record.reward_per_device))
-            next_obs = normalize_observation(env.observe(), config)
+            next_obs = normalize_observation(env.observe()[0], config)
             buffer.push(obs, action, reward / config.reward_scale, next_obs,
                         env.done)
             obs = next_obs
@@ -439,34 +442,62 @@ def train(config: SimConfig, seed=0) -> TrainResult:
 
 # -- checkpoints ------------------------------------------------------------
 
+class CheckpointError(ValueError):
+    """A file that is not a checkpoint load_checkpoint can read."""
+
+
 def save_checkpoint(net: QNetwork, path: str) -> None:
-    """Serialize layer sizes and parameters; round-trips bit-exactly."""
+    """Serialize layer sizes and parameters; round-trips bit-exactly. The
+    archive is written beside path and renamed onto it, so an interrupted
+    save never leaves a truncated file under path."""
     arrays = {"version": np.array(CHECKPOINT_VERSION),
               "sizes": np.array(net.sizes, dtype=np.int64)}
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> QNetwork:
-    """The network saved at path; ValueError for another version, or for a
-    layer whose arrays do not have the shapes its sizes give."""
+    """The network saved at path. CheckpointError, naming the file, for a
+    file that is not a checkpoint archive, lacks its version, sizes or a
+    layer's arrays, has another version, or has a layer whose arrays do not
+    have the shapes its sizes give."""
+    def fail(reason):
+        return CheckpointError(f"checkpoint {path}: {reason}")
+
     with open(path, "rb") as fh:
-        data = np.load(fh)
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        sizes = [int(s) for s in data["sizes"]]
-        net = QNetwork.__new__(QNetwork)
-        net.sizes = sizes
-        net.weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
-        net.biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        for name, array, shape in ((f"w{i}", w, tuple(sizes[i:i + 2])),
-                                   (f"b{i}", b, (sizes[i + 1],))):
-            if array.shape != shape:
-                raise ValueError(f"checkpoint array {name} has shape "
-                                 f"{array.shape}; sizes {sizes} give {shape}")
+        try:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("a single array")
+            arrays = dict(data.items())
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise fail("not a checkpoint archive") from exc
+
+    def array(name, shape=None):
+        if name not in arrays:
+            raise fail(f"no {name} array")
+        if shape is not None and arrays[name].shape != shape:
+            raise fail(f"array {name} has shape {arrays[name].shape}; sizes "
+                       f"{sizes} give {shape}")
+        return arrays[name]
+
+    version = int(array("version"))
+    if version != CHECKPOINT_VERSION:
+        raise fail(f"unsupported checkpoint version {version}")
+    sizes = [int(s) for s in array("sizes")]
+    net = QNetwork.__new__(QNetwork)
+    net.sizes = sizes
+    net.weights = [array(f"w{i}", tuple(sizes[i:i + 2]))
+                   for i in range(len(sizes) - 1)]
+    net.biases = [array(f"b{i}", (sizes[i + 1],))
+                  for i in range(len(sizes) - 1)]
     return net

@@ -1,11 +1,11 @@
 """MDP wrapper: observations, the joint action catalog's decoder, interval
 transition.
 
-A MecEnvironment is one realization of the network: its random stream,
-device placement, UAV position and backlogs. A Lockstep steps R
-realizations together: each realization's step() makes its own draws, and
-the stages that act on the backlogs run once per interval on (R, K) arrays.
-Instances are single-threaded.
+A MecEnvironment is one realization's own part of the network: its random
+stream, device placement and UAV position. A Lockstep steps R realizations
+together, one in training: each realization's step() makes its own draws,
+and the stages that act on the backlogs run once per interval on (R, K)
+arrays. Instances are single-threaded.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ STAY = 0
 class IntervalRecord:
     """One interval's values for metrics and replay.
 
-    Per-device values are (K,) arrays, or (R, K) arrays for a Lockstep's R
-    realizations. The reward is computed from them when first read, under
-    the config the record is built with; evaluation never reads it.
+    Per-device values are (R, K) arrays, (K,) in realization(r)'s record.
+    The reward is computed from them when first read, under the config the
+    record is built with; evaluation never reads it.
     """
     interval: int
     uav_pos: ch.Position2D
@@ -86,8 +86,10 @@ def action_catalog(config: SimConfig, index):
     IndexError outside [0, config.catalog_size).
     """
     index = np.asarray(index)
+    if index.size == 0:  # [] gives float64, which take() refuses
+        index = index.astype(np.int64)
     size = config.catalog_size
-    flat = index.ravel().tolist()
+    flat = index.ravel().tolist() or [0]  # an empty batch is in range
     if size > MAX_INDEXED_CATALOG or min(flat) < 0 or max(flat) >= size:
         raise IndexError(f"action index {index} outside catalog of size "
                          f"{size} (int64 indices reach {MAX_INDEXED_CATALOG})")
@@ -133,39 +135,27 @@ def _observation(config: SimConfig, backlog: np.ndarray,
 
 
 class MecEnvironment:
-    """Discrete-interval simulator of the three-tier offloading network.
+    """One realization's own part of the network: its random stream, device
+    placement and UAV position.
 
-    step() makes a transition in two parts. The realization's own part
-    moves the UAV and draws the channel gains and the arrivals from its
-    stream; the channel math stays scalar per device, so that its floats are
-    the same wherever the realization runs. _advance then runs the stages on
-    the backlogs, written for one realization's (3, K) backlog or a
-    Lockstep's (3, R, K) one. A realization inside a Lockstep makes only the
-    first part in step(); the Lockstep runs _advance once for all of its
-    realizations.
+    step(move) moves the UAV and draws the interval's channel gains and
+    arrivals from the stream; the channel math stays scalar per device, so
+    that its floats are the same however many realizations run together.
+    The backlogs and the stages that act on them belong to the Lockstep
+    that steps the realization.
     """
 
     def __init__(self, config: SimConfig, seed=0):
         # Every SimConfig is validated when built: c1 holds because every
         # device sends at p_max, c2-c4 are validate()'s own checks, and c5-c9
-        # hold by the equal CPU shares and the clipped _move, on every step.
+        # hold by the equal CPU shares and step()'s clipped move.
         self.config = config
         self._step_len = config.v_max * config.tau
-        # Per-device CPU of the local, UAV and cloud tiers, one row each, and
-        # the work per bit of their compute and of the uplink, whose
-        # capacity is the interval's rate.
-        self._tier_cpus = np.array([[config.local_cpu_max],
-                                    [config.uav_cpu_per_device],
-                                    [config.cloud_cpu_per_device]])
-        self._work_per_bit = np.array([[config.cycles_per_bit]] * 3 + [[1.0]])
         self.reset(seed)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def reset(self, seed) -> np.ndarray:
+    def reset(self, seed) -> None:
         cfg = self.config
         self.rng = np.random.default_rng(seed)
-        self.n = 0
         self.device_positions = [
             ch.Position2D(self.rng.uniform(0.0, cfg.area_size),
                           self.rng.uniform(0.0, cfg.area_size))
@@ -173,60 +163,32 @@ class MecEnvironment:
         self.uav_pos = ch.Position2D(*cfg.area_center)
         # The devices' slant ranges, which step() keeps with the position.
         self._ranges = self._slant_ranges()
-        # Local, UAV and cloud backlog of each device, one row per tier.
-        self.backlog = np.zeros((3, cfg.num_devices))
-        self.acc = obj.PdeAccumulator(cfg.num_devices)
-        return self.observe()
 
     def observe(self) -> np.ndarray:
-        """The realization's backlog levels, as _observation gives them."""
-        return _observation(self.config, self.backlog, self.uav_pos)
-
-    @property
-    def done(self) -> bool:
-        return self.n >= self.config.n_intervals
-
-    def terminal_distance(self) -> float:
-        """Distance from the current UAV position to the start waypoint."""
-        return self.uav_pos.displacement(ch.Position2D(*self.config.area_center))
-
-    # -- transition --------------------------------------------------------
-
-    def _move(self, pos: ch.Position2D, move: int) -> ch.Position2D:
-        """Position one interval's move away from pos, clipped to the area."""
-        size = self.config.area_size
-        dx, dy = MOVES[move]
-        return ch.Position2D(
-            min(size, max(0.0, pos.x + dx * self._step_len)),
-            min(size, max(0.0, pos.y + dy * self._step_len)))
+        """The realization's own part of an observation: its UAV position
+        over the area size, (2,), under include_uav_position, else (0,)."""
+        pos = [self.uav_pos.x, self.uav_pos.y]
+        return np.array(pos if self.config.include_uav_position else [],
+                        dtype=float) / self.config.area_size
 
     def _slant_ranges(self) -> list:
         """Slant range from the UAV's position to each device."""
         return [ch.distance(self.uav_pos, dev, self.config.altitude)
                 for dev in self.device_positions]
 
-    def step(self, fractions, move):
-        """Advance one interval and return its record; observe() gives the
-        next observation.
-
-        fractions holds the (4, K) fraction rows, in [0, 1], as
-        action_catalog and the fixed baselines give them; step does not
-        check them. A move outside range(len(MOVES)) raises IndexError
-        before anything moves or draws. Without fractions (None), as a
-        Lockstep steps its realizations, return only the channel gains (a
-        list) and arrivals, for the Lockstep to advance the backlogs.
-        """
+    def step(self, move: int):
+        """Move the UAV by move, an int in range(len(MOVES)) that
+        Lockstep.step has checked, then draw the interval's channel gains (a
+        list) and arrivals."""
         cfg = self.config
-        if self.done:
-            raise RuntimeError("step() called on a finished episode")
-        if not 0 <= move < len(MOVES):
-            raise IndexError(f"UAV move {move} outside range({len(MOVES)})")
-
         # (1) UAV motion, clipped to the service area. A stay would give
         # the same position back, so it keeps the position and the slant
         # ranges.
         if move != STAY:
-            self.uav_pos = self._move(self.uav_pos, move)
+            pos, (dx, dy) = self.uav_pos, MOVES[move]
+            self.uav_pos = ch.Position2D(
+                min(cfg.area_size, max(0.0, pos.x + dx * self._step_len)),
+                min(cfg.area_size, max(0.0, pos.y + dy * self._step_len)))
             self._ranges = self._slant_ranges()
 
         # (2) fresh block-fading channels, then the interval's arrivals for
@@ -238,30 +200,90 @@ class MecEnvironment:
                    else self.rng.standard_normal(2 * k).tolist())
         gains = [ch.channel_gain(d, cfg, re, im) for d, re, im
                  in zip(self._ranges, normals[::2], normals[1::2])]
-        arrivals = qs.draw_arrival(self.rng, cfg.i_max, k)
-        if fractions is None:
-            self.n += 1
-            return gains, arrivals
+        return gains, qs.draw_arrival(self.rng, cfg.i_max, k)
 
-        record = self._advance(self, fractions, np.array(gains), arrivals)
+
+class Lockstep:
+    """R realizations of a config, stepped together; training steps one.
+
+    Each realization is a MecEnvironment built from its own seed, which
+    makes its own draws. The backlog is a (3, R, K) array, on which the
+    stages run once per interval for all realizations; actions and rewards
+    gain a leading (R,) axis, and observe() gives one row per realization.
+    """
+
+    def __init__(self, config: SimConfig, seeds):
+        self.envs = [MecEnvironment(config, seed) for seed in seeds]
+        if not self.envs:
+            raise ValueError("a Lockstep needs at least one seed")
+        self.config = config
+        shape = self._shape = (len(self.envs), config.num_devices)
+        # Per-device CPU of the local, UAV and cloud tiers, one row each, and
+        # the work per bit of their compute and of the uplink, whose
+        # capacity is the interval's rate.
+        self._tier_cpus = np.array([[config.local_cpu_max],
+                                    [config.uav_cpu_per_device],
+                                    [config.cloud_cpu_per_device]])
+        self._work_per_bit = np.array([[config.cycles_per_bit]] * 3 + [[1.0]])
+        self.n = 0
+        self.uav_pos = ch.Position2D(np.full(shape[0], config.area_center[0]),
+                                     np.full(shape[0], config.area_center[1]))
+        self.backlog = np.zeros((3,) + shape)
+        self.acc = obj.PdeAccumulator(shape)
+
+    @property
+    def done(self) -> bool:
+        return self.n >= self.config.n_intervals
+
+    def observe(self) -> np.ndarray:
+        """One row of backlog levels per realization."""
+        return _observation(self.config, self.backlog, self.uav_pos)
+
+    def terminal_distance(self) -> list:
+        """Each realization's distance from its UAV to the start waypoint."""
+        start = ch.Position2D(*self.config.area_center)
+        return [env.uav_pos.displacement(start) for env in self.envs]
+
+    def step(self, fractions, moves) -> IntervalRecord:
+        """Advance every realization one interval under (4, R, K) fraction
+        rows, in [0, 1] and unchecked, and (R,) integer moves, and return
+        the interval's record; observe() gives the next observation. A
+        finished episode raises RuntimeError, a wrong shape ValueError and a
+        move that is not an int in range(len(MOVES)) IndexError, before any
+        realization moves or draws."""
+        if self.done:
+            raise RuntimeError("step() called on a finished episode")
+        if np.shape(fractions) != (4,) + self._shape or \
+                np.shape(moves) != self._shape[:1]:
+            raise ValueError(f"expected fraction rows and moves of shape "
+                             f"{(4,) + self._shape} and {self._shape[:1]}")
+        listed = np.asarray(moves).tolist()
+        if not all(type(m) is int and 0 <= m < len(MOVES) for m in listed):
+            raise IndexError(f"UAV moves {listed} are not integers in "
+                             f"range({len(MOVES)})")
+        gains, arrivals = map(np.array, zip(*[
+            env.step(move) for env, move in zip(self.envs, listed)]))
+        # A stay keeps a realization's position, so the batch's positions
+        # change only when some UAV moved.
+        if listed.count(STAY) < len(listed):
+            self.uav_pos = ch.Position2D(
+                np.array([env.uav_pos.x for env in self.envs]),
+                np.array([env.uav_pos.y for env in self.envs]))
+        record = self._advance(fractions, gains, arrivals)
         self.n += 1
         return record
 
-    def _advance(self, state, fractions, gains: np.ndarray,
+    def _advance(self, fractions, gains: np.ndarray,
                  arrivals: np.ndarray) -> IntervalRecord:
-        """Stages (3)-(8) of state's interval on its backlog.
-
-        state is this environment, or a Lockstep of realizations sharing its
-        config; its backlog and accumulators move on by one interval. Per
-        device arrays are (K,) for one realization with (4, K) fraction
-        rows, or (R, K) for R realizations with (4, R, K) rows.
-        """
+        """Stages (3)-(8) of the interval on the backlog, which moves on by
+        one interval with the accumulator. Per-device arrays are (R, K),
+        the fraction rows (4, R, K)."""
         cfg = self.config
-        backlog = state.backlog
+        backlog = self.backlog
 
         # (3) SINR, and the rates, whose scalar math runs per device. The
         # rates fill the last of (5)'s capacity rows, under the three tiers'
-        # CPUs, with one column per device (and realization).
+        # CPUs, with one column per realization and device.
         sinrs = phy.sinr(gains, cfg.p_max, cfg.noise_power)
         capacity = np.empty((4, sinrs.size))
         capacity[:3] = self._tier_cpus
@@ -295,73 +317,16 @@ class MecEnvironment:
 
         # (6) the accumulator state up to interval n-1, for the reward the
         # record computes when read.
-        hist_pde = state.acc.device_pde()
+        hist_pde = self.acc.device_pde()
         b_tot = obj.processed_total(splits.b_local, splits.b_uav,
                                     splits.b_cloud)
 
         # (7) queue updates with the drawn arrivals, (8) accumulators.
-        state.backlog = qs.step_queues(backlog, amounts, arrivals)
-        state.acc.record_interval(b_tot, t_comm)
+        self.backlog = qs.step_queues(backlog, amounts, arrivals)
+        self.acc.record_interval(b_tot, t_comm)
 
         return IntervalRecord(
-            interval=state.n, uav_pos=state.uav_pos, queues_before=queues,
+            interval=self.n, uav_pos=self.uav_pos, queues_before=queues,
             splits=splits, power_gains=gains, sinrs=sinrs, rates=rates,
             delays=delays, t_comm=t_comm, b_tot=b_tot, eta=met.astype(int),
             hist_pde=hist_pde, arrivals=arrivals, config=cfg)
-
-
-class Lockstep:
-    """R realizations of a config, stepped together.
-
-    Each realization is a MecEnvironment built from its own seed. The backlog
-    is a (3, R, K) array; actions and rewards gain a leading (R,) axis, and
-    observe() gives one row per realization.
-    """
-
-    def __init__(self, config: SimConfig, seeds):
-        self.envs = [MecEnvironment(config, seed) for seed in seeds]
-        if not self.envs:
-            raise ValueError("a Lockstep needs at least one seed")
-        cfg = self.config = self.envs[0].config
-        shape = self._shape = (len(self.envs), cfg.num_devices)
-        self.n = 0
-        self.uav_pos = ch.Position2D(np.full(shape[0], cfg.area_center[0]),
-                                     np.full(shape[0], cfg.area_center[1]))
-        self.backlog = np.zeros((3,) + shape)
-        self.acc = obj.PdeAccumulator(shape)
-
-    @property
-    def done(self) -> bool:
-        return self.n >= self.config.n_intervals
-
-    def observe(self) -> np.ndarray:
-        """One row of backlog levels per realization."""
-        return _observation(self.config, self.backlog, self.uav_pos)
-
-    def terminal_distance(self) -> list:
-        return [env.terminal_distance() for env in self.envs]
-
-    def step(self, fractions, moves) -> IntervalRecord:
-        """Advance every realization one interval under (4, R, K) fraction
-        rows and (R,) moves, and return the interval's record; observe()
-        gives the next observation. A wrong shape raises ValueError and a
-        move outside range(len(MOVES)) IndexError, before any realization
-        steps."""
-        if np.shape(fractions) != (4,) + self._shape or \
-                np.shape(moves) != self._shape[:1]:
-            raise ValueError(f"expected fraction rows and moves of shape "
-                             f"{(4,) + self._shape} and {self._shape[:1]}")
-        moves = np.asarray(moves).tolist()
-        if min(moves) < 0 or max(moves) >= len(MOVES):
-            raise IndexError(f"UAV moves {moves} outside range({len(MOVES)})")
-        gains, arrivals = map(np.array, zip(*[
-            env.step(None, move) for env, move in zip(self.envs, moves)]))
-        # A stay keeps a realization's position, so the batch's positions
-        # change only when some UAV moved.
-        if moves.count(STAY) < len(moves):
-            self.uav_pos = ch.Position2D(
-                np.array([env.uav_pos.x for env in self.envs]),
-                np.array([env.uav_pos.y for env in self.envs]))
-        record = self.envs[0]._advance(self, fractions, gains, arrivals)
-        self.n += 1
-        return record

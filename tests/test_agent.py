@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from uavmec import agent, environment, harness
-from uavmec.agent import (QNetwork, ReplayBuffer, baseline_action,
-                          forward, load_checkpoint,
+from uavmec.agent import (CheckpointError, QNetwork, ReplayBuffer,
+                          baseline_action, forward, load_checkpoint,
                           make_policy, normalize_observation, save_checkpoint,
                           select_action, sync_target, target_max_q, td_loss,
                           train, train_step)
@@ -758,4 +758,53 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             np.savez(fh, **data)
         with pytest.raises(ValueError, match=f"array {name} has shape"):
+            load_checkpoint(str(path))
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path,
+                                                 monkeypatch):
+        # the archive goes to a temporary file beside the target, which an
+        # interruption removes; the target keeps its last complete archive
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_net(0), str(path))
+        savez = np.savez
+
+        def interrupted(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise KeyboardInterrupt
+        monkeypatch.setattr(np, "savez", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(tiny_net(1), str(path))
+        monkeypatch.setattr(np, "savez", savez)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        loaded = load_checkpoint(str(path))
+        for p, q in zip(tiny_net(0).parameters(), loaded.parameters()):
+            assert np.array_equal(p, q)
+
+    @pytest.mark.parametrize("content", ["text", "empty", "truncated",
+                                         "one array"])
+    def test_not_an_archive(self, tmp_path, content):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_net(), str(path))
+        whole = path.read_bytes()
+        if content == "one array":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            path.write_bytes({"text": b"not a checkpoint\n", "empty": b"",
+                              "truncated": whole[:len(whole) // 2]}[content])
+        with pytest.raises(CheckpointError,
+                           match="model.ckpt: not a checkpoint archive"):
+            load_checkpoint(str(path))
+        assert issubclass(CheckpointError, ValueError)
+
+    @pytest.mark.parametrize("name", ["version", "sizes", "w1", "b0"])
+    def test_missing_array(self, tmp_path, name):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_net(), str(path))
+        data = dict(np.load(path))
+        del data[name]
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        with pytest.raises(CheckpointError,
+                           match=f"model.ckpt: no {name} array"):
             load_checkpoint(str(path))

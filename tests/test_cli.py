@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uavmec import agent as ag
+from uavmec import harness
 from uavmec.cli import main
 from uavmec.config import load_config
 from uavmec.environment import IntervalRecord
@@ -14,6 +15,28 @@ FAST = [
     "--override", "buffer_capacity=100",
     "--override", "eval_realizations=2",
 ]
+
+
+def bad_checkpoint(out_dir, kind, *extra):
+    """A file that load_checkpoint rejects, at the checkpoint path of the
+    FAST config with extra overrides: not an archive, or an archive
+    without its sizes. Returns the path."""
+    pairs = (FAST + list(extra))[1::2]
+    config = load_config(None, dict(pair.split("=", 1) for pair in pairs))
+    path = harness.checkpoint_path(str(out_dir), config, 0)
+    out_dir.mkdir(exist_ok=True)
+    with open(path, "wb") as fh:
+        if kind == "not an archive":
+            fh.write(b"not a checkpoint\n")
+        else:
+            np.savez(fh, version=np.array(ag.CHECKPOINT_VERSION))
+    return path
+
+
+def one_error_line(capsys, path):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: checkpoint ")
+    assert path in err[0]
 
 
 class TestTrain:
@@ -93,6 +116,13 @@ class TestEval:
         assert rc == 1
         assert "no checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["not an archive", "no sizes"])
+    def test_dqn_with_a_bad_checkpoint_fails(self, tmp_path, capsys, kind):
+        path = bad_checkpoint(tmp_path, kind)
+        rc = main(["eval", "--policy", "dqn", "--out", str(tmp_path)] + FAST)
+        assert rc == 1
+        one_error_line(capsys, path)
+
     def test_dqn_after_train(self, tmp_path):
         assert main(["train", "--out", str(tmp_path)] + FAST) == 0
         rc = main(["eval", "--policy", "dqn", "--out", str(tmp_path),
@@ -154,6 +184,17 @@ class TestSweep:
         assert rc == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2
+
+    @pytest.mark.parametrize("kind", ["not an archive", "no sizes"])
+    def test_bad_cached_checkpoint_fails(self, tmp_path, capsys, kind):
+        grid = ["--override", "sweep_policies=dqn",
+                "--override", "sweep_i_max=2.5e5",
+                "--override", "sweep_seeds=1"]
+        path = bad_checkpoint(tmp_path, kind, *grid)
+        rc = main(["sweep", "--out", str(tmp_path)] + FAST + grid)
+        assert rc == 1
+        one_error_line(capsys, path)
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_dqn_above_catalog_cap_rejected_before_training(
             self, tmp_path, capsys, monkeypatch):

@@ -47,9 +47,22 @@ def every_entry(config):
     return action_catalog(config, np.arange(config.catalog_size))
 
 
-def step_entry(env, index):
-    """env.step() under catalog entry index."""
-    return env.step(*action_catalog(env.config, index))
+def one(config, seed=0):
+    """A one-realization Lockstep, as training steps."""
+    return Lockstep(config, [seed])
+
+
+def step_entry(batch, index):
+    """One interval of a one-realization Lockstep under catalog entry index:
+    the realization's record, of (K,) arrays."""
+    return batch.step(*action_catalog(batch.config, [index])).realization(0)
+
+
+def untouched(batch, seeds):
+    """No realization of batch has drawn from its stream."""
+    return [e.rng.bit_generator.state for e in batch.envs] == \
+        [MecEnvironment(batch.config, s).rng.bit_generator.state
+         for s in seeds]
 
 
 def small_config(**kw):
@@ -144,6 +157,15 @@ class TestActionCatalog:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
+    def test_no_index(self):
+        # an empty batch of indices decodes to empty rows, not a bounds error
+        fractions, moves = action_catalog(SimConfig(num_devices=2), [])
+        assert fractions.shape == (4, 0, 2) and moves.shape == (0,)
+        assert moves.dtype == np.int64
+        fractions, moves = action_catalog(small_config(),
+                                          np.zeros(0, np.int64))
+        assert fractions.shape == (4, 0, 1) and moves.shape == (0,)
+
     def test_move_tables_consistent(self):
         assert len(MOVES) == 5
         assert MOVES[STAY] == (0.0, 0.0)
@@ -156,40 +178,44 @@ class TestObservation:
             SimConfig(num_devices=2, include_uav_position=True)) == 8
 
     def test_reset_gives_zero_levels(self):
-        env = MecEnvironment(small_config(), seed=0)
-        assert env.observe().tolist() == [0.0, 0.0, 0.0]
+        env = one(small_config())
+        assert env.observe().tolist() == [[0.0, 0.0, 0.0]]
 
     def test_discretization(self):
-        env = MecEnvironment(small_config(), seed=0)
+        env = one(small_config())
         cap = env.config.queue_cap
-        env.backlog = np.array([[0.0], [0.55 * cap], [2.0 * cap]])
-        assert env.observe().tolist() == [0.0, 5.0, 9.0]
+        env.backlog[:, 0] = [[0.0], [0.55 * cap], [2.0 * cap]]
+        assert env.observe()[0].tolist() == [0.0, 5.0, 9.0]
 
     def test_device_major_order(self):
-        env = MecEnvironment(SimConfig(num_devices=2), seed=0)
+        env = one(SimConfig(num_devices=2))
         cap = env.config.queue_cap
-        env.backlog = np.array([[0.05 * cap, 0.0],
-                                [0.15 * cap, 0.95 * cap],
-                                [0.25 * cap, 0.35 * cap]])
-        assert env.observe().tolist() == [0.0, 1.0, 2.0, 0.0, 9.0, 3.0]
+        env.backlog[:, 0] = [[0.05 * cap, 0.0],
+                             [0.15 * cap, 0.95 * cap],
+                             [0.25 * cap, 0.35 * cap]]
+        assert env.observe()[0].tolist() == [0.0, 1.0, 2.0, 0.0, 9.0, 3.0]
 
     def test_zero_cap_puts_any_backlog_on_top(self):
-        env = MecEnvironment(small_config(i_max=0.0), seed=0)
-        env.backlog = np.array([[0.0], [1.0], [5e9]])
-        assert env.observe().tolist() == [0.0, 9.0, 9.0]
+        env = one(small_config(i_max=0.0))
+        env.backlog[:, 0] = [[0.0], [1.0], [5e9]]
+        assert env.observe()[0].tolist() == [0.0, 9.0, 9.0]
 
     def test_uav_position_suffix(self):
-        env = MecEnvironment(small_config(include_uav_position=True), seed=0)
-        obs = env.observe()
+        # a realization's own observe() gives the suffix alone
+        env = one(small_config(include_uav_position=True))
+        obs = env.observe()[0]
         assert obs.shape == (5,)
         assert obs[3:].tolist() == [0.5, 0.5]
+        assert env.envs[0].observe().tolist() == [0.5, 0.5]
+        assert one(small_config()).envs[0].observe().shape == (0,)
 
 
 class TestReset:
     def test_initial_state(self):
         cfg = small_config()
-        env = MecEnvironment(cfg, seed=1)
-        assert env.n == 0 and not env.done
+        batch = one(cfg, seed=1)
+        env = batch.envs[0]
+        assert batch.n == 0 and not batch.done
         assert (env.uav_pos.x, env.uav_pos.y) == cfg.area_center
         for dev in env.device_positions:
             assert 0.0 <= dev.x <= cfg.area_size
@@ -236,7 +262,7 @@ class TestConstraintsAtConstruction:
             MecEnvironment(small_config(**overrides))
 
     def test_step_does_not_recheck(self, monkeypatch):
-        env = MecEnvironment(small_config(), seed=0)
+        env = one(small_config())
 
         def fail(*args, **kwargs):
             raise AssertionError("check_feasibility called by step()")
@@ -257,17 +283,17 @@ class TestConstraintsOnEveryStep:
         SimConfig(n_intervals=40, p_max=0.05),
     ])
     def test_validated_config_meets_c1_to_c9(self, cfg):
-        env = MecEnvironment(cfg.validate(), seed=4)
+        env = one(cfg.validate(), seed=4)
         rng = np.random.default_rng(8)
         # the fixed powers and CPU shares step() applies to every device
         cpu_local, cpu_uav, cpu_cloud = np.broadcast_to(
             env._tier_cpus, (3, cfg.num_devices))
         while not env.done:
             fractions, move = action_catalog(
-                cfg, rng.integers(0, cfg.catalog_size))
-            prev = env.uav_pos
-            rec = env.step(fractions, move)
-            rows = fractions.T   # x_uav, x_cloud, w_uav, w_cloud
+                cfg, [rng.integers(0, cfg.catalog_size)])
+            prev = env.envs[0].uav_pos
+            rec = env.step(fractions, move).realization(0)
+            rows = fractions[:, 0].T   # x_uav, x_cloud, w_uav, w_cloud
             report = obj.check_feasibility(
                 fractions=np.insert(rows, 2, cfg.w_local, axis=1),
                 tx_powers=np.full(cfg.num_devices, cfg.p_max),
@@ -283,14 +309,14 @@ class TestConstraintsOnEveryStep:
 
 class TestStepContracts:
     def test_zero_arrivals_stay_empty(self):
-        env = MecEnvironment(small_config(i_max=0.0), seed=0)
+        env = one(small_config(i_max=0.0))
         rec = step_entry(env, 0)
         assert rec.reward_per_device.tolist() == [0.0]
-        assert env.backlog.tolist() == [[0.0], [0.0], [0.0]]
+        assert env.backlog[:, 0].tolist() == [[0.0], [0.0], [0.0]]
         assert rec.b_tot.tolist() == [0.0]
 
     def test_episode_termination(self):
-        env = MecEnvironment(small_config(), seed=0)
+        env = one(small_config())
         for i in range(5):
             step_entry(env, 0)
             assert env.done == (i == 4)
@@ -300,7 +326,7 @@ class TestStepContracts:
 
     def test_bad_action_index(self):
         # the decoder checks the range; step() takes values
-        env = MecEnvironment(small_config(), seed=0)
+        env = one(small_config())
         with pytest.raises(IndexError):
             step_entry(env, 80)
         with pytest.raises(IndexError):
@@ -310,35 +336,36 @@ class TestStepContracts:
     @pytest.mark.parametrize("move", [-1, len(MOVES)])
     def test_bad_move(self, move):
         # a negative move must not wrap around to the last one
-        env = MecEnvironment(small_config(), seed=0)
-        fractions = action_catalog(env.config, 0)[0]
-        pos = env.uav_pos
+        env = one(small_config())
+        fractions = action_catalog(env.config, [0])[0]
+        pos = env.envs[0].uav_pos
         with pytest.raises(IndexError, match="move"):
-            env.step(fractions, move)
-        assert env.n == 0 and env.uav_pos == pos
-        assert env.rng.random() == MecEnvironment(env.config,
-                                                  seed=0).rng.random()
+            env.step(fractions, [move])
+        assert env.n == 0 and env.envs[0].uav_pos == pos
+        assert untouched(env, [0])
 
     def test_uav_moves_and_clips(self):
         cfg = small_config(n_intervals=100)
-        env = MecEnvironment(cfg, seed=0)
+        batch = one(cfg)
+        env = batch.envs[0]
         start = env.uav_pos
-        step_entry(env, 1)  # +x
+        step_entry(batch, 1)  # +x
         assert env.uav_pos.x == pytest.approx(start.x + cfg.v_max * cfg.tau)
         assert env.uav_pos.y == start.y
         rng = np.random.default_rng(0)
-        while not env.done:
-            step_entry(env, rng.integers(0, cfg.catalog_size))
+        while not batch.done:
+            step_entry(batch, rng.integers(0, cfg.catalog_size))
             assert 0.0 <= env.uav_pos.x <= cfg.area_size
             assert 0.0 <= env.uav_pos.y <= cfg.area_size
 
     def test_speed_constraint_always_met(self):
         cfg = small_config(n_intervals=50)
-        env = MecEnvironment(cfg, seed=3)
+        batch = one(cfg, seed=3)
+        env = batch.envs[0]
         rng = np.random.default_rng(1)
-        while not env.done:
+        while not batch.done:
             prev = env.uav_pos
-            step_entry(env, rng.integers(0, cfg.catalog_size))
+            step_entry(batch, rng.integers(0, cfg.catalog_size))
             # c7 (speed) and c9 (area), measured on the move itself
             assert prev.displacement(env.uav_pos) <= (
                 cfg.v_max * cfg.tau * (1 + 1e-12))
@@ -348,24 +375,25 @@ class TestStepContracts:
     def test_stay_keeps_the_position(self):
         env = MecEnvironment(small_config(), seed=1)
         batch = Lockstep(small_config(), [1, 2])
-        pos, batch_pos = env.uav_pos, batch.uav_pos
-        env.step(*action_catalog(env.config, STAY))
+        pos, ranges, batch_pos = env.uav_pos, env._ranges, batch.uav_pos
+        env.step(STAY)
         batch.step(*action_catalog(env.config, [STAY, STAY]))
-        assert env.uav_pos is pos and batch.uav_pos is batch_pos
+        assert env.uav_pos is pos and env._ranges is ranges
+        assert batch.uav_pos is batch_pos
         batch.step(*action_catalog(env.config, [STAY, 1]))
         assert batch.uav_pos.x.tolist() == [
             e.uav_pos.x for e in batch.envs] != list(batch_pos.x)
 
     def test_terminal_distance(self):
-        env = MecEnvironment(small_config(), seed=0)
-        assert env.terminal_distance() == 0.0
+        env = one(small_config())
+        assert env.terminal_distance() == [0.0]
         step_entry(env, 1)
-        assert env.terminal_distance() == pytest.approx(30.0)
+        assert env.terminal_distance() == [pytest.approx(30.0)]
 
 
 class TestStepPhysics:
     def test_reward_recomputable_from_record(self):
-        env = MecEnvironment(SimConfig(num_devices=2, n_intervals=20), seed=5)
+        env = one(SimConfig(num_devices=2, n_intervals=20), seed=5)
         rng = np.random.default_rng(2)
         while not env.done:
             rec = step_entry(env, rng.integers(0, env.config.catalog_size))
@@ -381,33 +409,36 @@ class TestStepPhysics:
         # replay the episode's queue dynamics outside the environment using
         # only the recorded arrivals and the chosen fraction tuples
         cfg = SimConfig(num_devices=2, n_intervals=30)
-        env = MecEnvironment(cfg, seed=9)
+        env = one(cfg, seed=9)
         rng = np.random.default_rng(4)
         shadow = [QueueTriple(0.0, 0.0, 0.0) for _ in range(2)]
         while not env.done:
             fractions, move = action_catalog(
-                cfg, rng.integers(0, cfg.catalog_size))
-            rec = env.step(fractions, move)
+                cfg, [rng.integers(0, cfg.catalog_size)])
+            rec = env.step(fractions, move).realization(0)
             for k in range(2):
                 assert device(rec.queues_before, k) == shadow[k]
-                xu, xc, wu, wc = fractions[:, k].tolist()
+                xu, xc, wu, wc = fractions[:, 0, k].tolist()
                 s = compute_splits(shadow[k], xu, xc, cfg.w_local, wu, wc)
                 shadow[k] = QueueTriple(*step_queues(
                     np.array(dataclasses.astuple(shadow[k])), split_stack(s),
                     float(rec.arrivals[k])).tolist())
-            assert [QueueTriple(*tiers) for tiers in env.backlog.T.tolist()] \
-                == shadow
+            assert [QueueTriple(*tiers)
+                    for tiers in env.backlog[:, 0].T.tolist()] == shadow
 
     def test_record_holds_device_arrays(self):
-        env = MecEnvironment(SimConfig(num_devices=2, n_intervals=5), seed=1)
-        rec = step_entry(env, 7)
-        for container in (rec.queues_before, rec.splits, rec.delays):
-            for f in dataclasses.fields(container):
-                assert getattr(container, f.name).shape == (2,)
-        for name in ("power_gains", "sinrs", "rates", "t_comm", "b_tot",
-                     "eta", "hist_pde", "reward_per_device", "arrivals"):
-            assert getattr(rec, name).shape == (2,)
-        assert comp.total_task_delay(rec.delays).shape == (2,)
+        # (R, K) arrays in the Lockstep's record, (K,) in a realization's
+        env = one(SimConfig(num_devices=2, n_intervals=5), seed=1)
+        batch_rec = env.step(*action_catalog(env.config, [7]))
+        for rec, shape in ((batch_rec, (1, 2)),
+                           (batch_rec.realization(0), (2,))):
+            for container in (rec.queues_before, rec.splits, rec.delays):
+                for f in dataclasses.fields(container):
+                    assert getattr(container, f.name).shape == shape
+            for name in ("power_gains", "sinrs", "rates", "t_comm", "b_tot",
+                         "eta", "hist_pde", "reward_per_device", "arrivals"):
+                assert getattr(rec, name).shape == shape
+            assert comp.total_task_delay(rec.delays).shape == shape
 
     def test_fraction_table_matches_catalog(self):
         # the decoder against the nested enumeration it encodes: every
@@ -426,9 +457,10 @@ class TestStepPhysics:
     def test_fractions_outside_levels(self):
         # step() takes any fraction values, not only the catalog's levels
         cfg = small_config(frac_levels=(0.3, 0.6))
-        env = MecEnvironment(cfg, seed=2)
-        env.backlog = np.array([[1000.0], [1000.0], [1000.0]])
-        rec = env.step(np.array([[0.5], [0.0], [0.25], [1.0]]), STAY)
+        env = one(cfg, seed=2)
+        env.backlog[:, 0] = [[1000.0], [1000.0], [1000.0]]
+        rec = env.step(np.array([[[0.5]], [[0.0]], [[0.25]], [[1.0]]]),
+                       [STAY]).realization(0)
         assert rec.splits.d_uav.tolist() == [500.0]
         assert rec.splits.b_local.tolist() == [cfg.w_local * 500.0]
         assert rec.splits.d_cloud.tolist() == [0.0]
@@ -457,7 +489,7 @@ class TestStepPhysics:
 
     def test_one_compute_splits_call_per_step(self, monkeypatch):
         # the step runs the split law that criteria 1 and 2 check, once per
-        # interval for one realization or for a Lockstep's R of them
+        # interval for a Lockstep's R realizations, one as in training
         calls = []
 
         def spy(queues, *fractions):
@@ -466,22 +498,21 @@ class TestStepPhysics:
 
         monkeypatch.setattr(qs, "compute_splits", spy)
         cfg = small_config(num_devices=2)
-        step_entry(MecEnvironment(cfg, seed=1), 0)
+        step_entry(one(cfg, seed=1), 0)
         Lockstep(cfg, range(3)).step(*action_catalog(cfg, np.zeros(3, int)))
-        assert calls == [(2,), (3, 2)]
+        assert calls == [(1, 2), (3, 2)]
 
     @pytest.mark.parametrize("realizations", [None, 2])
     def test_one_delay_pass_matches_separate_calls(self, realizations):
         # the compute delays and the uplink delay come from one comp_delay
         # pass: each equals its own call bit for bit. Device 0 has nothing
         # to do, devices 1 and 2 a zero rate, with and without uplink traffic.
+        # None is the one realization of training.
         cfg = SimConfig(num_devices=4, n_intervals=5)
-        shape = (4,) if realizations is None else (realizations, 4)
-        state = (MecEnvironment(cfg, seed=3) if realizations is None
-                 else Lockstep(cfg, range(realizations)))
-        env = state if realizations is None else state.envs[0]
-        state.backlog = np.full((3,) + shape, 1e5)
-        state.backlog[..., 0] = 0.0
+        batch = Lockstep(cfg, range(realizations or 1))
+        shape = batch.backlog.shape[1:]
+        batch.backlog = np.full((3,) + shape, 1e5)
+        batch.backlog[..., 0] = 0.0
         fractions = np.empty((4,) + shape)
         fractions.T[...] = (0.6, 0.3, 0.3, 0.6)
         fractions[0, ..., 2] = 0.0
@@ -489,7 +520,7 @@ class TestStepPhysics:
         gains[..., 1:3] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = env._advance(state, fractions, gains, np.zeros(shape))
+            rec = batch._advance(fractions, gains, np.zeros(shape))
         d, s = rec.delays, rec.splits
         assert np.array_equal(d.t_uplink_comm,
                               phy.uplink_comm_delay(s.d_uav, rec.rates))
@@ -506,7 +537,7 @@ class TestStepPhysics:
 
     def test_rates_follow_shannon(self):
         cfg = small_config()
-        env = MecEnvironment(cfg, seed=11)
+        env = one(cfg, seed=11)
         rec = step_entry(env, 0)
         g = float(rec.power_gains[0])
         want_sinr = cfg.p_max * g / cfg.noise_power
@@ -515,22 +546,21 @@ class TestStepPhysics:
             cfg.bandwidth * np.log2(1.0 + want_sinr), rel=1e-12)
 
     def test_cloud_install_delay_gating(self):
-        env = MecEnvironment(small_config(), seed=2)
-        env.backlog = np.array([[1000.0], [1000.0], [0.0]])
+        env = one(small_config(), seed=2)
+        env.backlog[:, 0] = [[1000.0], [1000.0], [0.0]]
         rec = step_entry(env, 0)  # x_cloud = 0.3 > 0 pays the install delay
         assert rec.delays.t_cloud_comm[0] == env.config.install_delay
 
     def test_determinism_full_episode(self):
         def run():
-            env = MecEnvironment(SimConfig(num_devices=2, n_intervals=25),
-                                 seed=13)
+            env = one(SimConfig(num_devices=2, n_intervals=25), seed=13)
             rng = np.random.default_rng(6)
             out = []
             while not env.done:
                 rec = step_entry(env, rng.integers(0, env.config.catalog_size))
                 out.append((tuple(rec.reward_per_device),
                             tuple(rec.power_gains), tuple(rec.arrivals),
-                            env.uav_pos))
+                            env.envs[0].uav_pos))
             return out
 
         assert run() == run()
@@ -604,7 +634,7 @@ def assert_same_values(a, b):
 
 
 class TestLockstep:
-    """R realizations stepped together match R single-realization runs."""
+    """R realizations stepped together match R one-realization runs."""
 
     @pytest.mark.parametrize("cfg", [
         SimConfig(num_devices=2, n_intervals=30),
@@ -617,22 +647,22 @@ class TestLockstep:
             0, cfg.catalog_size, size=(cfg.n_intervals, len(seeds)))
         batch = Lockstep(cfg, seeds)
         obs = batch.observe()
-        singles = [MecEnvironment(cfg, seed=s) for s in seeds]
-        assert np.array_equal(obs, [env.observe() for env in singles])
+        singles = [one(cfg, seed=s) for s in seeds]
+        assert np.array_equal(obs, [env.observe()[0] for env in singles])
         for n in range(cfg.n_intervals):
             rec = batch.step(*action_catalog(cfg, actions[n]))
             for r, env in enumerate(singles):
                 u = step_entry(env, actions[n, r])
-                assert np.array_equal(batch.observe()[r], env.observe())
+                assert np.array_equal(batch.observe()[r], env.observe()[0])
                 assert_same_values(rec.realization(r), u)
-                assert np.array_equal(batch.backlog[:, r], env.backlog)
-                assert batch.uav_pos.x[r] == env.uav_pos.x
-                assert batch.uav_pos.y[r] == env.uav_pos.y
+                assert np.array_equal(batch.backlog[:, r], env.backlog[:, 0])
+                assert batch.uav_pos.x[r] == env.uav_pos.x[0]
+                assert batch.uav_pos.y[r] == env.uav_pos.y[0]
             assert batch.done == env.done
-        assert batch.terminal_distance() == [env.terminal_distance()
+        assert batch.terminal_distance() == [env.terminal_distance()[0]
                                              for env in singles]
         assert [e.device_positions for e in batch.envs] == \
-            [env.device_positions for env in singles]
+            [env.envs[0].device_positions for env in singles]
 
     def test_one_action_per_realization(self):
         cfg = small_config()
@@ -646,7 +676,7 @@ class TestLockstep:
             env.step(fractions[:, 0], 0)
         with pytest.raises(IndexError):
             action_catalog(cfg, [0, 80])
-        assert env.n == 0 and [e.n for e in env.envs] == [0, 0]
+        assert env.n == 0 and untouched(env, [1, 2])
         assert env.step(fractions, moves).reward_per_device.shape == (2, 1)
 
     def test_fixed_policy_record(self):
@@ -655,7 +685,7 @@ class TestLockstep:
         cfg = SimConfig(num_devices=3, n_intervals=4)
         fractions, moves = fixed_action("cloud_heavy", (2, 3))
         batch = Lockstep(cfg, [5, 6])
-        singles = [MecEnvironment(cfg, seed=s) for s in (5, 6)]
+        singles = [one(cfg, seed=s) for s in (5, 6)]
         while not batch.done:
             rec = batch.step(fractions, moves)
             for name in ("power_gains", "sinrs", "rates", "t_comm", "b_tot",
@@ -665,22 +695,23 @@ class TestLockstep:
                 for f in dataclasses.fields(container):
                     assert getattr(container, f.name).shape == (2, 3)
             for r, env in enumerate(singles):
-                u = env.step(*fixed_action("cloud_heavy", (3,)))
-                assert_same_values(rec.realization(r), u)
+                u = env.step(*fixed_action("cloud_heavy", (1, 3)))
+                assert_same_values(rec.realization(r), u.realization(0))
 
-    @pytest.mark.parametrize("move", [-1, len(MOVES)])
+    @pytest.mark.parametrize("move", [-1, len(MOVES), 1.0])
     def test_bad_move(self, move):
-        # checked before any realization moves or draws
+        # checked before any realization moves or draws: outside the range,
+        # or not an integer (a float array of whole numbers included)
         cfg = small_config()
         batch = Lockstep(cfg, [1, 2])
         fractions = action_catalog(cfg, [0, 0])[0]
         with pytest.raises(IndexError, match="move"):
             batch.step(fractions, [STAY, move])
-        assert batch.n == 0 and [e.n for e in batch.envs] == [0, 0]
+        with pytest.raises(IndexError, match="move"):
+            batch.step(fractions, np.array([move, STAY], dtype=float))
+        assert batch.n == 0 and untouched(batch, [1, 2])
         assert [(e.uav_pos.x, e.uav_pos.y) for e in batch.envs] == \
             [cfg.area_center] * 2
-        assert [e.rng.random() for e in batch.envs] == \
-            [MecEnvironment(cfg, seed=s).rng.random() for s in (1, 2)]
 
     @pytest.mark.parametrize("seeds", [[], iter(())])
     def test_needs_a_seed(self, seeds):
@@ -691,14 +722,13 @@ class TestLockstep:
         cfg = small_config(n_intervals=3)
         batch = Lockstep(cfg, [7, 8])
         for env, seed in zip(batch.envs, (7, 8)):
-            fresh = MecEnvironment(cfg, seed)
-            assert env.device_positions == fresh.device_positions
-            # without fractions, step() returns the realization's draws
-            gains, arrivals = env.step(None, STAY)
-            record = fresh.step(*action_catalog(cfg, 0))
-            assert gains == record.power_gains.tolist()
-            assert np.array_equal(arrivals, record.arrivals)
-            assert env.n == fresh.n == 1
+            fresh = one(cfg, seed)
+            assert env.device_positions == fresh.envs[0].device_positions
+            # a realization's step() returns its own draws
+            gains, arrivals = env.step(STAY)
+            record = fresh.step(*action_catalog(cfg, [0]))
+            assert gains == record.power_gains[0].tolist()
+            assert np.array_equal(arrivals, record.arrivals[0])
 
 
 # -- reference stepper ------------------------------------------------------
@@ -713,8 +743,8 @@ class TestLockstep:
 # here as plain expressions, so a change to the functions that run them moves
 # only one side; the split law (criteria 1 and 2 check it against their own
 # oracle), the SINR, the rate and the distance are called by name.
-# MecEnvironment and Lockstep, stepped with action_catalog's values, must
-# match it bit for bit.
+# A Lockstep of one realization and one of three, stepped with
+# action_catalog's values, must match it bit for bit.
 
 
 def reference_rician_sample(rng, rice_k):
@@ -916,19 +946,19 @@ class TestMatchesReferenceStepper:
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
     def test_single_realization(self, name):
         cfg = REFERENCE_CONFIGS[name].validate()
-        env, ref = MecEnvironment(cfg, seed=21), ReferenceEnv(cfg, 21)
+        env, ref = one(cfg, seed=21), ReferenceEnv(cfg, 21)
         actions = np.random.default_rng(5).integers(
             0, cfg.catalog_size, cfg.n_intervals)
-        assert np.array_equal(env.observe(), ref.observe())
+        assert np.array_equal(env.observe()[0], ref.observe())
         etas = set()
         for a in actions.tolist():
             rec = step_entry(env, a)
             record, rewards = ref.step(a)
             assert_same_values(rec, record)
             assert np.array_equal(rec.reward_per_device, rewards)
-            assert np.array_equal(env.observe(), ref.observe())
-            assert np.array_equal(env.backlog, stacked(ref.queues))
-            assert env.uav_pos == ref.uav_pos
+            assert np.array_equal(env.observe()[0], ref.observe())
+            assert np.array_equal(env.backlog[:, 0], stacked(ref.queues))
+            assert env.envs[0].uav_pos == ref.uav_pos
             etas.update(record.eta.tolist())
         assert env.done
         if name == "tight_tau":
