@@ -319,11 +319,7 @@ def make_policy(kind: str, config: SimConfig, realizations: int,
     if kind == "dqn":
         if net is None:
             raise ValueError("dqn policy requires a trained network")
-        want = (observation_size(config), config.catalog_size)
-        if (net.input_size, net.output_size) != want:
-            raise ValueError(f"network maps {net.input_size} inputs to "
-                             f"{net.output_size} actions; this config "
-                             f"needs {want[0]} and {want[1]}")
+        check_fit(net, config)
         return Policy(kind, config, net=net, memo={})
     if kind == "random":
         entries = np.random.default_rng(rng).integers(
@@ -331,6 +327,16 @@ def make_policy(kind: str, config: SimConfig, realizations: int,
         return Policy(kind, config, entries=entries)
     return Policy(kind, config, action=fixed_action(
         kind, (realizations, config.num_devices)))
+
+
+def check_fit(net: QNetwork, config: SimConfig) -> None:
+    """ValueError unless net maps config's observations to one value per
+    catalog entry."""
+    want = (observation_size(config), config.catalog_size)
+    if (net.input_size, net.output_size) != want:
+        raise ValueError(f"network maps {net.input_size} inputs to "
+                         f"{net.output_size} actions; this config needs "
+                         f"{want[0]} and {want[1]}")
 
 
 def fixed_action(kind: str, shape: tuple):
@@ -467,13 +473,19 @@ def save_checkpoint(net: QNetwork, path: str) -> None:
 
 def load_checkpoint(path: str) -> QNetwork:
     """The network saved at path. CheckpointError, naming the file, for a
-    file that is not a checkpoint archive, lacks its version, sizes or a
-    layer's arrays, has another version, or has a layer whose arrays do not
-    have the shapes its sizes give."""
+    path that cannot be read as a file, a file that is not a checkpoint
+    archive, lacks its version, sizes or a layer's arrays, has a version
+    that is not an integer scalar or is another version, has sizes that are
+    not a 1-D array of at least two positive integers, or has a layer whose
+    arrays do not have the shapes its sizes give."""
     def fail(reason):
         return CheckpointError(f"checkpoint {path}: {reason}")
 
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise fail(f"cannot be read as a file: {exc.strerror}") from exc
+    with fh:
         try:
             data = np.load(fh)
             if not isinstance(data, np.lib.npyio.NpzFile):
@@ -490,10 +502,17 @@ def load_checkpoint(path: str) -> QNetwork:
                        f"{sizes} give {shape}")
         return arrays[name]
 
-    version = int(array("version"))
+    version = array("version")
+    if version.shape != () or version.dtype.kind not in "iu":
+        raise fail(f"version {version.tolist()!r} is not an integer scalar")
     if version != CHECKPOINT_VERSION:
         raise fail(f"unsupported checkpoint version {version}")
-    sizes = [int(s) for s in array("sizes")]
+    sizes = array("sizes")
+    if sizes.ndim != 1 or sizes.dtype.kind not in "iu" or len(sizes) < 2 \
+            or not np.all(sizes > 0):
+        raise fail(f"sizes {sizes.tolist()} are not a 1-D array of at least "
+                   f"two positive integers")
+    sizes = sizes.tolist()
     net = QNetwork.__new__(QNetwork)
     net.sizes = sizes
     net.weights = [array(f"w{i}", tuple(sizes[i:i + 2]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimConfig, rician_weights
+from .config import SimConfig
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -41,33 +41,35 @@ def large_scale_gain(d: float, config: SimConfig) -> float:
     return config.eta0 * d ** (-config.path_loss_exp)
 
 
-def rician_sample(rng: np.random.Generator, rice_k: float, size=None):
-    """Draw unit-mean-power Rician fading amplitude(s).
-
-    rice_k = 0 degenerates to Rayleigh fading; rice_k = inf to a pure
-    deterministic LoS amplitude of 1.
-    """
+def rician_weights(rice_k: float) -> tuple:
+    """Amplitude weights (LoS, scattered) of unit-mean-power Rician fading
+    with K-factor rice_k; (1, 0) for pure line of sight (rice_k = inf)."""
     if math.isinf(rice_k):
-        return 1.0 + 0j if size is None else np.ones(size, dtype=complex)
-    return _weighted(rng.standard_normal(size), rng.standard_normal(size),
-                     *rician_weights(rice_k))
+        return 1.0, 0.0
+    return math.sqrt(rice_k / (rice_k + 1.0)), math.sqrt(1.0 / (rice_k + 1.0))
 
 
-def _weighted(re, im, los_w, nlos_w):
-    """Rician amplitude from the weights of its LoS and scattered parts;
-    the scattered part is (re + j im) / sqrt(2), for standard normal re and
-    im."""
-    return los_w + nlos_w * ((re + 1j * im) / _SQRT2)
+def rician_sample(rng: np.random.Generator, rice_k: float, size=None):
+    """Draw unit-mean-power Rician fading amplitudes: one Python complex, or
+    a list of size of them.
 
-
-def channel_gain(d: float, config: SimConfig, re: float,
-                 im: float) -> float:
-    """Power gain |h|^2 of one block-fading device-UAV channel realization.
-
-    re and im are the standard normals of its scattered part; a pure LoS
-    channel (rician_k = inf) weighs them by 0, so finite normals leave its
-    amplitude at exactly 1.
+    The scattered part is (re + j im) / sqrt(2), for standard normal re and
+    im drawn in that order, amplitude by amplitude; one draw gives them all,
+    the same values as scalar draws. rice_k = 0 degenerates to Rayleigh
+    fading; rice_k = inf to a pure LoS amplitude of 1, which draws nothing.
     """
-    fading = _weighted(re, im, *config.fading_weights)
-    amp = math.sqrt(large_scale_gain(d, config)) * fading
-    return abs(amp) ** 2
+    n = 1 if size is None else size
+    if math.isinf(rice_k):
+        amps = [1.0 + 0j] * n
+    else:
+        los_w, nlos_w = rician_weights(rice_k)
+        normals = rng.standard_normal(2 * n).tolist()
+        amps = [los_w + nlos_w * ((re + 1j * im) / _SQRT2)
+                for re, im in zip(normals[::2], normals[1::2])]
+    return amps[0] if size is None else amps
+
+
+def channel_gain(d: float, config: SimConfig, fading: complex) -> float:
+    """Power gain |h|^2 of one block-fading device-UAV channel realization
+    with Rician amplitude fading (rician_sample)."""
+    return abs(math.sqrt(large_scale_gain(d, config)) * fading) ** 2

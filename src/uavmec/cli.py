@@ -84,7 +84,7 @@ def cmd_eval(args, config) -> int:
             print(f"error: no checkpoint at {path}; run 'uavmec train' first",
                   file=sys.stderr)
             return 1
-        net = ag.load_checkpoint(path)
+        net = harness.load_network(path, config)
     out = harness.run_eval(args.policy, config, args.seed,
                            config.eval_realizations, net=net,
                            collect_records=args.dump_trajectory)

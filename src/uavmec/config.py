@@ -43,12 +43,19 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def rician_weights(rice_k: float) -> tuple:
-    """Amplitude weights (LoS, scattered) of unit-mean-power Rician fading
-    with K-factor rice_k; (1, 0) for pure line of sight (rice_k = inf)."""
-    if math.isinf(rice_k):
-        return 1.0, 0.0
-    return math.sqrt(rice_k / (rice_k + 1.0)), math.sqrt(1.0 / (rice_k + 1.0))
+# Each field type's name, for one value and for a tuple's items.
+_TYPE_NAMES = {bool: ("a bool", "bools"), int: ("an integer", "integers"),
+               float: ("a number", "numbers"), str: ("a string", "strings")}
+
+
+def _has_type(value, kind: type) -> bool:
+    """Whether value can stand for a field value of type kind: a bool only
+    for a bool, any integer (numpy's too) but a bool for an int, and any
+    real number but a bool for a float."""
+    if kind in (int, float):
+        number = numbers.Integral if kind is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
 @dataclass(frozen=True)
@@ -141,11 +148,6 @@ class SimConfig:
         """Total noise power in W over the configured bandwidth."""
         return dbm_to_watts(self.noise_density_dbm) * self.bandwidth
 
-    @cached_property
-    def fading_weights(self) -> tuple:
-        """The (LoS, scattered) amplitude weights of rician_k's fading."""
-        return rician_weights(self.rician_k)
-
     @property
     def queue_cap(self) -> float:
         return self.q_cap if self.q_cap > 0 else 4.0 * self.i_max
@@ -169,10 +171,21 @@ class SimConfig:
         return len(self.frac_levels) ** (4 * self.num_devices) * len(MOVES)
 
     def validate(self) -> "SimConfig":
+        # Types first, as the defaults give them: a tuple field's items take
+        # the type of its default's items.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            many = isinstance(f.default, tuple)
+            kind = type(f.default[0] if many else f.default)
+            if many:
+                ok = isinstance(value, tuple) and all(
+                    _has_type(v, kind) for v in value)
+            else:
+                ok = _has_type(value, kind)
+            if not ok:
+                name, items = _TYPE_NAMES[kind]
+                what = f"a tuple of {items}" if many else name
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         positive = [
             "num_devices", "area_size", "altitude", "n_intervals", "tau",
             "bandwidth", "p_max", "install_delay", "cycles_per_bit",
@@ -202,8 +215,7 @@ class SimConfig:
             raise ConfigError(
                 f"batch_size {self.batch_size} exceeds buffer_capacity "
                 f"{self.buffer_capacity}; no learning update could run")
-        if not all(isinstance(n, numbers.Integral) and n > 0
-                   for n in self.hidden_sizes):
+        if not all(n > 0 for n in self.hidden_sizes):
             raise ConfigError(f"hidden_sizes must be positive integers, "
                               f"got {self.hidden_sizes}")
         if self.queue_levels < 2:

@@ -11,7 +11,6 @@ arrays. Instances are single-threaded.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -192,14 +191,11 @@ class MecEnvironment:
             self._ranges = self._slant_ranges()
 
         # (2) fresh block-fading channels, then the interval's arrivals for
-        # (7); nothing in between draws from the stream. One draw gives the
-        # 2K normals of the scattered parts, the same values as K pairs of
-        # scalar draws; a pure LoS channel draws none.
+        # (7); nothing in between draws from the stream.
         k = cfg.num_devices
-        normals = ([0.0] * (2 * k) if math.isinf(cfg.rician_k)
-                   else self.rng.standard_normal(2 * k).tolist())
-        gains = [ch.channel_gain(d, cfg, re, im) for d, re, im
-                 in zip(self._ranges, normals[::2], normals[1::2])]
+        fading = ch.rician_sample(self.rng, cfg.rician_k, k)
+        gains = [ch.channel_gain(d, cfg, rho)
+                 for d, rho in zip(self._ranges, fading)]
         return gains, qs.draw_arrival(self.rng, cfg.i_max, k)
 
 

@@ -118,12 +118,24 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     return (row, records) if collect_records else row
 
 
+def load_network(path: str, config: SimConfig) -> ag.QNetwork:
+    """The network checkpointed at path, as config's dqn; CheckpointError,
+    naming the file, for one that load_checkpoint rejects or whose layer
+    sizes do not fit config's observation width and catalog size."""
+    net = ag.load_checkpoint(path)
+    try:
+        ag.check_fit(net, config)
+    except ValueError as exc:
+        raise ag.CheckpointError(f"checkpoint {path}: {exc}") from None
+    return net
+
+
 def _load_or_train(config: SimConfig, seed: int, out_dir: str = None):
     """The network trained at config from seed: its checkpoint under out_dir
     when one exists, else trained now (and saved when out_dir is set)."""
     path = checkpoint_path(out_dir, config, seed) if out_dir is not None else None
     if path is not None and os.path.exists(path):
-        return ag.load_checkpoint(path)
+        return load_network(path, config)
     net = train_dqn(config, seed)
     if path is not None:
         os.makedirs(out_dir, exist_ok=True)

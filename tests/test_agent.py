@@ -808,3 +808,40 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match=f"model.ckpt: no {name} array"):
             load_checkpoint(str(path))
+
+    @staticmethod
+    def rewritten(tmp_path, **changes):
+        """A saved tiny_net's checkpoint path, with arrays replaced."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_net(), str(path))
+        data = dict(np.load(path))
+        data.update(changes)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        return str(path)
+
+    @pytest.mark.parametrize("version", [np.array("x"), np.array([1, 1]),
+                                         np.array(1.0), np.array([1])])
+    def test_version_must_be_an_integer_scalar(self, tmp_path, version):
+        path = self.rewritten(tmp_path, version=version)
+        with pytest.raises(CheckpointError,
+                           match="model.ckpt: version .* not an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("sizes", [[[3, 8, 5]], [3], [], [3, 0, 5],
+                                       [3, -8, 5], [3.0, 8.0, 5.0]])
+    def test_sizes_must_be_two_or_more_positive_integers(self, tmp_path,
+                                                         sizes):
+        # a 2-D sizes used to raise TypeError, and [3] or [] to load a
+        # network without layers
+        path = self.rewritten(tmp_path, sizes=np.array(sizes))
+        with pytest.raises(CheckpointError,
+                           match="model.ckpt: sizes .* not a 1-D array"):
+            load_checkpoint(path)
+
+    def test_a_directory_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.mkdir()
+        with pytest.raises(CheckpointError,
+                           match="model.ckpt: cannot be read as a file"):
+            load_checkpoint(str(path))

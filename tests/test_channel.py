@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uavmec.channel import (Position2D, channel_gain, distance,
-                            large_scale_gain, rician_sample)
+                            large_scale_gain, rician_sample, rician_weights)
 from uavmec.config import SimConfig
 
 PARAMS = SimConfig(eta0_db=-40.0, path_loss_exp=2.0, rician_k=10.0,
@@ -75,22 +75,53 @@ class TestRicianSample:
         b = rician_sample(np.random.default_rng(42), 10.0, size=100)
         assert np.array_equal(a, b)
 
+    def test_sized_draw_equals_scalar_draws_in_order(self):
+        # the environment draws an interval's K amplitudes at once
+        for seed in range(50):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in (1, 2, 3, 7):
+                assert rician_sample(a, 10.0, size=size) == [
+                    rician_sample(b, 10.0) for _ in range(size)]
+            assert a.random() == b.random()
+
+    def test_amplitudes_are_python_complexes(self):
+        rng = np.random.default_rng(3)
+        assert type(rician_sample(rng, 10.0)) is complex
+        assert {type(a) for a in rician_sample(rng, 10.0, size=4)} \
+            == {complex}
+
+    @pytest.mark.parametrize("size", [None, 1, 5])
+    def test_pure_los_draws_nothing(self, size):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        amps = rician_sample(rng, math.inf, size=size)
+        assert amps == (1.0 if size is None else [1.0] * size)
+        assert rng.bit_generator.state == state
+
+    def test_weights(self):
+        assert rician_weights(10.0) == (math.sqrt(10.0 / 11.0),
+                                        math.sqrt(1.0 / 11.0))
+        assert rician_weights(3.0) == (math.sqrt(0.75), math.sqrt(0.25))
+        assert rician_weights(0.0) == (0.0, 1.0)
+        assert rician_weights(math.inf) == (1.0, 0.0)
+
 
 class TestChannelGain:
     def test_los_limit_power(self):
         params = SimConfig(eta0_db=-40.0, path_loss_exp=2.0,
                            rician_k=math.inf, altitude=100.0)
-        assert channel_gain(100.0, params, 0.3, -1.2) == pytest.approx(1e-8)
+        los = rician_sample(np.random.default_rng(0), params.rician_k)
+        assert channel_gain(100.0, params, los) == pytest.approx(1e-8)
 
     def test_mean_power_tracks_path_loss(self):
-        normals = np.random.default_rng(4).standard_normal((100_000, 2))
-        powers = [channel_gain(100.0, PARAMS, re, im)
-                  for re, im in normals.tolist()]
+        fading = rician_sample(np.random.default_rng(4), PARAMS.rician_k,
+                               size=100_000)
+        powers = [channel_gain(100.0, PARAMS, rho) for rho in fading]
         assert 0.99e-8 <= np.mean(powers) <= 1.01e-8
 
 
 def test_one_normal_draw_equals_scalar_draws_in_order():
-    # The environment draws an interval's 2K fading normals at once.
+    # rician_sample draws the 2K normals of K amplitudes at once.
     for seed in range(200):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         for k in (1, 2, 3):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -17,19 +19,32 @@ FAST = [
 ]
 
 
+# Checkpoints that the dqn of the FAST config, which observes 3 levels and
+# has 80 catalog entries, cannot use: files that load_checkpoint rejects, and
+# networks whose layer sizes do not fit the config.
+BAD_CHECKPOINTS = ["not an archive", "no sizes", "a directory",
+                   "6 inputs", "7 outputs"]
+
+
 def bad_checkpoint(out_dir, kind, *extra):
-    """A file that load_checkpoint rejects, at the checkpoint path of the
-    FAST config with extra overrides: not an archive, or an archive
-    without its sizes. Returns the path."""
+    """A bad checkpoint of kind (BAD_CHECKPOINTS) at the checkpoint path of
+    the FAST config with extra overrides. Returns the path."""
     pairs = (FAST + list(extra))[1::2]
     config = load_config(None, dict(pair.split("=", 1) for pair in pairs))
     path = harness.checkpoint_path(str(out_dir), config, 0)
     out_dir.mkdir(exist_ok=True)
-    with open(path, "wb") as fh:
-        if kind == "not an archive":
-            fh.write(b"not a checkpoint\n")
-        else:
-            np.savez(fh, version=np.array(ag.CHECKPOINT_VERSION))
+    if kind == "a directory":
+        os.mkdir(path)
+    elif kind in ("6 inputs", "7 outputs"):
+        ag.save_checkpoint(ag.QNetwork(6 if kind == "6 inputs" else 3, (8,),
+                                       7 if kind == "7 outputs" else 80),
+                           path)
+    else:
+        with open(path, "wb") as fh:
+            if kind == "not an archive":
+                fh.write(b"not a checkpoint\n")
+            else:
+                np.savez(fh, version=np.array(ag.CHECKPOINT_VERSION))
     return path
 
 
@@ -116,7 +131,7 @@ class TestEval:
         assert rc == 1
         assert "no checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["not an archive", "no sizes"])
+    @pytest.mark.parametrize("kind", BAD_CHECKPOINTS)
     def test_dqn_with_a_bad_checkpoint_fails(self, tmp_path, capsys, kind):
         path = bad_checkpoint(tmp_path, kind)
         rc = main(["eval", "--policy", "dqn", "--out", str(tmp_path)] + FAST)
@@ -185,7 +200,7 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2
 
-    @pytest.mark.parametrize("kind", ["not an archive", "no sizes"])
+    @pytest.mark.parametrize("kind", BAD_CHECKPOINTS)
     def test_bad_cached_checkpoint_fails(self, tmp_path, capsys, kind):
         grid = ["--override", "sweep_policies=dqn",
                 "--override", "sweep_i_max=2.5e5",

@@ -48,12 +48,6 @@ class TestDefaults:
     def test_cached_constants_follow_their_fields(self):
         cfg = SimConfig()
         assert dataclasses.replace(cfg, eta0_db=-30.0).eta0 == 1e-3
-        assert cfg.fading_weights == (math.sqrt(10.0 / 11.0),
-                                      math.sqrt(1.0 / 11.0))
-        other = dataclasses.replace(cfg, rician_k=3.0)
-        assert other.fading_weights == (math.sqrt(0.75), math.sqrt(0.25))
-        assert dataclasses.replace(cfg, rician_k=math.inf).fading_weights \
-            == (1.0, 0.0)
         louder = dataclasses.replace(cfg, noise_density_dbm=-170.0)
         assert louder.noise_power == dbm_to_watts(-170.0) * cfg.bandwidth
         assert dataclasses.replace(cfg, frac_levels=(0.0, 0.5, 1.0)
@@ -64,13 +58,12 @@ class TestDefaults:
         # and repr; the cached values are no fields
         fresh, read = SimConfig(), SimConfig()
         key, text = checkpoint_path(".", fresh, 0), repr(fresh)
-        read.eta0, read.noise_power, read.fading_weights, read.catalog_size
+        read.eta0, read.noise_power, read.catalog_size
         assert checkpoint_path(".", read, 0) == key
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(dataclasses.replace(read)) == text
         names = {f.name for f in dataclasses.fields(SimConfig)}
-        assert names.isdisjoint({"eta0", "noise_power", "fading_weights",
-                                 "catalog_size"})
+        assert names.isdisjoint({"eta0", "noise_power", "catalog_size"})
 
     def test_queue_cap_override(self):
         assert SimConfig(q_cap=5e5).queue_cap == 5e5
@@ -133,14 +126,42 @@ class TestValidate:
         {"batch_size": 4.0}, {"buffer_capacity": 16.5},
         {"target_sync_period": 2.5}, {"episodes": 2.0},
         {"eval_realizations": 1.5}, {"sweep_seeds": 3.0},
-        {"max_catalog_size": 1e4},
+        {"max_catalog_size": 1e4}, {"episodes": True},
+        {"num_devices": False}, {"batch_size": np.bool_(True)},
     ])
     def test_integer_fields_reject_non_integers(self, overrides):
         # these used to pass validate(); some then died in train with a
-        # TypeError, and target_sync_period=2.5 synced every 5 steps
+        # TypeError, target_sync_period=2.5 synced every 5 steps, and a bool
+        # such as episodes=True built
         (key,) = overrides
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             SimConfig(**overrides).validate()
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"include_uav_position": "no"}, "include_uav_position must be a bool"),
+        ({"shared_model": 1}, "shared_model must be a bool"),
+        ({"tau": "1"}, "tau must be a number"),
+        ({"rician_k": None}, "rician_k must be a number"),
+        ({"tau": True}, "tau must be a number"),
+        ({"frac_levels": ("a",)}, "frac_levels must be a tuple of numbers"),
+        ({"sweep_i_max": (1e5, None)}, "sweep_i_max must be a tuple of num"),
+        ({"hidden_sizes": 64}, "hidden_sizes must be a tuple of integers"),
+        ({"hidden_sizes": [64]}, "hidden_sizes must be a tuple of integers"),
+        ({"hidden_sizes": (64, True)}, "hidden_sizes must be a tuple of int"),
+        ({"sweep_policies": "random"}, "sweep_policies must be a tuple of s"),
+    ])
+    def test_fields_take_their_types(self, overrides, match):
+        # include_uav_position="no" used to build and widen the observation
+        # from 6 to 8; the others raised TypeError, ran with a bool, or (a
+        # list) built a config that cannot be hashed
+        with pytest.raises(ConfigError, match=match):
+            SimConfig(**overrides)
+
+    def test_numbers_of_other_types_stay_accepted(self):
+        cfg = SimConfig(tau=1, area_size=np.float32(500.0),
+                        num_devices=np.int64(2), sweep_i_max=(1e5, 2),
+                        frac_levels=(0.3, np.float64(0.6)))
+        assert cfg.catalog_size == 1280
 
     def test_integer_fields_take_numpy_integers(self):
         SimConfig(num_devices=np.int64(1), episodes=np.int32(3)).validate()

@@ -551,6 +551,25 @@ class TestStepPhysics:
         rec = step_entry(env, 0)  # x_cloud = 0.3 > 0 pays the install delay
         assert rec.delays.t_cloud_comm[0] == env.config.install_delay
 
+    @pytest.mark.parametrize("rice_k", [10.0, 0.0, math.inf])
+    def test_draws_through_the_one_sampler(self, rice_k):
+        # the gains price rician_sample's amplitudes at the slant ranges,
+        # and the arrivals are the stream's next draw
+        cfg = SimConfig(num_devices=3, rician_k=rice_k)
+        env = MecEnvironment(cfg, seed=5)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = env.rng.bit_generator.state
+        for move in (1, STAY, 3, 2):
+            gains, arrivals = env.step(move)
+            ranges = [ch.distance(env.uav_pos, dev, cfg.altitude)
+                      for dev in env.device_positions]
+            fading = ch.rician_sample(twin, cfg.rician_k, cfg.num_devices)
+            assert gains == [ch.channel_gain(d, cfg, rho)
+                             for d, rho in zip(ranges, fading)]
+            assert arrivals.tolist() == qs.draw_arrival(
+                twin, cfg.i_max, cfg.num_devices).tolist()
+        assert env.rng.bit_generator.state == twin.bit_generator.state
+
     def test_determinism_full_episode(self):
         def run():
             env = one(SimConfig(num_devices=2, n_intervals=25), seed=13)
