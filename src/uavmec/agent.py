@@ -313,8 +313,9 @@ class Policy:
 def make_policy(kind: str, config: SimConfig, realizations: int,
                 net: QNetwork = None, rng=None) -> Policy:
     """Policy kind for R realizations under config; ConfigError where
-    check_policy fails, ValueError for a missing or mismatched network.
-    The random policy draws every interval's entries here, from rng."""
+    check_policy fails, ValueError for a missing or mismatched network or
+    a missing generator. The random policy draws every interval's entries
+    here, from rng, a numpy Generator."""
     config.check_policy(kind)
     if kind == "dqn":
         if net is None:
@@ -322,7 +323,9 @@ def make_policy(kind: str, config: SimConfig, realizations: int,
         check_fit(net, config)
         return Policy(kind, config, net=net, memo={})
     if kind == "random":
-        entries = np.random.default_rng(rng).integers(
+        if rng is None:
+            raise ValueError("random policy requires a generator")
+        entries = rng.integers(
             config.catalog_size, size=(realizations, config.n_intervals))
         return Policy(kind, config, entries=entries)
     return Policy(kind, config, action=fixed_action(

@@ -114,6 +114,11 @@ def main(argv=None) -> int:
     commands = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep}
     try:
         config = load_config(args.config, _parse_overrides(args.override))
+        # Checked before any work; the command creates the directory.
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            print(f"error: --out {args.out} is not a directory",
+                  file=sys.stderr)
+            return 1
         return commands[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

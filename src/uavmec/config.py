@@ -172,7 +172,8 @@ class SimConfig:
 
     def validate(self) -> "SimConfig":
         # Types first, as the defaults give them: a tuple field's items take
-        # the type of its default's items.
+        # the type of its default's items. Numbers are then stored as plain
+        # ints and floats, so that equal configs share a checkpoint key.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             many = isinstance(f.default, tuple)
@@ -186,6 +187,13 @@ class SimConfig:
                 name, items = _TYPE_NAMES[kind]
                 what = f"a tuple of {items}" if many else name
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            if kind in (int, float):
+                try:
+                    value = tuple(map(kind, value)) if many else kind(value)
+                except OverflowError:
+                    raise ConfigError(
+                        f"{f.name} is too large for a float") from None
+                object.__setattr__(self, f.name, value)
         positive = [
             "num_devices", "area_size", "altitude", "n_intervals", "tau",
             "bandwidth", "p_max", "install_delay", "cycles_per_bit",

@@ -533,6 +533,11 @@ class TestPolicies:
         with pytest.raises(ValueError, match="requires a trained network"):
             make_policy("dqn", self.cfg, 1)
 
+    def test_random_requires_a_generator(self):
+        # without one, two calls drew different entry tables
+        with pytest.raises(ValueError, match="requires a generator"):
+            make_policy("random", self.cfg, 1)
+
     def test_dqn_net_must_match_env(self):
         # a head narrower than the catalog would pick wrong actions silently
         for net in (tiny_net(input_size=6, output_size=5),

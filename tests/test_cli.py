@@ -269,6 +269,26 @@ class TestConfigHandling:
         assert rc == 2
         assert "num_devices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["train"], ["eval", "--policy", "random"], ["sweep"]])
+    def test_out_file_rejected_before_the_command(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        # train used to train its network, and sweep run its grid, before
+        # os.makedirs failed on the file with a traceback
+        def fail(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for module, name in ((ag, "train"), (harness, "run_sweep"),
+                             (harness, "run_eval")):
+            monkeypatch.setattr(module, name, fail)
+        out = tmp_path / "results"
+        out.write_text("kept\n")
+        rc = main(command + ["--out", str(out)] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {out} is not a directory"]
+        assert out.read_text() == "kept\n"
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         # numpy's generators take only non-negative seeds
         with pytest.raises(SystemExit) as exc:

@@ -158,10 +158,26 @@ class TestValidate:
             SimConfig(**overrides)
 
     def test_numbers_of_other_types_stay_accepted(self):
+        # and are stored as plain ints and floats, as the defaults are
         cfg = SimConfig(tau=1, area_size=np.float32(500.0),
                         num_devices=np.int64(2), sweep_i_max=(1e5, 2),
-                        frac_levels=(0.3, np.float64(0.6)))
+                        frac_levels=(0.3, np.float64(0.6)),
+                        hidden_sizes=(np.int32(64), 64))
         assert cfg.catalog_size == 1280
+        assert type(cfg.tau) is float and type(cfg.num_devices) is int
+        assert [type(v) for v in cfg.frac_levels + cfg.sweep_i_max] == \
+            [float] * 4
+        assert [type(v) for v in cfg.hidden_sizes] == [int, int]
+        assert repr(cfg) == repr(SimConfig(sweep_i_max=(1e5, 2.0)))
+
+    @pytest.mark.parametrize("overrides", [
+        {"i_max": 10 ** 400}, {"tau": 10 ** 400},
+        {"sweep_i_max": (1e5, 10 ** 400)}])
+    def test_float_overflow_names_the_field(self, overrides):
+        # used to raise OverflowError
+        (key,) = overrides
+        with pytest.raises(ConfigError, match=f"{key} is too large"):
+            SimConfig(**overrides)
 
     def test_integer_fields_take_numpy_integers(self):
         SimConfig(num_devices=np.int64(1), episodes=np.int32(3)).validate()

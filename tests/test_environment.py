@@ -293,13 +293,14 @@ class TestConstraintsOnEveryStep:
                 cfg, [rng.integers(0, cfg.catalog_size)])
             prev = env.envs[0].uav_pos
             rec = env.step(fractions, move).realization(0)
+            new = env.envs[0].uav_pos
             rows = fractions[:, 0].T   # x_uav, x_cloud, w_uav, w_cloud
             report = obj.check_feasibility(
                 fractions=np.insert(rows, 2, cfg.w_local, axis=1),
                 tx_powers=np.full(cfg.num_devices, cfg.p_max),
                 cpu_local=cpu_local,
                 cpu_uav=cpu_uav, cpu_cloud=cpu_cloud,
-                prev_pos=prev, new_pos=rec.uav_pos,
+                prev_pos=prev, new_pos=new,
                 total_delays=comp.total_task_delay(rec.delays), config=cfg)
             failed = [name for name, ok in vars(report).items()
                       if name.startswith("c") and name != "c10_delay"
@@ -375,14 +376,15 @@ class TestStepContracts:
     def test_stay_keeps_the_position(self):
         env = MecEnvironment(small_config(), seed=1)
         batch = Lockstep(small_config(), [1, 2])
-        pos, ranges, batch_pos = env.uav_pos, env._ranges, batch.uav_pos
+        pos, ranges = env.uav_pos, env._ranges
         env.step(STAY)
         batch.step(*action_catalog(env.config, [STAY, STAY]))
         assert env.uav_pos is pos and env._ranges is ranges
-        assert batch.uav_pos is batch_pos
+        stayed, moved = batch.envs
+        pos, ranges, start = stayed.uav_pos, stayed._ranges, moved.uav_pos
         batch.step(*action_catalog(env.config, [STAY, 1]))
-        assert batch.uav_pos.x.tolist() == [
-            e.uav_pos.x for e in batch.envs] != list(batch_pos.x)
+        assert stayed.uav_pos is pos and stayed._ranges is ranges
+        assert moved.uav_pos == ch.Position2D(start.x + 30.0, start.y)
 
     def test_terminal_distance(self):
         env = one(small_config())
@@ -675,8 +677,9 @@ class TestLockstep:
                 assert np.array_equal(batch.observe()[r], env.observe()[0])
                 assert_same_values(rec.realization(r), u)
                 assert np.array_equal(batch.backlog[:, r], env.backlog[:, 0])
-                assert batch.uav_pos.x[r] == env.uav_pos.x[0]
-                assert batch.uav_pos.y[r] == env.uav_pos.y[0]
+                assert batch.envs[r].uav_pos == env.envs[0].uav_pos
+                assert np.array_equal(batch.observe()[r, 3 * cfg.num_devices:],
+                                      batch.envs[r].observe())
             assert batch.done == env.done
         assert batch.terminal_distance() == [env.terminal_distance()[0]
                                              for env in singles]
@@ -930,7 +933,7 @@ def reference_advance(env, state, actions, gains, arrivals):
     state.acc.record_interval(b_tot, t_comm)
 
     record = IntervalRecord(
-        interval=state.n, uav_pos=state.uav_pos, queues_before=queues,
+        interval=state.n, queues_before=queues,
         splits=splits, power_gains=gains, sinrs=sinrs, rates=rates,
         delays=delays, t_comm=t_comm, b_tot=b_tot, eta=eta,
         hist_pde=hist_pde, arrivals=arrivals, config=cfg)
@@ -998,7 +1001,8 @@ class TestMatchesReferenceStepper:
             assert_same_values(rec, record)
             assert np.array_equal(batch.observe(), ref.observe())
             assert np.array_equal(batch.backlog, stacked(ref.queues))
-            assert_same_values(batch.uav_pos, ref.uav_pos)
+            assert [e.uav_pos.x for e in batch.envs] == ref.uav_pos.x.tolist()
+            assert [e.uav_pos.y for e in batch.envs] == ref.uav_pos.y.tolist()
         assert np.array_equal(batch.acc.per_device_processed,
                               ref.acc.per_device_processed)
         assert np.array_equal(batch.acc.per_device_delay,

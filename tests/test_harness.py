@@ -38,6 +38,16 @@ class TestCheckpointPath:
                               sweep_policies=("dqn",), shared_model=True)):
             assert checkpoint_path("out", cfg, 0) == base
 
+    @pytest.mark.parametrize("overrides", [
+        {"tau": 1}, {"i_max": 250000}, {"num_devices": np.int64(2)},
+        {"frac_levels": (0.3, np.float64(0.6))}])
+    def test_equal_configs_share_the_key(self, overrides):
+        # each of these equals SimConfig() but had its own key, through
+        # the repr of its int, numpy scalar or mixed tuple
+        cfg = SimConfig(**overrides)
+        assert cfg == SimConfig()
+        assert checkpoint_path(".", cfg, 0).endswith("f62e0ad2b1.ckpt")
+
     def test_version_changes_the_key(self, monkeypatch):
         base = checkpoint_path("out", SimConfig(), 0)
         monkeypatch.setattr(ag, "CHECKPOINT_VERSION", 2)
