@@ -76,7 +76,6 @@ def cmd_train(args, config) -> int:
 
 def cmd_eval(args, config) -> int:
     config.check_policy(args.policy)
-    os.makedirs(args.out, exist_ok=True)
     net = None
     if args.policy == "dqn":
         path = harness.checkpoint_path(args.out, config, args.seed)
@@ -85,6 +84,7 @@ def cmd_eval(args, config) -> int:
                   file=sys.stderr)
             return 1
         net = harness.load_network(path, config)
+    os.makedirs(args.out, exist_ok=True)
     out = harness.run_eval(args.policy, config, args.seed,
                            config.eval_realizations, net=net,
                            collect_records=args.dump_trajectory)
@@ -114,8 +114,12 @@ def main(argv=None) -> int:
     commands = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep}
     try:
         config = load_config(args.config, _parse_overrides(args.override))
-        # Checked before any work; the command creates the directory.
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
+        # Checked before any work, at the nearest existing ancestor of --out;
+        # the command creates the directory.
+        ancestor = args.out
+        while ancestor and not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if ancestor and not os.path.isdir(ancestor):
             print(f"error: --out {args.out} is not a directory",
                   file=sys.stderr)
             return 1

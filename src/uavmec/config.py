@@ -1,7 +1,7 @@
 """Simulation configuration: physical constants, network sizes, learning knobs.
 
-All runtime math is linear-scale; dB/dBm inputs are converted exactly once
-when the config object is built.
+All runtime math is linear-scale; a dB/dBm input must have a finite positive
+linear value, which each config object computes once for the steps to read.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -36,11 +36,14 @@ MAX_INDEXED_CATALOG = 2 ** 63
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:  # a float ends at about 3082.5 dB
+        return math.inf
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return db_to_linear(dbm - 30.0)
 
 
 # Each field type's name, for one value and for a tuple's items.
@@ -56,6 +59,40 @@ def _has_type(value, kind: type) -> bool:
         number = numbers.Integral if kind is int else numbers.Real
         return isinstance(value, number) and not isinstance(value, bool)
     return isinstance(value, kind)
+
+
+def _kind(f: dataclasses.Field) -> tuple:
+    """A field's value type and whether it is a tuple, from its default."""
+    many = isinstance(f.default, tuple)
+    return type(f.default[0] if many else f.default), many
+
+
+# What each number field, or each item of a number tuple, accepts: the rule's
+# wording and its test. Every number must also be finite, save rician_k = inf,
+# which is pure line of sight (channel.rician_sample).
+_POS = ("be positive", lambda v: v > 0)
+_NONNEG = ("be nonnegative", lambda v: v >= 0)
+_UNIT = ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_DB = ("have a finite positive linear value",
+       lambda v: 0.0 < db_to_linear(v) < math.inf)
+_RANGES = {
+    "num_devices": _POS, "area_size": _POS, "altitude": _POS,
+    "n_intervals": _POS, "tau": _POS, "v_max": _NONNEG, "eta0_db": _DB,
+    "path_loss_exp": _NONNEG, "rician_k": _NONNEG, "bandwidth": _POS,
+    "noise_density_dbm": (_DB[0], lambda v: 0.0 < dbm_to_watts(v) < math.inf),
+    "p_max": _POS, "install_delay": _POS, "cycles_per_bit": _POS,
+    "local_cpu_max": _POS, "uav_cpu_total": _POS, "cloud_cpu_total": _POS,
+    "i_max": _NONNEG, "w_local": _UNIT, "q_cap": _NONNEG,
+    "queue_levels": ("be at least 2", lambda v: v >= 2),
+    "frac_levels": _UNIT, "max_catalog_size": _POS, "v1": _NONNEG,
+    "v2": _NONNEG, "v3": _NONNEG, "v4": _NONNEG, "lyapunov_v": _NONNEG,
+    "violation_penalty": _NONNEG, "reward_scale": _POS, "hidden_sizes": _POS,
+    "discount": ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "learning_rate": _POS, "batch_size": _POS, "buffer_capacity": _POS,
+    "target_sync_period": _POS, "eps_start": _UNIT, "eps_end": _UNIT,
+    "episodes": _POS, "grad_clip": _POS, "sweep_i_max": _NONNEG,
+    "sweep_seeds": _POS, "eval_realizations": _POS,
+}
 
 
 @dataclass(frozen=True)
@@ -171,79 +208,45 @@ class SimConfig:
         return len(self.frac_levels) ** (4 * self.num_devices) * len(MOVES)
 
     def validate(self) -> "SimConfig":
-        # Types first, as the defaults give them: a tuple field's items take
-        # the type of its default's items. Numbers are then stored as plain
-        # ints and floats, so that equal configs share a checkpoint key.
+        # Types first, as _kind gives them. Numbers are then stored as plain
+        # ints and floats, so that equal configs share a checkpoint key, and
+        # each number (each tuple item) is held to its rule in _RANGES.
         for f in dataclasses.fields(self):
+            kind, many = _kind(f)
             value = getattr(self, f.name)
-            many = isinstance(f.default, tuple)
-            kind = type(f.default[0] if many else f.default)
-            if many:
-                ok = isinstance(value, tuple) and all(
-                    _has_type(v, kind) for v in value)
-            else:
-                ok = _has_type(value, kind)
-            if not ok:
-                name, items = _TYPE_NAMES[kind]
-                what = f"a tuple of {items}" if many else name
+            items = value if many else (value,)
+            if not (isinstance(items, tuple)
+                    and all(_has_type(v, kind) for v in items)):
+                name, plural = _TYPE_NAMES[kind]
+                what = f"a tuple of {plural}" if many else name
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
-            if kind in (int, float):
-                try:
-                    value = tuple(map(kind, value)) if many else kind(value)
-                except OverflowError:
-                    raise ConfigError(
-                        f"{f.name} is too large for a float") from None
-                object.__setattr__(self, f.name, value)
-        positive = [
-            "num_devices", "area_size", "altitude", "n_intervals", "tau",
-            "bandwidth", "p_max", "install_delay", "cycles_per_bit",
-            "local_cpu_max", "uav_cpu_total", "cloud_cpu_total",
-            "reward_scale", "batch_size", "buffer_capacity",
-            "target_sync_period", "episodes", "learning_rate", "grad_clip",
-            "eval_realizations", "sweep_seeds",
-        ]
-        for key in positive:
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        nonneg = ["v_max", "path_loss_exp", "rician_k", "i_max", "v1", "v2",
-                  "v3", "v4", "lyapunov_v", "violation_penalty", "q_cap"]
-        for key in nonneg:
-            if not getattr(self, key) >= 0:  # also false for NaN
-                raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)}")
-        # rician_k = inf is pure line of sight (channel.rician_sample).
-        for key in positive + nonneg:
-            if key != "rician_k" and not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        for key in ["w_local", "eps_start", "eps_end"]:
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
-        if not 0.0 <= self.discount < 1.0:
-            raise ConfigError(f"discount must lie in [0, 1), got {self.discount}")
+            if kind not in (int, float):
+                continue
+            try:
+                items = tuple(map(kind, items))
+            except OverflowError:
+                raise ConfigError(
+                    f"{f.name} is too large for a float") from None
+            value = items if many else items[0]
+            object.__setattr__(self, f.name, value)
+            rule, in_range = _RANGES[f.name]
+            for v in items:
+                if not (kind is int or math.isfinite(v)
+                        or f.name == "rician_k" and v == math.inf):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
+                if not in_range(v):
+                    raise ConfigError(f"{f.name} must {rule}, got {value}")
         if self.batch_size > self.buffer_capacity:
             raise ConfigError(
                 f"batch_size {self.batch_size} exceeds buffer_capacity "
                 f"{self.buffer_capacity}; no learning update could run")
-        if not all(n > 0 for n in self.hidden_sizes):
-            raise ConfigError(f"hidden_sizes must be positive integers, "
-                              f"got {self.hidden_sizes}")
-        if self.queue_levels < 2:
-            raise ConfigError(
-                f"queue_levels must be at least 2, got {self.queue_levels}")
-        if len(self.frac_levels) == 0:
-            raise ConfigError("frac_levels must be nonempty")
-        if not all(0.0 <= f <= 1.0 for f in self.frac_levels):
-            raise ConfigError(f"frac_levels must lie in [0, 1], got {self.frac_levels}")
-        if len(self.sweep_i_max) == 0 or len(self.sweep_policies) == 0:
-            raise ConfigError("sweep_i_max and sweep_policies must be nonempty")
-        if not all(0.0 <= v < math.inf for v in self.sweep_i_max):
-            raise ConfigError(f"sweep_i_max must be nonnegative and finite, "
-                              f"got {self.sweep_i_max}")
+        for key in ("frac_levels", "sweep_i_max", "sweep_policies"):
+            if len(getattr(self, key)) == 0:
+                raise ConfigError(f"{key} must be nonempty")
         # Names only: whether a known policy can run is checked where it runs.
         for kind in self.sweep_policies:
             if kind not in POLICY_KINDS:
                 self.check_policy(kind)
-        if not math.isfinite(self.eta0_db):
-            raise ConfigError("eta0_db must be finite")
         return self
 
     def check_policy(self, kind: str) -> None:
@@ -266,13 +269,23 @@ class SimConfig:
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(SimConfig)}
 
 
-def _parse_number(key: str, raw: str, integer: bool = False):
+def _parse_item(key: str, raw: str, kind: type):
+    """A value of type kind, for field key or one of its tuple items."""
+    raw = raw.strip()
+    if kind is str:
+        return raw
+    if kind is bool:
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True
+        if raw.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ConfigError(f"cannot parse boolean for {key!r}: {raw!r}")
     try:
         value = float(raw)
     except ValueError as exc:
-        kind = "integer" if integer else "number"
-        raise ConfigError(f"cannot parse {kind} for {key!r}: {raw!r}") from exc
-    if not integer:
+        name = "integer" if kind is int else "number"
+        raise ConfigError(f"cannot parse {name} for {key!r}: {raw!r}") from exc
+    if kind is float:
         return value
     # float() also reads 1e4; is_integer() is false for fractions, inf and nan.
     if not value.is_integer():
@@ -281,25 +294,11 @@ def _parse_number(key: str, raw: str, integer: bool = False):
 
 
 def _parse_value(key: str, raw: str):
-    f = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if isinstance(f.default, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean for {key!r}: {raw!r}")
-    if isinstance(f.default, (int, float)):
-        return _parse_number(key, raw, integer=f.type == "int")
-    if isinstance(f.default, tuple):
-        # Items take the type of the default's items: str, int or float.
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        item = f.default[0]
-        if isinstance(item, str):
-            return tuple(items)
-        return tuple(_parse_number(key, s, integer=isinstance(item, int))
-                     for s in items)
-    return raw
+    kind, many = _kind(_FIELD_TYPES[key])
+    if many:
+        return tuple(_parse_item(key, s, kind) for s in raw.split(",")
+                     if s.strip())
+    return _parse_item(key, raw, kind)
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> SimConfig:

@@ -127,9 +127,13 @@ class TestEval:
             (tmp_path / "dump" / name).read_bytes()
 
     def test_dqn_without_checkpoint_fails(self, tmp_path, capsys):
-        rc = main(["eval", "--policy", "dqn", "--out", str(tmp_path)] + FAST)
+        # and creates no --out, which it used to before the checkpoint was
+        # looked for
+        out = tmp_path / "eval"
+        rc = main(["eval", "--policy", "dqn", "--out", str(out)] + FAST)
         assert rc == 1
         assert "no checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", BAD_CHECKPOINTS)
     def test_dqn_with_a_bad_checkpoint_fails(self, tmp_path, capsys, kind):
@@ -269,6 +273,15 @@ class TestConfigHandling:
         assert rc == 2
         assert "num_devices" in capsys.readouterr().err
 
+    def test_nan_noise_density_exit_code(self, tmp_path, capsys):
+        # used to run, and write mean_cd = inf and mean_pde = 0
+        rc = main(["eval", "--policy", "random", "--override",
+                   "noise_density_dbm=nan", "--out", str(tmp_path / "nan")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: noise_density_dbm must be finite")
+        assert not (tmp_path / "nan").exists()
+
     @pytest.mark.parametrize("command", [
         ["train"], ["eval", "--policy", "random"], ["sweep"]])
     def test_out_file_rejected_before_the_command(self, tmp_path, capsys,
@@ -288,6 +301,26 @@ class TestConfigHandling:
         assert capsys.readouterr().err.splitlines() == [
             f"error: --out {out} is not a directory"]
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["eval", "--policy", "random"], ["sweep"]])
+    def test_out_below_a_file_rejected_before_the_command(
+            self, tmp_path, capsys, monkeypatch, command):
+        # used to end in a NotADirectoryError traceback from os.makedirs,
+        # for train after training and for sweep after the whole grid
+        def fail(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for module, name in ((ag, "train"), (harness, "run_sweep"),
+                             (harness, "run_eval")):
+            monkeypatch.setattr(module, name, fail)
+        (tmp_path / "results").write_text("kept\n")
+        out = tmp_path / "results" / "sub"
+        rc = main(command + ["--out", str(out)] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {out} is not a directory"]
+        assert (tmp_path / "results").read_text() == "kept\n"
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         # numpy's generators take only non-negative seeds

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from uavmec.config import (POLICY_KINDS, ConfigError, SimConfig,
-                           db_to_linear, dbm_to_watts, load_config)
+from uavmec.config import (_NONNEG, _POS, _RANGES, POLICY_KINDS, ConfigError,
+                           SimConfig, _kind, db_to_linear, dbm_to_watts,
+                           load_config)
 from uavmec.harness import checkpoint_path, run_eval
 
 
@@ -14,10 +15,12 @@ class TestConversions:
         assert db_to_linear(0.0) == 1.0
         assert db_to_linear(-40.0) == pytest.approx(1e-4)
         assert db_to_linear(10.0) == pytest.approx(10.0)
+        assert db_to_linear(4000.0) == math.inf  # a float overflows
 
     def test_dbm(self):
         assert dbm_to_watts(30.0) == pytest.approx(1.0)
         assert dbm_to_watts(0.0) == pytest.approx(1e-3)
+        assert dbm_to_watts(-4000.0) == 0.0
 
 
 class TestDefaults:
@@ -229,8 +232,9 @@ class TestValidate:
     def test_sweep_i_max_nonnegative_and_finite(self, values):
         # run_sweep would otherwise reject these only at their grid point,
         # possibly after training networks
-        with pytest.raises(ConfigError, match="sweep_i_max must be "
-                           "nonnegative and finite"):
+        what = "finite" if not all(map(math.isfinite, values)) \
+            else "nonnegative"
+        with pytest.raises(ConfigError, match=f"sweep_i_max must be {what}"):
             SimConfig(sweep_i_max=values).validate()
         SimConfig(sweep_i_max=(0.0, 1e5)).validate()
 
@@ -283,6 +287,92 @@ class TestValidate:
             with pytest.raises(ConfigError, match="'random' cannot draw"):
                 cfg.check_policy("random")
         cfg.check_policy("uav_heavy")
+
+
+NUMBER_FIELDS = [f for f in dataclasses.fields(SimConfig)
+                 if _kind(f)[0] in (int, float)]
+
+
+def with_item(f, value):
+    """SimConfig's default for field f with value in place of the default,
+    or, for a tuple field, of its default's last item."""
+    many = _kind(f)[1]
+    return f.default[:-1] + (value,) if many else value
+
+
+class TestRanges:
+    """Every number field, and every item of a number tuple field, is held
+    to its rule in the range table when a SimConfig is built."""
+
+    def test_table_names_exactly_the_number_fields(self):
+        assert set(_RANGES) == {f.name for f in NUMBER_FIELDS}
+
+    @pytest.mark.parametrize("f", NUMBER_FIELDS, ids=lambda f: f.name)
+    def test_rejects_nan(self, f):
+        # an integer field rejects it as no integer
+        with pytest.raises(ConfigError, match=f"^{f.name} must be "):
+            SimConfig(**{f.name: with_item(f, math.nan)})
+
+    @pytest.mark.parametrize(
+        "f", [f for f in NUMBER_FIELDS if _RANGES[f.name] is _POS],
+        ids=lambda f: f.name)
+    def test_positive_fields_reject_zero(self, f):
+        zero = _kind(f)[0](0)
+        with pytest.raises(ConfigError,
+                           match=f"^{f.name} must be positive, got "):
+            SimConfig(**{f.name: with_item(f, zero)})
+
+    @pytest.mark.parametrize(
+        "f", [f for f in NUMBER_FIELDS if _RANGES[f.name] is _NONNEG],
+        ids=lambda f: f.name)
+    def test_nonnegative_fields_reject_minus_one(self, f):
+        minus_one = _kind(f)[0](-1)
+        with pytest.raises(ConfigError,
+                           match=f"^{f.name} must be nonnegative, got "):
+            SimConfig(**{f.name: with_item(f, minus_one)})
+
+    @pytest.mark.parametrize("f", dataclasses.fields(SimConfig),
+                             ids=lambda f: f.name)
+    def test_defaults_round_trip_through_text(self, f):
+        text = (", ".join(map(str, f.default)) if _kind(f)[1]
+                else str(f.default))
+        cfg = load_config(None, {f.name: text})
+        assert cfg == SimConfig()
+        assert repr(getattr(cfg, f.name)) == repr(f.default)
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"noise_density_dbm": math.nan}, "noise_density_dbm must be finite"),
+        ({"noise_density_dbm": -math.inf}, "noise_density_dbm must be finite"),
+        ({"max_catalog_size": 0}, "max_catalog_size must be positive"),
+        ({"max_catalog_size": -1}, "max_catalog_size must be positive"),
+    ])
+    def test_fields_that_used_to_build(self, overrides, match):
+        # noise_density_dbm = nan used to build, and an evaluation then wrote
+        # mean_cd = inf and mean_pde = 0; -inf divided by zero at
+        # num_devices = 1; max_catalog_size = -1 built
+        with pytest.raises(ConfigError, match=match):
+            SimConfig(**overrides)
+
+    @pytest.mark.parametrize("key, value", [
+        ("eta0_db", 4000.0), ("eta0_db", -4000.0),
+        ("noise_density_dbm", 4000.0), ("noise_density_dbm", -4000.0)])
+    def test_db_fields_need_a_finite_positive_linear_value(self, key, value):
+        # eta0_db = 4000 used to raise OverflowError at the first step, and
+        # eta0_db = -4000 to make every rate 0 and mean_cd inf
+        with pytest.raises(ConfigError, match=f"^{key} must have a finite "
+                           "positive linear value"):
+            SimConfig(**{key: value})
+
+    def test_db_fields_keep_their_linear_values(self):
+        cfg = SimConfig(eta0_db=-300.0, noise_density_dbm=300.0)
+        assert cfg.eta0 == 10.0 ** -30.0
+        assert cfg.noise_power == 10.0 ** 27.0 * cfg.bandwidth
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, -0.5])
+    def test_discount_below_one(self, value):
+        with pytest.raises(ConfigError,
+                           match=r"^discount must lie in \[0, 1\), got "):
+            SimConfig(discount=value)
 
 
 class TestLoadConfig:
