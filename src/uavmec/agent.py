@@ -19,7 +19,8 @@ from .config import FIXED_POLICY_FRACS, SimConfig
 # action_catalog is looked up on its module at each call, so that a patched
 # environment.action_catalog, as perfbench's tracer installs, sees every decode.
 from . import environment
-from .environment import STAY, Lockstep, observation_size
+# Unused here: perfbench traces agent.normalize_observation and probes with it.
+from .environment import STAY, Lockstep, normalize_observation, observation_size
 
 CHECKPOINT_VERSION = 1
 
@@ -301,7 +302,7 @@ class Policy:
     """A policy kind's actions, prepared for R realizations: a fixed
     baseline's action, the random policy's (R, n_intervals) catalog
     entries, or the dqn's network with its memo of greedy actions, keyed
-    by the raw observation's bytes (see baseline_action)."""
+    by the bytes of the observation rows it reads (see baseline_action)."""
     kind: str
     config: SimConfig
     net: QNetwork = None
@@ -343,47 +344,38 @@ def check_fit(net: QNetwork, config: SimConfig) -> None:
 
 
 def fixed_action(kind: str, shape: tuple):
-    """(fractions, moves) of fixed baseline kind for devices of shape (K,)
-    or (R, K): its FIXED_POLICY_FRACS on every device, the UAV staying."""
+    """(fractions, moves) of fixed baseline kind for devices of shape
+    (R, K): its FIXED_POLICY_FRACS on every device, the UAV staying."""
     fractions = np.empty((4,) + shape)
     fractions.T[...] = FIXED_POLICY_FRACS[kind]  # broadcast on the 4-axis
-    return fractions, np.full(shape[:-1], STAY)[()]
+    return fractions, np.full(shape[:-1], STAY)
 
 
 def baseline_action(policy: Policy, n: int, observe):
     """Interval n's (fractions, moves) for every realization, (4, R, K) and
     (R,), as Lockstep.step takes them.
 
-    Only the dqn calls observe() for the realizations' observations, and
-    acts greedily on them; the random policy decodes its entries for n.
-    The dqn values each distinct observation once per policy: only the
-    rows not yet in its memo go through the net, in one pass, or none. By
-    greedy_action's rounding rule the actions are those of one pass over
-    every row (at R = 1, of a 1-row pass). A network changed after
-    make_policy is not seen.
+    Only the dqn calls observe(), for the network's input rows, and acts
+    greedily on them; the random policy decodes its entries for n. The dqn
+    values each distinct row once per policy: only the rows not yet in its
+    memo go through the net, in one pass, or none. By greedy_action's
+    rounding rule the actions are those of one pass over every row (at
+    R = 1, of a 1-row pass). A network changed after make_policy is not
+    seen.
     """
     if policy.kind == "dqn":
         obs = observe()
         memo = policy.memo
         keys, new, rows = _new_rows(memo, obs)
         if new:
-            memo.update(zip(new, greedy_action(
-                policy.net,
-                normalize_observation(obs[rows], policy.config)).tolist()))
+            memo.update(zip(new, greedy_action(policy.net,
+                                               obs[rows]).tolist()))
         index = np.fromiter(map(memo.__getitem__, keys), np.int64, len(keys))
         return environment.action_catalog(policy.config, index)
     if policy.kind == "random":
         return environment.action_catalog(policy.config,
                                           policy.entries[:, n])
     return policy.action
-
-
-def normalize_observation(obs: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Scale queue levels into [0, 1]; appended UAV coordinates already are."""
-    out = np.asarray(obs, dtype=float).copy()
-    nq = 3 * config.num_devices
-    out[..., :nq] /= config.queue_levels - 1
-    return out
 
 
 # -- training loop ----------------------------------------------------------
@@ -421,7 +413,7 @@ def train(config: SimConfig, seed=0) -> TrainResult:
     t = 0
     for ep in range(config.episodes):
         env = Lockstep(config, [episode_seeds[ep]])
-        obs = normalize_observation(env.observe()[0], config)
+        obs = env.observe()[0]
         first_loss = len(losses)
         ep_reward = 0.0
         while not env.done:
@@ -430,7 +422,7 @@ def train(config: SimConfig, seed=0) -> TrainResult:
             action = select_action(net, obs, eps, rng_actions)
             record = env.step(*environment.action_catalog(config, [action]))
             reward = float(np.sum(record.reward_per_device))
-            next_obs = normalize_observation(env.observe()[0], config)
+            next_obs = env.observe()[0]
             buffer.push(obs, action, reward / config.reward_scale, next_obs,
                         env.done)
             obs = next_obs

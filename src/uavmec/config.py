@@ -236,6 +236,11 @@ class SimConfig:
                     raise ConfigError(f"{f.name} must be finite, got {value}")
                 if not in_range(v):
                     raise ConfigError(f"{f.name} must {rule}, got {value}")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ConfigError(
+                f"noise_density_dbm {self.noise_density_dbm} and bandwidth "
+                f"{self.bandwidth} give a noise power of {self.noise_power} "
+                f"W; it must be finite and positive")
         if self.batch_size > self.buffer_capacity:
             raise ConfigError(
                 f"batch_size {self.batch_size} exceeds buffer_capacity "

@@ -114,6 +114,13 @@ def observation_size(config: SimConfig) -> int:
     return 3 * config.num_devices + (2 if config.include_uav_position else 0)
 
 
+def normalize_observation(obs: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Scale queue levels into [0, 1]; appended UAV coordinates already are."""
+    out = np.array(obs, dtype=float)
+    out[..., :3 * config.num_devices] /= config.queue_levels - 1
+    return out
+
+
 class MecEnvironment:
     """One realization's own part of the network: its random stream, device
     placement and UAV position.
@@ -211,17 +218,17 @@ class Lockstep:
         return self.n >= self.config.n_intervals
 
     def observe(self) -> np.ndarray:
-        """One row per realization: the backlog levels in queue_levels
-        buckets (clipped at cap), device-major (local, UAV, cloud of device
-        0, then of device 1, ...), then under include_uav_position the
-        realization's UAV position over the area size."""
+        """The network's input, one row per realization, in [0, 1]: backlog
+        levels in queue_levels buckets (clipped at cap) over queue_levels - 1,
+        device-major (local, UAV, cloud of device 0, then of device 1, ...),
+        then under include_uav_position the UAV position over area_size."""
         cfg = self.config
         backlog = self.backlog.transpose(1, 2, 0).reshape(self._shape[0], -1)
         top = cfg.queue_levels - 1
         cap = cfg.queue_cap
         levels = (np.minimum(top, np.floor(cfg.queue_levels * backlog / cap))
                   if cap > 0.0 else top)
-        out = np.where(backlog <= 0.0, 0.0, levels)
+        out = normalize_observation(np.where(backlog <= 0.0, 0.0, levels), cfg)
         if cfg.include_uav_position:
             # One list per coordinate: at R = 1000 about half the time of
             # (x, y) pairs and a tenth of each realization's observe().

@@ -72,7 +72,7 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     seed, and all of them run in one Lockstep: per interval, each makes its
     own draws in its step(), and one pass of the backlog stages and one
     baseline_action call serve them all, whatever the policy kind. The dqn
-    values each distinct observation once per call, and keeps its greedy
+    values each distinct observe() row once per call, and keeps its greedy
     action for the rest of the call. No reward is computed, save those of
     collected records that the caller reads. PD and CD are read from the
     Lockstep's accumulator; the backlogs and the delay-bound violations

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -612,17 +613,16 @@ class TestPolicies:
         net = QNetwork(6, (64, 64), 1280, rng=rng)
         net.weights[-1] = rng.standard_normal(net.weights[-1].shape)
         net.biases[-1] = rng.standard_normal(1280)
-        levels = rng.random((2000, 6)) * (self.cfg.queue_levels - 1)
+        obs = rng.random((2000, 6))
         calls = []
 
         def observe():
             calls.append(1)
-            return levels
+            return obs
 
         pol = make_policy("dqn", self.cfg, 2000, net)
         fracs, moves = baseline_action(pol, 0, observe)
         assert len(calls) == 1 and fracs.shape == (4, 2000, 2)
-        obs = normalize_observation(levels, self.cfg)
         single = [select_action(net, o, 0.0, rng) for o in obs]
         want = action_catalog(self.cfg, single)
         same = np.all(fracs == want[0], axis=(0, 2)) & (moves == want[1])
@@ -634,6 +634,10 @@ class TestPolicies:
 
 
 class TestNormalizeObservation:
+    def test_one_function(self):
+        # agent.normalize_observation is the environment's, kept importable
+        assert agent.normalize_observation is environment.normalize_observation
+
     def test_levels_scaled(self):
         cfg = SimConfig(num_devices=1)
         out = normalize_observation(np.array([0.0, 9.0, 4.5]), cfg)
@@ -669,6 +673,37 @@ class TestTraining:
         a = train(self._config(), seed=5)
         b = train(self._config(), seed=6)
         assert a.episode_rewards != b.episode_rewards
+
+    def test_replay_holds_the_observed_rows(self, monkeypatch):
+        # each transition holds observe()'s rows as they are, the next
+        # observation of one the observation of the next
+        observed, pushed = [], []
+        observe, push = Lockstep.observe, ReplayBuffer.push
+
+        def spy_observe(self):
+            observed.append(observe(self))
+            return observed[-1]
+
+        def spy_push(self, obs, action, reward, next_obs, done):
+            pushed.append((obs.copy(), next_obs.copy(), done))
+            push(self, obs, action, reward, next_obs, done)
+        monkeypatch.setattr(Lockstep, "observe", spy_observe)
+        monkeypatch.setattr(ReplayBuffer, "push", spy_push)
+        cfg = replace(self._config(), include_uav_position=True)
+        train(cfg, seed=1)
+        assert len(observed) == cfg.episodes * (cfg.n_intervals + 1)
+        rows = iter(observed)
+        for ep in range(cfg.episodes):
+            first = next(rows)
+            for obs, next_obs, done in pushed[ep * cfg.n_intervals:
+                                              (ep + 1) * cfg.n_intervals]:
+                following = next(rows)
+                assert np.array_equal(obs, first[0])
+                assert np.array_equal(next_obs, following[0])
+                first = following
+            assert done
+        assert any(np.any(o[:, :3] > 0.0) for o in observed)
+        assert all(np.all((o >= 0.0) & (o <= 1.0)) for o in observed)
 
     def test_shapes_and_counts(self):
         cfg = self._config()

@@ -368,6 +368,19 @@ class TestRanges:
         assert cfg.eta0 == 10.0 ** -30.0
         assert cfg.noise_power == 10.0 ** 27.0 * cfg.bandwidth
 
+    @pytest.mark.parametrize("density, bandwidth, power", [
+        (3080.0, 1e6, "inf"), (-3000.0, 1e-30, "0.0")])
+    def test_noise_power_finite_and_positive(self, density, bandwidth, power):
+        # each field is in range, their product is not: 3080 dBm/Hz over
+        # 1 MHz used to build, and an evaluation then wrote mean_cd = inf
+        # and mean_pde = 0
+        with pytest.raises(ConfigError, match=(
+                rf"^noise_density_dbm {density} and bandwidth {bandwidth} "
+                rf"give a noise power of {power} W; it must be finite and "
+                "positive")):
+            SimConfig(noise_density_dbm=density, bandwidth=bandwidth)
+        assert 0.0 < dbm_to_watts(density) < math.inf
+
     @pytest.mark.parametrize("value", [1.0, 1.5, -0.5])
     def test_discount_below_one(self, value):
         with pytest.raises(ConfigError,

@@ -12,7 +12,7 @@ from uavmec.agent import QNetwork, fixed_action, train
 from uavmec.config import MAX_INDEXED_CATALOG, MOVES, ConfigError, SimConfig
 from uavmec.environment import (STAY, IntervalRecord, Lockstep,
                                 MecEnvironment, action_catalog,
-                                observation_size)
+                                normalize_observation, observation_size)
 from uavmec.objective import reward as reward_fn
 from uavmec.queueing import (QueueTriple, compute_splits, split_stack,
                              step_queues)
@@ -172,6 +172,8 @@ class TestActionCatalog:
 
 
 class TestObservation:
+    """observe() gives the network's input: levels over queue_levels - 1."""
+
     def test_size(self):
         assert observation_size(SimConfig(num_devices=2)) == 6
         assert observation_size(
@@ -185,7 +187,7 @@ class TestObservation:
         env = one(small_config())
         cap = env.config.queue_cap
         env.backlog[:, 0] = [[0.0], [0.55 * cap], [2.0 * cap]]
-        assert env.observe()[0].tolist() == [0.0, 5.0, 9.0]
+        assert env.observe()[0].tolist() == [0.0, 5 / 9, 1.0]
 
     def test_device_major_order(self):
         env = one(SimConfig(num_devices=2))
@@ -193,21 +195,56 @@ class TestObservation:
         env.backlog[:, 0] = [[0.05 * cap, 0.0],
                              [0.15 * cap, 0.95 * cap],
                              [0.25 * cap, 0.35 * cap]]
-        assert env.observe()[0].tolist() == [0.0, 1.0, 2.0, 0.0, 9.0, 3.0]
+        assert env.observe()[0].tolist() == [0.0, 1 / 9, 2 / 9,
+                                             0.0, 1.0, 3 / 9]
 
     def test_zero_cap_puts_any_backlog_on_top(self):
         env = one(small_config(i_max=0.0))
         env.backlog[:, 0] = [[0.0], [1.0], [5e9]]
-        assert env.observe()[0].tolist() == [0.0, 9.0, 9.0]
+        assert env.observe()[0].tolist() == [0.0, 1.0, 1.0]
+        # the top level is 1 whatever queue_levels is
+        env = one(small_config(i_max=0.0, queue_levels=4))
+        env.backlog[:, 0] = [[3.0], [0.0], [1.0]]
+        assert env.observe()[0].tolist() == [1.0, 0.0, 1.0]
 
     def test_uav_position_suffix(self):
-        # a realization's own observe() gives the suffix alone
-        env = one(small_config(include_uav_position=True))
+        # the levels are scaled, the suffix is the position over the area
+        # size; a realization's own observe() gives the suffix alone
+        env = one(small_config(include_uav_position=True, queue_levels=5))
+        cap = env.config.queue_cap
+        env.backlog[:, 0] = [[0.3 * cap], [0.0], [cap]]
         obs = env.observe()[0]
-        assert obs.shape == (5,)
-        assert obs[3:].tolist() == [0.5, 0.5]
+        assert obs.tolist() == [1 / 4, 0.0, 1.0, 0.5, 0.5]
         assert env.envs[0].observe().tolist() == [0.5, 0.5]
         assert one(small_config()).envs[0].observe().shape == (0,)
+
+    def test_levels_scaled_by_normalize_observation(self):
+        # observe() scales the bucketed levels with the one scaling the
+        # rest of the package names
+        cfg = small_config(include_uav_position=True, queue_levels=7)
+        env = one(cfg)
+        cap = cfg.queue_cap
+        env.backlog[:, 0] = [[0.2 * cap], [0.5 * cap], [0.9 * cap]]
+        raw = np.array([[1.0, 3.0, 6.0, 0.5, 0.5]])
+        assert np.array_equal(env.observe(), normalize_observation(raw, cfg))
+
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(num_devices=2, n_intervals=60, q_cap=2e5),
+        small_config(n_intervals=60, include_uav_position=True,
+                     area_size=50.0, q_cap=1e5, queue_levels=3),
+    ])
+    def test_every_row_in_unit_interval(self, cfg):
+        batch = Lockstep(cfg, [1, 2, 3])
+        actions = np.random.default_rng(2).integers(
+            0, cfg.catalog_size, size=(cfg.n_intervals, 3))
+        seen = set()
+        for row in actions:
+            batch.step(*action_catalog(cfg, row))
+            obs = batch.observe()
+            assert obs.shape == (3, observation_size(cfg))
+            assert np.all((obs >= 0.0) & (obs <= 1.0))
+            seen.update(obs[:, :3 * cfg.num_devices].ravel().tolist())
+        assert {0.0, 1.0} <= seen
 
 
 class TestReset:
@@ -800,7 +837,7 @@ def reference_observation(config, queues, uav_pos):
     cap = config.queue_cap
     levels = (np.minimum(top, np.floor(config.queue_levels * backlog / cap))
               if cap > 0.0 else top)
-    out = np.where(backlog <= 0.0, 0.0, levels)
+    out = np.where(backlog <= 0.0, 0.0, levels) / top
     if config.include_uav_position:
         uav = np.stack((uav_pos.x, uav_pos.y), axis=-1)
         out = np.concatenate([out, uav / config.area_size], axis=-1)

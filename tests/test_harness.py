@@ -305,10 +305,9 @@ ACCEPTANCE_CACHE = Path(__file__).parent / "_acceptance_cache"
 
 def memoless_baseline_action(policy, n, observe):
     """The dqn's baseline_action before the greedy memo: one pass over every
-    observation."""
-    obs = ag.normalize_observation(observe(), policy.config)
-    return environment.action_catalog(policy.config,
-                                      ag.greedy_action(policy.net, obs))
+    observation row, which observe() gives as the network's input."""
+    return environment.action_catalog(
+        policy.config, ag.greedy_action(policy.net, observe()))
 
 
 def row_bytes(row):
@@ -318,6 +317,18 @@ def row_bytes(row):
 @pytest.fixture(scope="module")
 def short_trained_net():
     return harness.train_dqn(SimConfig(episodes=1, n_intervals=200), 7)
+
+
+@pytest.fixture(scope="module")
+def random_head_net():
+    """An untrained net with a random head and random biases, whose greedy
+    actions, unlike the trained nets', tell an observation scaled twice
+    from the network's input."""
+    rng = np.random.default_rng(8)
+    net = ag.QNetwork(6, (64, 64), 1280, rng=rng)
+    net.weights[-1] = rng.standard_normal(net.weights[-1].shape)
+    net.biases[-1] = rng.standard_normal(1280)
+    return net
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +361,8 @@ class TestGreedyMemo:
             return run_eval(*args, **kw)
 
     @pytest.mark.parametrize("net_name", ["short_trained_net",
-                                          "acceptance_net"])
+                                          "acceptance_net",
+                                          "random_head_net"])
     @pytest.mark.parametrize("realizations,n_intervals",
                              [(1, 100), (2, 100), (3, 100), (70, 100),
                               (1000, 5)])
