@@ -56,13 +56,13 @@ def rician_sample(rng: np.random.Generator, rice_k: float, size=None):
     The scattered part is (re + j im) / sqrt(2), for standard normal re and
     im drawn in that order, amplitude by amplitude; one draw gives them all,
     the same values as scalar draws. rice_k = 0 degenerates to Rayleigh
-    fading; rice_k = inf to a pure LoS amplitude of 1, which draws nothing.
+    fading; a scattered weight of 0 (rice_k = inf) gives 1 and draws nothing.
     """
     n = 1 if size is None else size
-    if math.isinf(rice_k):
-        amps = [1.0 + 0j] * n
+    los_w, nlos_w = rician_weights(rice_k)
+    if nlos_w == 0.0:
+        amps = [complex(los_w)] * n
     else:
-        los_w, nlos_w = rician_weights(rice_k)
         normals = rng.standard_normal(2 * n).tolist()
         amps = [los_w + nlos_w * ((re + 1j * im) / _SQRT2)
                 for re, im in zip(normals[::2], normals[1::2])]

@@ -62,8 +62,8 @@ def cmd_train(args, config) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = harness.checkpoint_path(args.out, config, args.seed)
     ag.save_checkpoint(result.net, path)
-    curve_path = os.path.join(args.out,
-                              f"curve_{int(config.i_max)}_{args.seed}.csv")
+    curve_path = os.path.join(
+        args.out, f"curve_{harness.run_tag(config, args.seed)}.csv")
     with open(curve_path, "w", encoding="utf-8") as fh:
         fh.write("episode,cumulative_reward,mean_td_loss\n")
         for ep, (r, loss) in enumerate(zip(result.episode_rewards,
@@ -89,7 +89,7 @@ def cmd_eval(args, config) -> int:
                            config.eval_realizations, net=net,
                            collect_records=args.dump_trajectory)
     row, records = out if args.dump_trajectory else (out, None)
-    name = f"{args.policy}_{int(config.i_max)}_{args.seed}.csv"
+    name = f"{args.policy}_{harness.run_tag(config, args.seed)}.csv"
     out_path = os.path.join(args.out, f"eval_{name}")
     harness.emit_csv([row], out_path)
     print(f"wrote {out_path}")

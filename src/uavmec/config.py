@@ -69,7 +69,7 @@ def _kind(f: dataclasses.Field) -> tuple:
 
 # What each number field, or each item of a number tuple, accepts: the rule's
 # wording and its test. Every number must also be finite, save rician_k = inf,
-# which is pure line of sight (channel.rician_sample).
+# which is pure line of sight (channel.rician_weights).
 _POS = ("be positive", lambda v: v > 0)
 _NONNEG = ("be nonnegative", lambda v: v >= 0)
 _UNIT = ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
@@ -241,6 +241,10 @@ class SimConfig:
                 f"noise_density_dbm {self.noise_density_dbm} and bandwidth "
                 f"{self.bandwidth} give a noise power of {self.noise_power} "
                 f"W; it must be finite and positive")
+        if not math.isfinite(self.v_max * self.tau):
+            raise ConfigError(
+                f"v_max {self.v_max} and tau {self.tau} give a UAV step of "
+                f"{self.v_max * self.tau} m; it must be finite")
         if self.batch_size > self.buffer_capacity:
             raise ConfigError(
                 f"batch_size {self.batch_size} exceeds buffer_capacity "

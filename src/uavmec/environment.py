@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -37,15 +38,12 @@ class IntervalRecord:
     interval: int
     queues_before: qs.QueueTriple
     splits: qs.SplitAmounts
-    power_gains: np.ndarray
-    sinrs: np.ndarray
     rates: np.ndarray
     delays: comp.DelayBreakdown
     t_comm: np.ndarray
     b_tot: np.ndarray
     eta: np.ndarray
     hist_pde: np.ndarray
-    arrivals: np.ndarray
     config: dataclasses.InitVar[SimConfig]
 
     def __post_init__(self, config: SimConfig):
@@ -151,12 +149,13 @@ class MecEnvironment:
         # The devices' slant ranges, which step() keeps with the position.
         self._ranges = self._slant_ranges()
 
-    def observe(self) -> np.ndarray:
+    def observe(self) -> list:
         """The realization's own part of an observation: its UAV position
-        over the area size, (2,), under include_uav_position, else (0,)."""
-        pos = [self.uav_pos.x, self.uav_pos.y]
-        return np.array(pos if self.config.include_uav_position else [],
-                        dtype=float) / self.config.area_size
+        over the area size, [x, y], under include_uav_position, else []."""
+        cfg, pos = self.config, self.uav_pos
+        if not cfg.include_uav_position:
+            return []
+        return [pos.x / cfg.area_size, pos.y / cfg.area_size]
 
     def _slant_ranges(self) -> list:
         """Slant range from the UAV's position to each device."""
@@ -221,7 +220,7 @@ class Lockstep:
         """The network's input, one row per realization, in [0, 1]: backlog
         levels in queue_levels buckets (clipped at cap) over queue_levels - 1,
         device-major (local, UAV, cloud of device 0, then of device 1, ...),
-        then under include_uav_position the UAV position over area_size."""
+        then the realization's own part, MecEnvironment.observe()."""
         cfg = self.config
         backlog = self.backlog.transpose(1, 2, 0).reshape(self._shape[0], -1)
         top = cfg.queue_levels - 1
@@ -230,11 +229,10 @@ class Lockstep:
                   if cap > 0.0 else top)
         out = normalize_observation(np.where(backlog <= 0.0, 0.0, levels), cfg)
         if cfg.include_uav_position:
-            # One list per coordinate: at R = 1000 about half the time of
-            # (x, y) pairs and a tenth of each realization's observe().
-            uav = np.stack(([env.uav_pos.x for env in self.envs],
-                            [env.uav_pos.y for env in self.envs]), axis=-1)
-            out = np.concatenate([out, uav / cfg.area_size], axis=-1)
+            # One flat run: at R = 1000 faster than numpy reads nested lists.
+            own = chain.from_iterable(env.observe() for env in self.envs)
+            own = np.fromiter(own, float).reshape(self._shape[0], -1)
+            out = np.concatenate([out, own], axis=-1)
         return out
 
     def terminal_distance(self) -> list:
@@ -319,6 +317,5 @@ class Lockstep:
 
         return IntervalRecord(
             interval=self.n, queues_before=queues,
-            splits=splits, power_gains=gains, sinrs=sinrs, rates=rates,
-            delays=delays, t_comm=t_comm, b_tot=b_tot, eta=met.astype(int),
-            hist_pde=hist_pde, arrivals=arrivals, config=cfg)
+            splits=splits, rates=rates, delays=delays, t_comm=t_comm,
+            b_tot=b_tot, eta=met.astype(int), hist_pde=hist_pde, config=cfg)

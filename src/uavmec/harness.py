@@ -44,6 +44,13 @@ _EVAL_ONLY_FIELDS = frozenset({"sweep_i_max", "sweep_seeds", "sweep_policies",
                                "eval_realizations", "shared_model"})
 
 
+def run_tag(config: SimConfig, seed: int) -> str:
+    """i_max and seed as a run's file names carry them: i_max's repr without
+    a trailing .0 (whole values below 1e16 in plain digits, -0.0 as 0), so
+    that distinct runs get distinct names and every name stays short."""
+    return f"{repr(config.i_max + 0.0).removesuffix('.0')}_{seed}"
+
+
 def checkpoint_path(out_dir: str, config: SimConfig, seed: int) -> str:
     """Checkpoint file of the network trained at config from seed.
 
@@ -55,7 +62,7 @@ def checkpoint_path(out_dir: str, config: SimConfig, seed: int) -> str:
            for f in dataclasses.fields(config)
            if f.name not in _EVAL_ONLY_FIELDS]
     digest = hashlib.sha256(repr((ag.CHECKPOINT_VERSION, key)).encode())
-    name = f"dqn_{int(config.i_max)}_{seed}_{digest.hexdigest()[:10]}.ckpt"
+    name = f"dqn_{run_tag(config, seed)}_{digest.hexdigest()[:10]}.ckpt"
     return os.path.join(out_dir, name)
 
 

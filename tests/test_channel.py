@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from uavmec import channel
 from uavmec.channel import (Position2D, channel_gain, distance,
                             large_scale_gain, rician_sample, rician_weights)
 from uavmec.config import SimConfig
@@ -96,6 +97,18 @@ class TestRicianSample:
         state = rng.bit_generator.state
         amps = rician_sample(rng, math.inf, size=size)
         assert amps == (1.0 if size is None else [1.0] * size)
+        assert rng.bit_generator.state == state
+
+    def test_a_zero_scattered_weight_draws_nothing(self, monkeypatch):
+        # rician_weights alone decides pure line of sight: at rice_k = inf
+        # the amplitude is the complex 1, and no K-factor whose scattered
+        # weight is 0 draws
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        assert rician_sample(rng, math.inf, size=3) == [1 + 0j] * 3
+        assert type(rician_sample(rng, math.inf)) is complex
+        monkeypatch.setattr(channel, "rician_weights", lambda k: (1.0, 0.0))
+        assert rician_sample(rng, 10.0, size=2) == [1 + 0j] * 2
         assert rng.bit_generator.state == state
 
     def test_weights(self):

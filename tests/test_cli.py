@@ -64,6 +64,12 @@ class TestTrain:
         assert lines[0] == "episode,cumulative_reward,mean_td_loss"
         assert len(lines) == 3
 
+    def test_fractional_arrival_bound_names_its_files(self, tmp_path):
+        assert main(["train", "--out", str(tmp_path), "--override",
+                     "i_max=100.5"] + FAST) == 0
+        assert len(list(tmp_path.glob("dqn_100.5_0_*.ckpt"))) == 1
+        assert (tmp_path / "curve_100.5_0.csv").exists()
+
     def test_curve_holds_each_episodes_mean_td_loss(self, tmp_path):
         # 10-interval episodes and batch_size 8: episode 0 makes 3 updates
         # (its intervals 7-9), episode 1 makes 10.
@@ -183,6 +189,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert "config error:" in err and "max_catalog_size" in err
         assert not out.exists()
+
+    def test_fractional_arrival_bounds_keep_their_files(self, tmp_path):
+        # both used to write eval_uav_heavy_100_0.csv, the second over the
+        # first
+        for i_max in ("100.5", "100.9"):
+            assert main(["eval", "--policy", "uav_heavy", "--out",
+                         str(tmp_path), "--override", f"i_max={i_max}"]
+                        + FAST) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "eval_uav_heavy_100.5_0.csv", "eval_uav_heavy_100.9_0.csv"]
+
+    def test_huge_arrival_bound_gets_a_short_name(self, tmp_path):
+        # the evaluation used to run, then fail to open a file named by the
+        # 251 digits of int(1e250)
+        rc = main(["eval", "--policy", "uav_heavy", "--out", str(tmp_path),
+                   "--override", "i_max=1e250"] + FAST)
+        assert rc == 0
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "eval_uav_heavy_1e+250_0.csv"]
 
     def test_trajectory_lands_in_out_dir(self, tmp_path):
         # only the file name changes prefix, never the directory

@@ -7,6 +7,7 @@ import pytest
 from uavmec.config import (_NONNEG, _POS, _RANGES, POLICY_KINDS, ConfigError,
                            SimConfig, _kind, db_to_linear, dbm_to_watts,
                            load_config)
+from uavmec.environment import MecEnvironment
 from uavmec.harness import checkpoint_path, run_eval
 
 
@@ -380,6 +381,18 @@ class TestRanges:
                 "positive")):
             SimConfig(noise_density_dbm=density, bandwidth=bandwidth)
         assert 0.0 < dbm_to_watts(density) < math.inf
+
+    def test_uav_step_finite(self):
+        # each field is in range, their product is not: v_max * tau = inf
+        # used to build, and any move then put the other coordinate at 0
+        # (0 * inf is nan, which the clip turned into 0)
+        with pytest.raises(ConfigError, match=(
+                r"^v_max 1e\+308 and tau 10.0 give a UAV step of inf m; it "
+                "must be finite")):
+            SimConfig(v_max=1e308, tau=10.0)
+        env = MecEnvironment(SimConfig(v_max=1e307, tau=10.0))
+        env.step(1)
+        assert (env.uav_pos.x, env.uav_pos.y) == (500.0, 250.0)
 
     @pytest.mark.parametrize("value", [1.0, 1.5, -0.5])
     def test_discount_below_one(self, value):

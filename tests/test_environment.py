@@ -65,6 +65,19 @@ def untouched(batch, seeds):
          for s in seeds]
 
 
+def kept_draws(batch):
+    """Make each realization of batch keep what its step() returns: a list
+    per realization of (gains, arrivals) pairs, one per interval, which
+    fills as batch steps."""
+    draws = [[] for _ in batch.envs]
+    for env, kept in zip(batch.envs, draws):
+        def step(move, step=env.step, kept=kept):
+            kept.append(step(move))
+            return kept[-1]
+        env.step = step
+    return draws
+
+
 def small_config(**kw):
     base = dict(num_devices=1, n_intervals=5)
     base.update(kw)
@@ -215,8 +228,22 @@ class TestObservation:
         env.backlog[:, 0] = [[0.3 * cap], [0.0], [cap]]
         obs = env.observe()[0]
         assert obs.tolist() == [1 / 4, 0.0, 1.0, 0.5, 0.5]
-        assert env.envs[0].observe().tolist() == [0.5, 0.5]
-        assert one(small_config()).envs[0].observe().shape == (0,)
+        assert env.envs[0].observe() == [0.5, 0.5]
+        env.envs[0].step(1)
+        assert env.envs[0].observe() == [280.0 / 500.0, 0.5]
+        assert one(small_config()).envs[0].observe() == []
+
+    def test_suffix_is_the_realizations_own_part(self):
+        # at R = 3, after the UAVs part ways, the columns after the 3K
+        # levels are each realization's observe() row
+        cfg = SimConfig(include_uav_position=True, n_intervals=4)
+        batch = Lockstep(cfg, [1, 2, 3])
+        for moves in ([1, 2, 3], [4, STAY, 1], [1, 1, 2]):
+            batch.step(np.full((4, 3, 2), 0.3), np.array(moves))
+            suffix = batch.observe()[:, 3 * cfg.num_devices:].tolist()
+            assert suffix == [env.observe() for env in batch.envs]
+        assert suffix == [[310 / 500, 220 / 500], [250 / 500, 250 / 500],
+                          [250 / 500, 280 / 500]]
 
     def test_levels_scaled_by_normalize_observation(self):
         # observe() scales the bucketed levels with the one scaling the
@@ -446,22 +473,24 @@ class TestStepPhysics:
 
     def test_queue_trajectory_matches_external_replay(self):
         # replay the episode's queue dynamics outside the environment using
-        # only the recorded arrivals and the chosen fraction tuples
+        # only the drawn arrivals and the chosen fraction tuples
         cfg = SimConfig(num_devices=2, n_intervals=30)
         env = one(cfg, seed=9)
+        draws = kept_draws(env)[0]
         rng = np.random.default_rng(4)
         shadow = [QueueTriple(0.0, 0.0, 0.0) for _ in range(2)]
         while not env.done:
             fractions, move = action_catalog(
                 cfg, [rng.integers(0, cfg.catalog_size)])
             rec = env.step(fractions, move).realization(0)
+            arrivals = draws[-1][1]
             for k in range(2):
                 assert device(rec.queues_before, k) == shadow[k]
                 xu, xc, wu, wc = fractions[:, 0, k].tolist()
                 s = compute_splits(shadow[k], xu, xc, cfg.w_local, wu, wc)
                 shadow[k] = QueueTriple(*step_queues(
                     np.array(dataclasses.astuple(shadow[k])), split_stack(s),
-                    float(rec.arrivals[k])).tolist())
+                    float(arrivals[k])).tolist())
             assert [QueueTriple(*tiers)
                     for tiers in env.backlog[:, 0].T.tolist()] == shadow
 
@@ -474,8 +503,8 @@ class TestStepPhysics:
             for container in (rec.queues_before, rec.splits, rec.delays):
                 for f in dataclasses.fields(container):
                     assert getattr(container, f.name).shape == shape
-            for name in ("power_gains", "sinrs", "rates", "t_comm", "b_tot",
-                         "eta", "hist_pde", "reward_per_device", "arrivals"):
+            for name in ("rates", "t_comm", "b_tot", "eta", "hist_pde",
+                         "reward_per_device"):
                 assert getattr(rec, name).shape == shape
             assert comp.total_task_delay(rec.delays).shape == shape
 
@@ -577,10 +606,12 @@ class TestStepPhysics:
     def test_rates_follow_shannon(self):
         cfg = small_config()
         env = one(cfg, seed=11)
+        draws = kept_draws(env)[0]
         rec = step_entry(env, 0)
-        g = float(rec.power_gains[0])
+        (g,), _ = draws[-1]
         want_sinr = cfg.p_max * g / cfg.noise_power
-        assert rec.sinrs[0] == pytest.approx(want_sinr, rel=1e-12)
+        assert phy.sinr(np.array([g]), cfg.p_max, cfg.noise_power)[0] == \
+            pytest.approx(want_sinr, rel=1e-12)
         assert rec.rates[0] == pytest.approx(
             cfg.bandwidth * np.log2(1.0 + want_sinr), rel=1e-12)
 
@@ -612,13 +643,14 @@ class TestStepPhysics:
     def test_determinism_full_episode(self):
         def run():
             env = one(SimConfig(num_devices=2, n_intervals=25), seed=13)
+            draws = kept_draws(env)[0]
             rng = np.random.default_rng(6)
             out = []
             while not env.done:
                 rec = step_entry(env, rng.integers(0, env.config.catalog_size))
-                out.append((tuple(rec.reward_per_device),
-                            tuple(rec.power_gains), tuple(rec.arrivals),
-                            env.envs[0].uav_pos))
+                gains, arrivals = draws[-1]
+                out.append((tuple(rec.reward_per_device), tuple(gains),
+                            tuple(arrivals), env.envs[0].uav_pos))
             return out
 
         assert run() == run()
@@ -747,8 +779,8 @@ class TestLockstep:
         singles = [one(cfg, seed=s) for s in (5, 6)]
         while not batch.done:
             rec = batch.step(fractions, moves)
-            for name in ("power_gains", "sinrs", "rates", "t_comm", "b_tot",
-                         "eta", "hist_pde", "reward_per_device", "arrivals"):
+            for name in ("rates", "t_comm", "b_tot", "eta", "hist_pde",
+                         "reward_per_device"):
                 assert getattr(rec, name).shape == (2, 3)
             for container in (rec.queues_before, rec.splits, rec.delays):
                 for f in dataclasses.fields(container):
@@ -783,11 +815,15 @@ class TestLockstep:
         for env, seed in zip(batch.envs, (7, 8)):
             fresh = one(cfg, seed)
             assert env.device_positions == fresh.envs[0].device_positions
-            # a realization's step() returns its own draws
+            # a realization's step() returns its own draws: the rates its
+            # gains give, and from empty backlogs a local queue of its
+            # arrivals
             gains, arrivals = env.step(STAY)
             record = fresh.step(*action_catalog(cfg, [0]))
-            assert gains == record.power_gains[0].tolist()
-            assert np.array_equal(arrivals, record.arrivals[0])
+            sinrs = phy.sinr(np.array(gains), cfg.p_max, cfg.noise_power)
+            assert record.rates[0].tolist() == [
+                phy.rate(s, cfg.bandwidth) for s in sinrs.tolist()]
+            assert np.array_equal(fresh.backlog[0, 0], arrivals)
 
 
 # -- reference stepper ------------------------------------------------------
@@ -885,7 +921,8 @@ class ReferenceEnv:
         return gains, arrivals
 
     def step(self, action_index):
-        """The interval's record and its rewards."""
+        """The interval's record, its rewards and its draws (gains, SINRs,
+        arrivals)."""
         gains, arrivals = self.draw(action_index)
         out = reference_advance(self, self, action_index, np.array(gains),
                                 arrivals)
@@ -927,8 +964,9 @@ def reference_step_queues(q, s, arrival):
 
 
 def reference_advance(env, state, actions, gains, arrivals):
-    """The interval's record, and its rewards as the reference computes
-    them (the record computes its own when read)."""
+    """The interval's record, its rewards as the reference computes them
+    (the record computes its own when read) and its draws: the gains, their
+    SINRs and the arrivals."""
     cfg = env.config
     x_uav, x_cloud, w_uav, w_cloud = env._fraction_rows[:, actions]
 
@@ -970,11 +1008,22 @@ def reference_advance(env, state, actions, gains, arrivals):
     state.acc.record_interval(b_tot, t_comm)
 
     record = IntervalRecord(
-        interval=state.n, queues_before=queues,
-        splits=splits, power_gains=gains, sinrs=sinrs, rates=rates,
+        interval=state.n, queues_before=queues, splits=splits, rates=rates,
         delays=delays, t_comm=t_comm, b_tot=b_tot, eta=eta,
-        hist_pde=hist_pde, arrivals=arrivals, config=cfg)
-    return record, rewards
+        hist_pde=hist_pde, config=cfg)
+    return record, rewards, (gains, sinrs, arrivals)
+
+
+def assert_same_draws(config, draws, reference):
+    """The realizations' draws, (gains, arrivals) pairs of lists or (R, K)
+    arrays, and the SINRs of those gains, bit for bit against the
+    reference's (gains, SINRs, arrivals)."""
+    gains, arrivals = draws
+    ref_gains, ref_sinrs, ref_arrivals = reference
+    assert np.array_equal(gains, ref_gains)
+    assert np.array_equal(arrivals, ref_arrivals)
+    assert np.array_equal(
+        phy.sinr(np.array(gains), config.p_max, config.noise_power), ref_sinrs)
 
 
 def stacked(queues):
@@ -1006,13 +1055,15 @@ class TestMatchesReferenceStepper:
     def test_single_realization(self, name):
         cfg = REFERENCE_CONFIGS[name].validate()
         env, ref = one(cfg, seed=21), ReferenceEnv(cfg, 21)
+        draws = kept_draws(env)[0]
         actions = np.random.default_rng(5).integers(
             0, cfg.catalog_size, cfg.n_intervals)
         assert np.array_equal(env.observe()[0], ref.observe())
         etas = set()
         for a in actions.tolist():
             rec = step_entry(env, a)
-            record, rewards = ref.step(a)
+            record, rewards, ref_draws = ref.step(a)
+            assert_same_draws(cfg, draws[-1], ref_draws)
             assert_same_values(rec, record)
             assert np.array_equal(rec.reward_per_device, rewards)
             assert np.array_equal(env.observe()[0], ref.observe())
@@ -1028,12 +1079,15 @@ class TestMatchesReferenceStepper:
         cfg = REFERENCE_CONFIGS[name].validate()
         seeds = [31, 32, 33]
         batch = Lockstep(cfg, seeds)
+        draws = kept_draws(batch)
         ref = ReferenceLockstep(cfg, seeds)
         actions = np.random.default_rng(6).integers(
             0, cfg.catalog_size, (cfg.n_intervals, len(seeds)))
         for row in actions:
             rec = batch.step(*action_catalog(cfg, row))
-            record, rewards = ref.step(row)
+            record, rewards, ref_draws = ref.step(row)
+            assert_same_draws(cfg, [np.array(d) for d in zip(
+                *(kept[-1] for kept in draws))], ref_draws)
             assert np.array_equal(rec.reward_per_device, rewards)
             assert_same_values(rec, record)
             assert np.array_equal(batch.observe(), ref.observe())

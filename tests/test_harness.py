@@ -12,13 +12,34 @@ from uavmec.config import SimConfig
 from uavmec.environment import Lockstep
 from uavmec.harness import (CSV_HEADER, TRAJECTORY_HEADER, ResultRow,
                             checkpoint_path, dump_trajectory, emit_csv,
-                            run_eval, run_sweep)
+                            run_eval, run_sweep, run_tag)
 
 
 def quick_config(**kw):
     base = dict(num_devices=1, n_intervals=10)
     base.update(kw)
     return SimConfig(**base)
+
+
+class TestRunTag:
+    """The i_max_seed part of a run's file names."""
+
+    @pytest.mark.parametrize("i_max, tag", [
+        (2.5e5, "250000"), (1e5, "100000"), (0.0, "0"), (-0.0, "0"),
+        (1e15, "1000000000000000"), (2.0 ** 53 - 2, "9007199254740990")])
+    def test_whole_values_keep_their_digits(self, i_max, tag):
+        assert run_tag(SimConfig(i_max=i_max), 3) == f"{tag}_3"
+
+    def test_distinct_values_get_distinct_tags(self):
+        values = [100.0, 100.5, 100.9, 0.1, 5e-324, 1e16, 1e16 + 2.0,
+                  1e250, 1.7976931348623157e308]
+        assert len({run_tag(SimConfig(i_max=v), 0) for v in values}) == \
+            len(values)
+
+    @pytest.mark.parametrize("i_max", [1e250, 1.7976931348623157e308,
+                                       5e-324, 1 / 3])
+    def test_every_tag_stays_short(self, i_max):
+        assert len(run_tag(SimConfig(i_max=i_max), 0)) <= 25
 
 
 class TestCheckpointPath:
