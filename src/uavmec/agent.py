@@ -472,7 +472,8 @@ def load_checkpoint(path: str) -> QNetwork:
     archive, lacks its version, sizes or a layer's arrays, has a version
     that is not an integer scalar or is another version, has sizes that are
     not a 1-D array of at least two positive integers, or has a layer whose
-    arrays do not have the shapes its sizes give."""
+    arrays do not have the shapes its sizes give, are not floating-point
+    arrays or hold a non-finite value."""
     def fail(reason):
         return CheckpointError(f"checkpoint {path}: {reason}")
 
@@ -489,13 +490,22 @@ def load_checkpoint(path: str) -> QNetwork:
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise fail("not a checkpoint archive") from exc
 
-    def array(name, shape=None):
+    def array(name):
         if name not in arrays:
             raise fail(f"no {name} array")
-        if shape is not None and arrays[name].shape != shape:
-            raise fail(f"array {name} has shape {arrays[name].shape}; sizes "
-                       f"{sizes} give {shape}")
         return arrays[name]
+
+    def layer(name, shape):
+        values = array(name)
+        if values.shape != shape:
+            raise fail(f"array {name} has shape {values.shape}; sizes "
+                       f"{sizes} give {shape}")
+        if values.dtype.kind != "f":
+            raise fail(f"array {name} has dtype {values.dtype}, not a "
+                       f"floating-point one")
+        if not np.isfinite(values).all():
+            raise fail(f"array {name} holds a non-finite value")
+        return values
 
     version = array("version")
     if version.shape != () or version.dtype.kind not in "iu":
@@ -510,8 +520,8 @@ def load_checkpoint(path: str) -> QNetwork:
     sizes = sizes.tolist()
     net = QNetwork.__new__(QNetwork)
     net.sizes = sizes
-    net.weights = [array(f"w{i}", tuple(sizes[i:i + 2]))
+    net.weights = [layer(f"w{i}", tuple(sizes[i:i + 2]))
                    for i in range(len(sizes) - 1)]
-    net.biases = [array(f"b{i}", (sizes[i + 1],))
+    net.biases = [layer(f"b{i}", (sizes[i + 1],))
                   for i in range(len(sizes) - 1)]
     return net

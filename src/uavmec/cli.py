@@ -11,16 +11,6 @@ from . import harness
 from .config import POLICY_KINDS, ConfigError, load_config
 
 
-def _parse_overrides(pairs):
-    overrides = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--override expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    return overrides
-
-
 def non_negative_int(raw: str) -> int:
     """An integer of at least 0, as numpy's generators take for a seed."""
     seed = int(raw)
@@ -39,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--override", action="append", metavar="KEY=VALUE",
-                       help="config override, repeatable")
+        p.add_argument("--override", action="append", default=[],
+                       metavar="KEY=VALUE", help="config override, repeatable")
 
     p_train = sub.add_parser("train", help="train a DQN and save a checkpoint")
     common(p_train)
@@ -62,8 +52,7 @@ def cmd_train(args, config) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = harness.checkpoint_path(args.out, config, args.seed)
     ag.save_checkpoint(result.net, path)
-    curve_path = os.path.join(
-        args.out, f"curve_{harness.run_tag(config, args.seed)}.csv")
+    curve_path = harness.curve_path(path)
     with open(curve_path, "w", encoding="utf-8") as fh:
         fh.write("episode,cumulative_reward,mean_td_loss\n")
         for ep, (r, loss) in enumerate(zip(result.episode_rewards,
@@ -113,7 +102,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     commands = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep}
     try:
-        config = load_config(args.config, _parse_overrides(args.override))
+        config = load_config(args.config, args.override)
         # Checked before any work, at the nearest existing ancestor of --out;
         # the command creates the directory.
         ancestor = args.out

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -252,6 +253,12 @@ class SimConfig:
         for key in ("frac_levels", "sweep_i_max", "sweep_policies"):
             if len(getattr(self, key)) == 0:
                 raise ConfigError(f"{key} must be nonempty")
+        # A repeated grid value would evaluate the same point twice.
+        for key in ("sweep_i_max", "sweep_policies"):
+            items = getattr(self, key)
+            for i, v in enumerate(items):
+                if v in items[:i]:
+                    raise ConfigError(f"{key} holds {v!r} more than once")
         # Names only: whether a known policy can run is checked where it runs.
         for kind in self.sweep_policies:
             if kind not in POLICY_KINDS:
@@ -310,31 +317,35 @@ def _parse_value(key: str, raw: str):
     return _parse_item(key, raw, kind)
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> SimConfig:
+def load_config(path: str | None = None,
+                overrides: Sequence[str] = ()) -> SimConfig:
     """Build a SimConfig from defaults <- file <- overrides.
 
-    The file format is flat ``key = value`` lines with ``#`` comments.
-    Overrides use the same string values as the file.
+    The file format is flat ``key = value`` lines with ``#`` comments. Each
+    override is a ``key=value`` string, read as a file line without a
+    comment; the last setting of a key wins. An error names the setting's
+    source: ``<path>:<line>`` or ``--override``.
     """
-    values: dict = {}
+    settings = []
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
+        settings = [(f"{path}:{lineno}", text)
+                    for lineno, line in enumerate(lines, start=1)
+                    if (text := line.split("#", 1)[0].strip())]
+    settings += [("--override", pair) for pair in overrides]
+    values: dict = {}
+    for source, text in settings:
+        try:
             if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+                raise ConfigError(f"expected 'key = value', got {text!r}")
             key, raw = (s.strip() for s in text.split("=", 1))
             if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ConfigError(f"unknown config key {key!r}")
             values[key] = _parse_value(key, raw)
-    for key, raw in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _parse_value(key, str(raw))
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
     return SimConfig(**values)

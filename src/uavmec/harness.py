@@ -47,7 +47,9 @@ _EVAL_ONLY_FIELDS = frozenset({"sweep_i_max", "sweep_seeds", "sweep_policies",
 def run_tag(config: SimConfig, seed: int) -> str:
     """i_max and seed as a run's file names carry them: i_max's repr without
     a trailing .0 (whole values below 1e16 in plain digits, -0.0 as 0), so
-    that distinct runs get distinct names and every name stays short."""
+    that runs differing in i_max or seed get distinct names and every name
+    stays short. Runs differing in other fields share a tag; only the
+    checkpoint and curve names add a key that tells them apart."""
     return f"{repr(config.i_max + 0.0).removesuffix('.0')}_{seed}"
 
 
@@ -64,6 +66,14 @@ def checkpoint_path(out_dir: str, config: SimConfig, seed: int) -> str:
     digest = hashlib.sha256(repr((ag.CHECKPOINT_VERSION, key)).encode())
     name = f"dqn_{run_tag(config, seed)}_{digest.hexdigest()[:10]}.ckpt"
     return os.path.join(out_dir, name)
+
+
+def curve_path(checkpoint: str) -> str:
+    """Learning curve file of the training run checkpointed at checkpoint:
+    curve_<tag>_<key>.csv beside its dqn_<tag>_<key>.ckpt."""
+    head, name = os.path.split(checkpoint)
+    stem = name.removeprefix("dqn_").removesuffix(".ckpt")
+    return os.path.join(head, f"curve_{stem}.csv")
 
 
 def train_dqn(config: SimConfig, seed: int) -> ag.QNetwork:

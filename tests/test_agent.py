@@ -800,6 +800,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"array {name} has shape"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("name, values, match", [
+        ("w0", np.full((3, 8), "x"), "has dtype <U1, not a floating-point"),
+        ("w0", np.zeros((3, 8), dtype=np.int64), "has dtype int64"),
+        ("w0", np.full((3, 8), np.nan), "holds a non-finite value"),
+        ("b1", np.array([0.0, 0.0, np.inf, 0.0, 0.0]),
+         "holds a non-finite value")])
+    def test_layers_must_hold_finite_floats(self, tmp_path, name, values,
+                                            match):
+        # a text layer used to load and fail in the forward pass, a NaN
+        # one to load and make every greedy action entry 0
+        path = self.rewritten(tmp_path, **{name: values})
+        with pytest.raises(CheckpointError,
+                           match=f"model.ckpt: array {name} {match}"):
+            load_checkpoint(path)
+
     def test_interrupted_save_keeps_the_old_file(self, tmp_path,
                                                  monkeypatch):
         # the archive goes to a temporary file beside the target, which an

@@ -23,18 +23,23 @@ FAST = [
 # has 80 catalog entries, cannot use: files that load_checkpoint rejects, and
 # networks whose layer sizes do not fit the config.
 BAD_CHECKPOINTS = ["not an archive", "no sizes", "a directory",
-                   "6 inputs", "7 outputs"]
+                   "6 inputs", "7 outputs", "text w0", "NaN w0"]
 
 
 def bad_checkpoint(out_dir, kind, *extra):
     """A bad checkpoint of kind (BAD_CHECKPOINTS) at the checkpoint path of
     the FAST config with extra overrides. Returns the path."""
-    pairs = (FAST + list(extra))[1::2]
-    config = load_config(None, dict(pair.split("=", 1) for pair in pairs))
+    config = load_config(None, (FAST + list(extra))[1::2])
     path = harness.checkpoint_path(str(out_dir), config, 0)
     out_dir.mkdir(exist_ok=True)
     if kind == "a directory":
         os.mkdir(path)
+    elif kind in ("text w0", "NaN w0"):
+        # a text layer used to fail in the forward pass with a numpy
+        # traceback, a NaN one to evaluate as if every action were entry 0
+        net = ag.QNetwork(3, (8,), 80)
+        net.weights[0] = np.full((3, 8), "x" if kind == "text w0" else np.nan)
+        ag.save_checkpoint(net, path)
     elif kind in ("6 inputs", "7 outputs"):
         ag.save_checkpoint(ag.QNetwork(6 if kind == "6 inputs" else 3, (8,),
                                        7 if kind == "7 outputs" else 80),
@@ -48,6 +53,15 @@ def bad_checkpoint(out_dir, kind, *extra):
     return path
 
 
+def run_files(out_dir, tag):
+    """The one checkpoint and the one learning curve of tag under out_dir,
+    whose names carry the same key."""
+    ckpt, = out_dir.glob(f"dqn_{tag}_*.ckpt")
+    curve, = out_dir.glob(f"curve_{tag}_*.csv")
+    assert curve.stem.removeprefix("curve_") == ckpt.stem.removeprefix("dqn_")
+    return ckpt, curve
+
+
 def one_error_line(capsys, path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: checkpoint ")
@@ -58,8 +72,7 @@ class TestTrain:
     def test_writes_checkpoint_and_curve(self, tmp_path, capsys):
         rc = main(["train", "--seed", "1", "--out", str(tmp_path)] + FAST)
         assert rc == 0
-        assert len(list(tmp_path.glob("dqn_250000_1_*.ckpt"))) == 1
-        curve = tmp_path / "curve_250000_1.csv"
+        _, curve = run_files(tmp_path, "250000_1")
         lines = curve.read_text().splitlines()
         assert lines[0] == "episode,cumulative_reward,mean_td_loss"
         assert len(lines) == 3
@@ -67,18 +80,27 @@ class TestTrain:
     def test_fractional_arrival_bound_names_its_files(self, tmp_path):
         assert main(["train", "--out", str(tmp_path), "--override",
                      "i_max=100.5"] + FAST) == 0
-        assert len(list(tmp_path.glob("dqn_100.5_0_*.ckpt"))) == 1
-        assert (tmp_path / "curve_100.5_0.csv").exists()
+        run_files(tmp_path, "100.5_0")
+
+    def test_runs_of_two_configs_keep_their_curves(self, tmp_path):
+        # both used to write curve_250000_0.csv, the second over the first,
+        # beside two checkpoints
+        for episodes in (2, 3):
+            assert main(["train", "--out", str(tmp_path)] + FAST
+                        + ["--override", f"episodes={episodes}"]) == 0
+        curves = sorted(tmp_path.glob("curve_250000_0_*.csv"))
+        assert len(curves) == 2 and len(list(tmp_path.iterdir())) == 4
+        assert sorted(len(c.read_text().splitlines()) for c in curves) == \
+            [3, 4]
 
     def test_curve_holds_each_episodes_mean_td_loss(self, tmp_path):
         # 10-interval episodes and batch_size 8: episode 0 makes 3 updates
         # (its intervals 7-9), episode 1 makes 10.
         assert main(["train", "--seed", "1", "--out", str(tmp_path)]
                     + FAST) == 0
-        rows = [line.split(",") for line in
-                (tmp_path / "curve_250000_1.csv").read_text().splitlines()[1:]]
-        result = ag.train(load_config(None, dict(
-            pair.split("=") for pair in FAST[1::2])), 1)
+        _, curve = run_files(tmp_path, "250000_1")
+        rows = [line.split(",") for line in curve.read_text().splitlines()[1:]]
+        result = ag.train(load_config(None, FAST[1::2]), 1)
         assert [float(r[1]) for r in rows] == result.episode_rewards
         assert [float(r[2]) for r in rows] == [
             float(np.mean(result.losses[:3])),
@@ -101,7 +123,7 @@ class TestTrain:
     def test_episode_without_updates_has_nan_loss(self, tmp_path):
         assert main(["train", "--out", str(tmp_path)] + FAST
                     + ["--override", "batch_size=16"]) == 0
-        lines = (tmp_path / "curve_250000_0.csv").read_text().splitlines()
+        lines = run_files(tmp_path, "250000_0")[1].read_text().splitlines()
         assert lines[1].endswith(",nan")
         assert not lines[2].endswith(",nan")
 
@@ -283,12 +305,25 @@ class TestConfigHandling:
         rc = main(["eval", "--policy", "random", "--override", "nope=1",
                    "--out", str(tmp_path)])
         assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: --override: unknown config key 'nope'\n")
+
+    def test_bad_config_file_line_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus = 1\n")
+        rc = main(["eval", "--policy", "random", "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:1: unknown config key 'bogus'\n")
 
     def test_malformed_override_pair(self, tmp_path, capsys):
         rc = main(["eval", "--policy", "random", "--override", "num_devices",
                    "--out", str(tmp_path)])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: --override: expected 'key = value', got "
+            "'num_devices'\n")
 
     @pytest.mark.parametrize("pair", ["num_devices=2.5", "num_devices=inf"])
     def test_non_integer_override_exit_code(self, tmp_path, capsys, pair):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,13 +216,23 @@ class TestValidate:
         with pytest.raises(ConfigError, match="frac_levels must be nonempty"):
             SimConfig(frac_levels=()).validate()
         with pytest.raises(ConfigError, match="frac_levels must be nonempty"):
-            load_config(None, {"frac_levels": ""})
+            load_config(None, ["frac_levels="])
 
     def test_unknown_sweep_policy(self):
         # run_sweep would train every network before reaching the bad name
         with pytest.raises(ConfigError, match="'randm'"):
             SimConfig(sweep_policies=("dqn", "randm")).validate()
         SimConfig(sweep_policies=POLICY_KINDS).validate()
+
+    @pytest.mark.parametrize("key, items, repeat", [
+        ("sweep_i_max", (1e5, 2e5, 100000), "100000.0"),
+        ("sweep_policies", ("random", "uav_heavy", "random"), "'random'")])
+    def test_sweep_grid_values_unique(self, key, items, repeat):
+        # a repeated value used to evaluate its grid points twice, as
+        # identical rows
+        with pytest.raises(ConfigError,
+                           match=f"^{key} holds {repeat} more than once$"):
+            SimConfig(**{key: items})
 
     def test_empty_sweep_lists_rejected(self):
         for key in ("sweep_i_max", "sweep_policies"):
@@ -337,7 +348,7 @@ class TestRanges:
     def test_defaults_round_trip_through_text(self, f):
         text = (", ".join(map(str, f.default)) if _kind(f)[1]
                 else str(f.default))
-        cfg = load_config(None, {f.name: text})
+        cfg = load_config(None, [f"{f.name}={text}"])
         assert cfg == SimConfig()
         assert repr(getattr(cfg, f.name)) == repr(f.default)
 
@@ -425,44 +436,84 @@ class TestLoadConfig:
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("i_max = 1.0e5\n")
-        cfg = load_config(str(path), {"i_max": "2.0e5", "episodes": "7"})
+        cfg = load_config(str(path), ["i_max=2.0e5", "episodes=7"])
         assert cfg.i_max == 2e5
         assert cfg.episodes == 7
 
     def test_unknown_key(self, tmp_path):
+        # each error names the setting's source: the file's line, or
+        # --override, whose unknown key used to name none
         path = tmp_path / "run.cfg"
-        path.write_text("bandwith = 1\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
+        path.write_text("# scenario\nbandwith = 1\n")
+        with pytest.raises(ConfigError, match=(
+                rf"^{re.escape(str(path))}:2: unknown config key 'bandwith'$")):
             load_config(str(path))
-        with pytest.raises(ConfigError, match="unknown config key"):
-            load_config(None, {"bandwith": "1"})
+        with pytest.raises(ConfigError, match=(
+                r"^--override: unknown config key 'bandwith'$")):
+            load_config(None, ["bandwith=1"])
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("just some words\n")
-        with pytest.raises(ConfigError, match="key = value"):
-            load_config(str(path))
+        for text in ("just some words", "n_intervals", ""):
+            path.write_text(f"{text}  # no value\n")
+            # a blank file line is skipped, a blank override is not
+            if text:
+                with pytest.raises(ConfigError, match=(
+                        rf"^{re.escape(str(path))}:1: expected 'key = value', "
+                        rf"got '{text}'$")):
+                    load_config(str(path))
+            else:
+                assert load_config(str(path)) == SimConfig()
+            with pytest.raises(ConfigError, match=(
+                    rf"^--override: expected 'key = value', got '{text}'$")):
+                load_config(None, [text])
+
+    def test_comment_mark_is_part_of_an_override(self, tmp_path):
+        # only file lines lose a # comment
+        path = tmp_path / "run.cfg"
+        path.write_text("sweep_policies = random#x\n")
+        assert load_config(str(path)).sweep_policies == ("random",)
+        with pytest.raises(ConfigError, match=r"^unknown policy 'random#x'"):
+            load_config(None, ["sweep_policies=random#x"])
+
+    def test_last_setting_wins(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("i_max = 1.0e5\ni_max = 1.5e5\n")
+        assert load_config(str(path)).i_max == 1.5e5
+        cfg = load_config(str(path), ["i_max=2.0e5", " i_max = 3.0e5 "])
+        assert cfg.i_max == 3e5
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/run.cfg")
 
+    def test_file_not_utf8(self, tmp_path):
+        # used to end in a UnicodeDecodeError traceback
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"n_intervals = 5\xff\n")
+        with pytest.raises(ConfigError, match="^cannot read config file .*"
+                           "can't decode byte 0xff"):
+            load_config(str(path))
+
     def test_bad_number(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("i_max = plenty\n")
-        with pytest.raises(ConfigError, match="cannot parse"):
+        with pytest.raises(ConfigError, match=(
+                rf"^{re.escape(str(path))}:1: cannot parse number for "
+                "'i_max'")):
             load_config(str(path))
 
     def test_bad_bool(self):
-        with pytest.raises(ConfigError, match="boolean"):
-            load_config(None, {"include_uav_position": "maybe"})
+        with pytest.raises(ConfigError, match=(
+                "^--override: cannot parse boolean")):
+            load_config(None, ["include_uav_position=maybe"])
 
     def test_invalid_value_rejected_at_load(self):
         with pytest.raises(ConfigError, match="positive"):
-            load_config(None, {"bandwidth": "-5"})
+            load_config(None, ["bandwidth=-5"])
 
     def test_policies_parsed_as_strings(self):
-        cfg = load_config(None, {"sweep_policies": "random, uav_heavy"})
+        cfg = load_config(None, ["sweep_policies=random, uav_heavy"])
         assert cfg.sweep_policies == ("random", "uav_heavy")
 
     @pytest.mark.parametrize("key, raw", [
@@ -474,14 +525,14 @@ class TestLoadConfig:
         # fractions used to be truncated, inf to raise an OverflowError and
         # an unparsable tuple entry a bare ValueError
         with pytest.raises(ConfigError, match=key):
-            load_config(None, {key: raw})
+            load_config(None, [f"{key}={raw}"])
 
     def test_integral_floats_parse_as_ints(self):
-        cfg = load_config(None, {"max_catalog_size": "1e4",
-                                 "hidden_sizes": "32.0, 16"})
+        cfg = load_config(None, ["max_catalog_size=1e4",
+                                 "hidden_sizes=32.0, 16"])
         assert cfg.max_catalog_size == 10000
         assert cfg.hidden_sizes == (32, 16)
 
     def test_hidden_sizes_parsed_as_ints(self):
-        cfg = load_config(None, {"hidden_sizes": "32, 16"})
+        cfg = load_config(None, ["hidden_sizes=32, 16"])
         assert cfg.hidden_sizes == (32, 16)
