@@ -24,6 +24,11 @@ from .environment import STAY, Lockstep, normalize_observation, observation_size
 
 CHECKPOINT_VERSION = 1
 
+# The most realization-intervals in one block of an open-loop policy's
+# actions (baseline_action); at R above it a block is one interval. 512 ran
+# no faster at R = 1 and 2 and added about 0.4 MB to eval_fixed's peak RSS.
+BLOCK_ROWS = 256
+
 
 class QNetwork:
     """Dense rectifier network mapping observations to per-action values."""
@@ -305,6 +310,7 @@ class Policy:
     by the bytes of the observation rows it reads (see baseline_action)."""
     kind: str
     config: SimConfig
+    realizations: int
     net: QNetwork = None
     action: tuple = None
     entries: np.ndarray = None
@@ -322,14 +328,14 @@ def make_policy(kind: str, config: SimConfig, realizations: int,
         if net is None:
             raise ValueError("dqn policy requires a trained network")
         check_fit(net, config)
-        return Policy(kind, config, net=net, memo={})
+        return Policy(kind, config, realizations, net=net, memo={})
     if kind == "random":
         if rng is None:
             raise ValueError("random policy requires a generator")
         entries = rng.integers(
             config.catalog_size, size=(realizations, config.n_intervals))
-        return Policy(kind, config, entries=entries)
-    return Policy(kind, config, action=fixed_action(
+        return Policy(kind, config, realizations, entries=entries)
+    return Policy(kind, config, realizations, action=fixed_action(
         kind, (realizations, config.num_devices)))
 
 
@@ -352,11 +358,15 @@ def fixed_action(kind: str, shape: tuple):
 
 
 def baseline_action(policy: Policy, n: int, observe):
-    """Interval n's (fractions, moves) for every realization, (4, R, K) and
-    (R,), as Lockstep.step takes them.
+    """The (fractions, moves) of a block of B intervals from interval n on
+    for every realization, (4, B, R, K) and (B, R), as Lockstep.step_block
+    takes them: one interval for the dqn, whose action needs the
+    observation; for the open-loop policies as many intervals as fit in
+    BLOCK_ROWS realization-intervals, at least one, up to the episode's end.
 
     Only the dqn calls observe(), for the network's input rows, and acts
-    greedily on them; the random policy decodes its entries for n. The dqn
+    greedily on them; the random policy decodes its entries for the block in
+    one call, and a fixed baseline's block repeats its action. The dqn
     values each distinct row once per policy: only the rows not yet in its
     memo go through the net, in one pass, or none. By greedy_action's
     rounding rule the actions are those of one pass over every row (at
@@ -371,11 +381,17 @@ def baseline_action(policy: Policy, n: int, observe):
             memo.update(zip(new, greedy_action(policy.net,
                                                obs[rows]).tolist()))
         index = np.fromiter(map(memo.__getitem__, keys), np.int64, len(keys))
-        return environment.action_catalog(policy.config, index)
+        fractions, moves = environment.action_catalog(policy.config, index)
+        return fractions[:, None], moves[None]
+    count = min(max(1, BLOCK_ROWS // policy.realizations),
+                policy.config.n_intervals - n)
     if policy.kind == "random":
         return environment.action_catalog(policy.config,
-                                          policy.entries[:, n])
-    return policy.action
+                                          policy.entries[:, n:n + count].T)
+    fractions, moves = policy.action
+    return (np.broadcast_to(fractions[:, None],
+                            (4, count) + fractions.shape[1:]),
+            np.broadcast_to(moves, (count,) + moves.shape))
 
 
 # -- training loop ----------------------------------------------------------

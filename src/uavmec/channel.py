@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,7 @@ def large_scale_gain(d: float, config: SimConfig) -> float:
     return config.eta0 * d ** (-config.path_loss_exp)
 
 
+@lru_cache(maxsize=64)
 def rician_weights(rice_k: float) -> tuple:
     """Amplitude weights (LoS, scattered) of unit-mean-power Rician fading
     with K-factor rice_k; (1, 0) for pure line of sight (rice_k = inf)."""

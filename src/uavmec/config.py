@@ -253,8 +253,10 @@ class SimConfig:
         for key in ("frac_levels", "sweep_i_max", "sweep_policies"):
             if len(getattr(self, key)) == 0:
                 raise ConfigError(f"{key} must be nonempty")
-        # A repeated grid value would evaluate the same point twice.
-        for key in ("sweep_i_max", "sweep_policies"):
+        # A repeated grid value would evaluate the same point twice, and a
+        # repeated fraction level would list the same actions under many
+        # catalog indices.
+        for key in ("frac_levels", "sweep_i_max", "sweep_policies"):
             items = getattr(self, key)
             for i, v in enumerate(items):
                 if v in items[:i]:

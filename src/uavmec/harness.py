@@ -86,16 +86,20 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     """Average metrics of a frozen policy over independent episodes.
 
     Every realization gets fresh channel/arrival streams derived from the
-    seed, and all of them run in one Lockstep: per interval, each makes its
-    own draws in its step(), and one pass of the backlog stages and one
-    baseline_action call serve them all, whatever the policy kind. The dqn
-    values each distinct observe() row once per call, and keeps its greedy
-    action for the rest of the call. No reward is computed, save those of
-    collected records that the caller reads. PD and CD are read from the
-    Lockstep's accumulator; the backlogs and the delay-bound violations
-    are summed here. The sums run in a different order than one episode
-    after another would add them, so a row matches one-realization-at-a-time
-    stepping to within about 1e-13 relative, not bit for bit.
+    seed, and all of them run in one Lockstep, a block of intervals at a
+    time: one baseline_action call gives the block's actions for all
+    realizations, each realization makes the block's draws in its step(),
+    and one pass of the backlog stages serves them all. A block is one
+    interval for the dqn, which values each distinct observe() row once per
+    call and keeps its greedy action for the rest of the call; the
+    open-loop baselines know their actions in advance and step up to
+    agent.BLOCK_ROWS realization-intervals at once. No reward is computed,
+    save those of collected records that the caller reads. PD and CD are
+    read from the Lockstep's accumulator; the backlogs and the delay-bound
+    violations are summed here, in interval order whatever the block. The
+    sums run in a different order than one episode after another would add
+    them, so a row matches one-realization-at-a-time stepping to within
+    about 1e-13 relative, not bit for bit.
 
     Returns a ResultRow of plain Python numbers (plus the per-interval
     records of the last episode when collect_records is set).
@@ -112,13 +116,25 @@ def run_eval(policy: str, config: SimConfig, seed: int, realizations: int,
     backlog = np.zeros((3, realizations, config.num_devices))
     violations = 0
     records = []
-    for n in range(config.n_intervals):
-        action = ag.baseline_action(pol, n, batch.observe)
-        backlog += batch.backlog
-        rec = batch.step(*action)
+    while not batch.done:
+        start = batch.backlog  # a step replaces it, never writes into it
+        rec = batch.step_block(*ag.baseline_action(pol, batch.n,
+                                                   batch.observe))
+        # Each interval's start backlogs, added one interval after another:
+        # one add for one interval, else one accumulate pass, whose cost
+        # grows with the R·K columns rather than the intervals.
+        if len(rec.eta) == realizations:
+            backlog += start
+        else:
+            q = rec.queues_before
+            seen = np.array([q.q_local, q.q_uav, q.q_cloud]).reshape(
+                (3, -1) + backlog.shape[1:])
+            backlog = np.add.accumulate(
+                np.concatenate([backlog[:, None], seen], axis=1),
+                axis=1)[:, -1]
         violations += rec.eta.size - int(np.count_nonzero(rec.eta))
         if collect_records:
-            records.append(rec.realization(-1))
+            records += rec.intervals_of(realizations - 1, realizations)
     pd_sum = float(np.sum(batch.acc.per_device_processed))
     cd_sum = float(np.sum(batch.acc.per_device_delay))
     total_intervals = realizations * config.n_intervals

@@ -34,16 +34,42 @@ class PdeAccumulator:
         self.per_device_delay = np.zeros(self.shape)
 
     def record_interval(self, b_tot: np.ndarray, t_comm: np.ndarray) -> None:
-        """Add one interval of per-device processed bits and comm delays."""
-        self.per_device_processed += b_tot
-        self.per_device_delay += t_comm
+        """Add one interval of per-device processed bits and comm delays.
+        The sums are new arrays, so sums read before stay as they were."""
+        self.per_device_processed = self.per_device_processed + b_tot
+        self.per_device_delay = self.per_device_delay + t_comm
+
+    def record_block(self, b_tot: np.ndarray, t_comm: np.ndarray) -> tuple:
+        """Add B intervals of per-device processed bits and comm delays,
+        (B·R, K) rows, interval-major, for an accumulator of shape (R, K),
+        one interval after another as record_interval adds them. Returns the
+        sums (processed, delay) before each interval, in the same rows."""
+        shape = self.per_device_processed.shape
+        if b_tot.shape == shape:
+            # One interval: its sums before are the accumulator's.
+            before = self.per_device_processed, self.per_device_delay
+            self.record_interval(b_tot, t_comm)
+            return before
+        sums = np.empty((2, len(b_tot) // shape[0] + 1) + shape)
+        sums[0, 0] = self.per_device_processed
+        sums[1, 0] = self.per_device_delay
+        sums[0, 1:] = b_tot.reshape((-1,) + shape)
+        sums[1, 1:] = t_comm.reshape((-1,) + shape)
+        np.add.accumulate(sums, axis=1, out=sums)
+        self.per_device_processed, self.per_device_delay = sums[:, -1]
+        return tuple(s[:-1].reshape(b_tot.shape) for s in sums)
 
     def device_pde(self) -> np.ndarray:
         """Historical PDE of every device; 0 for a device with no delay yet."""
-        out = np.zeros(self.shape)
-        np.divide(self.per_device_processed, self.per_device_delay, out=out,
-                  where=self.per_device_delay > 0.0)
-        return out
+        return historical_pde(self.per_device_processed, self.per_device_delay)
+
+
+def historical_pde(processed: np.ndarray, delay: np.ndarray) -> np.ndarray:
+    """Per-device PDE of cumulative sums: processed over delay, 0 where the
+    delay is not positive."""
+    out = np.zeros(processed.shape)
+    np.divide(processed, delay, out=out, where=delay > 0.0)
+    return out
 
 
 @dataclass

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from uavmec import agent, environment, harness
-from uavmec.agent import (CheckpointError, QNetwork, ReplayBuffer,
-                          baseline_action, forward, load_checkpoint,
-                          make_policy, normalize_observation, save_checkpoint,
-                          select_action, sync_target, target_max_q, td_loss,
-                          train, train_step)
+from uavmec.agent import (BLOCK_ROWS, CheckpointError, QNetwork,
+                          ReplayBuffer, baseline_action, forward,
+                          load_checkpoint, make_policy, normalize_observation,
+                          save_checkpoint, select_action, sync_target,
+                          target_max_q, td_loss, train, train_step)
 from uavmec.config import FIXED_POLICY_FRACS, ConfigError, SimConfig
 from uavmec.environment import (STAY, Lockstep, MecEnvironment,
                                 action_catalog)
@@ -549,29 +549,33 @@ class TestPolicies:
         assert make_policy("dqn", self.cfg, 1, net).net is net
 
     def test_uav_heavy_decodes(self):
+        # a block of the whole 5-interval episode, 3 realizations each
         pol = make_policy("uav_heavy", self.cfg, 3)
         fracs, moves = baseline_action(pol, 0, never_observe)
-        assert fracs.shape == (4, 3, 2) and moves.tolist() == [STAY] * 3
+        assert fracs.shape == (4, 5, 3, 2)
+        assert moves.tolist() == [[STAY] * 3] * 5
         want = FIXED_POLICY_FRACS["uav_heavy"]
         assert all(tuple(f) == want for f in fracs.T.reshape(-1, 4).tolist())
 
     def test_cloud_heavy_decodes(self):
         pol = make_policy("cloud_heavy", self.cfg, 1)
         fracs, moves = baseline_action(pol, 0, never_observe)
-        assert moves.tolist() == [STAY]
+        assert moves.tolist() == [[STAY]] * 5
         want = FIXED_POLICY_FRACS["cloud_heavy"]
         assert all(tuple(f) == want for f in fracs.T.reshape(-1, 4).tolist())
-        assert fracs[1, 0, 0] == 0.6  # x_cloud of device 0
+        assert fracs[1, 0, 0, 0] == 0.6  # x_cloud of device 0
 
     def test_fixed_policy_ignores_observation(self):
-        # the same action every interval, with no observation and no draw
+        # the same action every interval, with no observation and no draw;
+        # a block from interval n runs to the episode's end
         rng = np.random.default_rng(0)
         pol = make_policy("cloud_heavy", self.cfg, 2, rng=rng)
         first = baseline_action(pol, 0, never_observe)
+        assert np.all(first[0] == first[0][:, :1])
         for n in range(1, self.cfg.n_intervals):
             fracs, moves = baseline_action(pol, n, never_observe)
-            assert np.array_equal(fracs, first[0])
-            assert np.array_equal(moves, first[1])
+            assert np.array_equal(fracs, first[0][:, n:])
+            assert np.array_equal(moves, first[1][n:])
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_fixed_fracs_missing_from_catalog(self):
@@ -581,17 +585,19 @@ class TestPolicies:
                     SimConfig(num_devices=3)):
             pol = make_policy("uav_heavy", cfg, 2)
             fracs, moves = baseline_action(pol, 0, never_observe)
-            assert fracs.shape == (4, 2, cfg.num_devices)
-            Lockstep(cfg, [0, 1]).step(fracs, moves)
+            assert fracs.shape == (4, BLOCK_ROWS // 2, 2, cfg.num_devices)
+            Lockstep(cfg, [0, 1]).step_block(fracs, moves)
 
     def test_random_policy_covers_catalog(self):
         pol = make_policy("random", self.cfg, 1000,
                           rng=np.random.default_rng(1))
         draws = set()
         for n in range(self.cfg.n_intervals):
+            # above BLOCK_ROWS realizations a block is one interval
             fracs, moves = baseline_action(pol, n, never_observe)
-            draws.update(zip(map(tuple, fracs.transpose(1, 0, 2).reshape(
-                1000, -1).tolist()), moves.tolist()))
+            assert moves.shape == (1, 1000)
+            rows = fracs[:, 0].transpose(1, 0, 2).reshape(1000, -1)
+            draws.update(zip(map(tuple, rows.tolist()), moves[0].tolist()))
         assert len(draws) > 1000
 
     def test_random_entries_match_scalar_draws(self):
@@ -603,10 +609,38 @@ class TestPolicies:
                  for _ in range(self.cfg.n_intervals)] for _ in range(4)]
         assert pol.entries.tolist() == want
         for n in range(self.cfg.n_intervals):
+            # a block from interval n on decodes the entries of n, n + 1, ...
             fracs, moves = baseline_action(pol, n, never_observe)
-            decoded = action_catalog(self.cfg, pol.entries[:, n])
-            assert np.array_equal(fracs, decoded[0])
-            assert np.array_equal(moves, decoded[1])
+            assert len(moves) == self.cfg.n_intervals - n
+            for b in range(len(moves)):
+                decoded = action_catalog(self.cfg, pol.entries[:, n + b])
+                assert np.array_equal(fracs[:, b], decoded[0])
+                assert np.array_equal(moves[b], decoded[1])
+
+    @pytest.mark.parametrize("kind", ["random", "uav_heavy"])
+    @pytest.mark.parametrize("realizations, length", [
+        (1, BLOCK_ROWS), (2, BLOCK_ROWS // 2), (3, BLOCK_ROWS // 3),
+        (BLOCK_ROWS, 1), (BLOCK_ROWS + 1, 1), (1000, 1)])
+    def test_open_loop_blocks_fill_block_rows(self, kind, realizations,
+                                              length):
+        # as many intervals as fit in BLOCK_ROWS realization-intervals, at
+        # least one, and never past the episode's end
+        n_intervals = 2 * BLOCK_ROWS + 7
+        cfg = SimConfig(n_intervals=n_intervals)
+        pol = make_policy(kind, cfg, realizations,
+                          rng=np.random.default_rng(0))
+        for n, want in ((0, length), (n_intervals - 3, min(length, 3)),
+                        (n_intervals - 1, 1)):
+            fracs, moves = baseline_action(pol, n, never_observe)
+            assert moves.shape == (want, realizations)
+            assert fracs.shape == (4, want, realizations, 2)
+
+    def test_dqn_block_is_one_interval(self):
+        pol = make_policy("dqn", self.cfg, 3,
+                          tiny_net(input_size=6, output_size=1280))
+        fracs, moves = baseline_action(
+            pol, 0, lambda: np.zeros((3, 6)))
+        assert fracs.shape == (4, 1, 3, 2) and moves.shape == (1, 3)
 
     def test_batched_greedy_matches_single(self):
         rng = np.random.default_rng(8)
@@ -622,7 +656,8 @@ class TestPolicies:
 
         pol = make_policy("dqn", self.cfg, 2000, net)
         fracs, moves = baseline_action(pol, 0, observe)
-        assert len(calls) == 1 and fracs.shape == (4, 2000, 2)
+        assert len(calls) == 1 and fracs.shape == (4, 1, 2000, 2)
+        fracs, moves = fracs[:, 0], moves[0]
         single = [select_action(net, o, 0.0, rng) for o in obs]
         want = action_catalog(self.cfg, single)
         same = np.all(fracs == want[0], axis=(0, 2)) & (moves == want[1])
@@ -744,12 +779,18 @@ class TestDecodesThroughEnvironment:
         monkeypatch.setattr(environment, "action_catalog", spy)
         return indices
 
-    def test_random_eval_decodes_once_per_interval(self, monkeypatch):
+    def test_random_eval_decodes_once_per_block(self, monkeypatch):
+        # one decode of each block's (B, R) entries: the whole episode at
+        # R = 2, one interval per block above BLOCK_ROWS realizations
         indices = self._spy(monkeypatch)
         harness.run_eval("random", SimConfig(n_intervals=5), seed=0,
                          realizations=2)
-        assert len(indices) == 5
-        assert all(np.shape(index) == (2,) for index in indices)
+        assert [np.shape(index) for index in indices] == [(5, 2)]
+        indices.clear()
+        harness.run_eval("random", SimConfig(n_intervals=3), seed=0,
+                         realizations=BLOCK_ROWS + 1)
+        assert [np.shape(index) for index in indices] == \
+            [(1, BLOCK_ROWS + 1)] * 3
 
     def test_training_decodes_once_per_interval(self, monkeypatch):
         indices = self._spy(monkeypatch)

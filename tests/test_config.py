@@ -224,6 +224,19 @@ class TestValidate:
             SimConfig(sweep_policies=("dqn", "randm")).validate()
         SimConfig(sweep_policies=POLICY_KINDS).validate()
 
+    @pytest.mark.parametrize("items, repeat", [
+        ((0.3, 0.3), "0.3"), ((0.0, 0.5, 1.0, 0.5), "0.5"),
+        ((0.0, 0.3, 0), "0.0")])
+    def test_frac_levels_unique(self, items, repeat):
+        # a repeated level used to give a catalog of 1280 indices over the 5
+        # distinct actions of (0.3, 0.3), which the dqn's head and the random
+        # policy's draws spread over
+        with pytest.raises(ConfigError, match=f"^frac_levels holds {repeat} "
+                                              f"more than once$"):
+            SimConfig(frac_levels=items)
+        with pytest.raises(ConfigError, match="frac_levels holds"):
+            load_config(None, ["frac_levels=" + ",".join(map(str, items))])
+
     @pytest.mark.parametrize("key, items, repeat", [
         ("sweep_i_max", (1e5, 2e5, 100000), "100000.0"),
         ("sweep_policies", ("random", "uav_heavy", "random"), "'random'")])

@@ -713,8 +713,9 @@ class TestRewardWhenRead:
 
 def assert_same_values(a, b):
     """Every field of two records (nested dataclasses of arrays) bit for
-    bit, and their rewards, which are not fields."""
+    bit, and their historical PDEs and rewards, which are not fields."""
     if isinstance(a, IntervalRecord):
+        assert np.array_equal(a.hist_pde, b.hist_pde)
         assert np.array_equal(a.reward_per_device, b.reward_per_device)
     if dataclasses.is_dataclass(a):
         for f in dataclasses.fields(a):
@@ -995,6 +996,8 @@ def reference_advance(env, state, actions, gains, arrivals):
                    + delays.t_cloud_comp)
     eta = (total_delay <= cfg.tau).astype(int)
 
+    processed_before = state.acc.per_device_processed.copy()
+    delay_before = state.acc.per_device_delay.copy()
     hist_pde = state.acc.device_pde()
     b_tot = s.b_local + s.b_uav + s.b_cloud
     met = eta == 1
@@ -1010,7 +1013,9 @@ def reference_advance(env, state, actions, gains, arrivals):
     record = IntervalRecord(
         interval=state.n, queues_before=queues, splits=splits, rates=rates,
         delays=delays, t_comm=t_comm, b_tot=b_tot, eta=eta,
-        hist_pde=hist_pde, config=cfg)
+        processed_before=processed_before, delay_before=delay_before,
+        config=cfg)
+    assert np.array_equal(record.hist_pde, hist_pde)
     return record, rewards, (gains, sinrs, arrivals)
 
 
@@ -1098,3 +1103,133 @@ class TestMatchesReferenceStepper:
                               ref.acc.per_device_processed)
         assert np.array_equal(batch.acc.per_device_delay,
                               ref.acc.per_device_delay)
+
+
+# -- blocks of intervals -----------------------------------------------------
+
+def joined(values):
+    """Per-interval records, or their fields, as one block's record: every
+    array's rows concatenated, interval-major, at the first interval."""
+    first = values[0]
+    if isinstance(first, IntervalRecord):
+        return IntervalRecord(
+            first.interval,
+            *(joined([getattr(v, f.name) for v in values])
+              for f in dataclasses.fields(first)[1:]), first._config)
+    if dataclasses.is_dataclass(first):
+        return type(first)(*(joined([getattr(v, f.name) for v in values])
+                             for f in dataclasses.fields(first)))
+    return np.concatenate(values)
+
+
+def block_actions(config, entries):
+    """The (4, B, R, K) fraction rows and (B, R) moves of (B, R) entries."""
+    return action_catalog(config, np.asarray(entries))
+
+
+BLOCK_CONFIGS = {
+    "default": SimConfig(n_intervals=23),
+    "one_device": SimConfig(n_intervals=23, num_devices=1),
+    "three_devices": SimConfig(n_intervals=23, num_devices=3),
+    "los": SimConfig(n_intervals=23, rician_k=math.inf),
+    "uav_position": small_config(n_intervals=23, include_uav_position=True,
+                                 area_size=50.0),
+    "tight_tau": SimConfig(n_intervals=23, tau=TIGHT_TAU,
+                           violation_penalty=1e4),
+}
+
+
+class TestStepBlock:
+    """step_block gives the bytes of as many step() calls, one interval at a
+    time, and checks a whole block before anything moves or draws."""
+
+    @pytest.mark.parametrize("realizations", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+    def test_matches_one_interval_steps(self, name, realizations):
+        cfg = BLOCK_CONFIGS[name]
+        seeds = list(range(40, 40 + realizations))
+        blocks, stepped = Lockstep(cfg, seeds), Lockstep(cfg, seeds)
+        entries = np.random.default_rng(7).integers(
+            0, cfg.catalog_size, (cfg.n_intervals, realizations))
+        # 23 intervals in blocks that divide nothing: 5 + 1 + 8 + 9
+        starts = [0, 5, 6, 14, cfg.n_intervals]
+        for n0, n1 in zip(starts, starts[1:]):
+            rec = blocks.step_block(*block_actions(cfg, entries[n0:n1]))
+            assert blocks.n == n1
+            want = joined([stepped.step(*action_catalog(cfg, row))
+                           for row in entries[n0:n1]])
+            assert rec.interval == n0
+            assert rec.eta.shape == ((n1 - n0) * realizations,
+                                     cfg.num_devices)
+            assert_same_values(rec, want)
+            assert np.array_equal(blocks.backlog, stepped.backlog)
+            assert np.array_equal(blocks.observe(), stepped.observe())
+            for a, b in zip(blocks.envs, stepped.envs):
+                assert a.uav_pos == b.uav_pos
+                assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert blocks.done and stepped.done
+        assert np.array_equal(blocks.acc.per_device_processed,
+                              stepped.acc.per_device_processed)
+        assert np.array_equal(blocks.acc.per_device_delay,
+                              stepped.acc.per_device_delay)
+
+    def test_intervals_of_cuts_a_realization_per_interval(self):
+        cfg = SimConfig(n_intervals=4)
+        blocks, stepped = Lockstep(cfg, [1, 2, 3]), Lockstep(cfg, [1, 2, 3])
+        entries = np.random.default_rng(3).integers(0, cfg.catalog_size,
+                                                    (4, 3))
+        blocks.step(*action_catalog(cfg, entries[0]))
+        stepped.step(*action_catalog(cfg, entries[0]))
+        rec = blocks.step_block(*block_actions(cfg, entries[1:]))
+        cut = rec.intervals_of(1, 3)
+        assert [c.interval for c in cut] == [1, 2, 3]
+        for c, row in zip(cut, entries[1:]):
+            assert_same_values(
+                c, stepped.step(*action_catalog(cfg, row)).realization(1))
+
+    def _bad_block(self, batch, fractions, moves, error, match):
+        with pytest.raises(error, match=match):
+            batch.step_block(fractions, moves)
+        # nothing moved or drew, and the episode did not advance
+        assert untouched(batch, [1, 2])
+        assert [(e.uav_pos.x, e.uav_pos.y) for e in batch.envs] == \
+            [batch.config.area_center] * 2
+
+    def test_checks_run_before_any_draw(self):
+        cfg = small_config(n_intervals=6)
+        batch = Lockstep(cfg, [1, 2])
+        # every realization moves in the first interval
+        entries = np.full((4, 2), 1)
+        fractions, moves = block_actions(cfg, entries)
+        bad = moves.copy()
+        bad[-1, 1] = len(MOVES)
+        self._bad_block(batch, fractions, bad, IndexError, "move")
+        self._bad_block(batch, fractions, moves.astype(float), IndexError,
+                        "move")
+        self._bad_block(batch, fractions[:, :, :1], moves, ValueError,
+                        "shape")
+        self._bad_block(batch, fractions[:, :3], moves, ValueError, "shape")
+        self._bad_block(batch, fractions[:, 0], moves[0], ValueError,
+                        "shape")
+        self._bad_block(batch, fractions[:, :0], moves[:0], ValueError,
+                        "at least one interval")
+        long_fractions, long_moves = block_actions(cfg, np.full((7, 2), 1))
+        self._bad_block(batch, long_fractions, long_moves, RuntimeError,
+                        "runs past n_intervals")
+        assert batch.n == 0
+        batch.step_block(fractions, moves)
+        assert batch.n == 4
+
+        def state():
+            return [(e.rng.bit_generator.state, e.uav_pos)
+                    for e in batch.envs]
+        # two intervals are left
+        before = state()
+        with pytest.raises(RuntimeError, match="runs past n_intervals 6"):
+            batch.step_block(fractions[:, :3], moves[:3])
+        assert batch.n == 4 and state() == before
+        batch.step_block(fractions[:, :2], moves[:2])
+        before = state()
+        with pytest.raises(RuntimeError, match="finished episode"):
+            batch.step_block(fractions[:, :1], moves[:1])
+        assert batch.n == 6 and state() == before

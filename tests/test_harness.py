@@ -319,6 +319,66 @@ class TestTrajectoryDump:
             assert int(f[6]) == int(rec.eta[0])
 
 
+# -- blocks of intervals -----------------------------------------------------
+
+# Not a multiple of any block length below: 256 + 37, 2 x 128 + 37, ...
+BLOCKED_INTERVALS = ag.BLOCK_ROWS + 37
+
+BLOCK_CASES = {
+    "R1": (1, {}),
+    "R2": (2, {}),
+    "R3": (3, {}),
+    "above_cap": (ag.BLOCK_ROWS + 1, {"n_intervals": 3}),
+    "K1": (2, {"num_devices": 1}),
+    "K3": (2, {"num_devices": 3}),
+    "los": (2, {"rician_k": float("inf")}),
+    "uav_position": (2, {"include_uav_position": True}),
+}
+
+
+class TestOpenLoopBlocks:
+    """An open-loop baseline's row and trajectory keep the bytes of the same
+    Lockstep stepped through step() one interval at a time."""
+
+    def _outputs(self, policy, cfg, realizations, tmp_path, name):
+        row, records = run_eval(policy, cfg, 5, realizations,
+                                collect_records=True)
+        path = tmp_path / f"{name}.csv"
+        dump_trajectory(records, str(path))
+        return row_bytes(row), path.read_bytes()
+
+    @pytest.mark.parametrize("policy", ["random", "uav_heavy", "cloud_heavy"])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_rows_match_one_interval_steps(self, monkeypatch, tmp_path,
+                                           policy, case):
+        realizations, overrides = BLOCK_CASES[case]
+        cfg = replace(SimConfig(n_intervals=BLOCKED_INTERVALS), **overrides)
+        lengths = []
+        step_block = Lockstep.step_block
+
+        def spy(self, fractions, moves):
+            lengths.append(len(moves))
+            return step_block(self, fractions, moves)
+
+        with monkeypatch.context() as m:
+            m.setattr(Lockstep, "step_block", spy)
+            got = self._outputs(policy, cfg, realizations, tmp_path, "blocks")
+        per_block = max(1, ag.BLOCK_ROWS // realizations)
+        assert max(lengths) == min(per_block, cfg.n_intervals)
+        assert sum(lengths) == cfg.n_intervals
+        assert cfg.n_intervals % per_block != 0 or per_block == 1
+        # The reference: one-interval blocks, each a step() call, and the
+        # backlogs summed one interval at a time.
+        with monkeypatch.context() as m:
+            m.setattr(ag, "BLOCK_ROWS", 1)
+            m.setattr(Lockstep, "step_block",
+                      lambda self, fractions, moves: self.step(fractions[:, 0],
+                                                               moves[0]))
+            want = self._outputs(policy, cfg, realizations, tmp_path, "steps")
+        assert got == want
+        assert got[1].count(b"\n") == cfg.n_intervals * cfg.num_devices + 1
+
+
 # -- the dqn's greedy memo ----------------------------------------------------
 
 ACCEPTANCE_CACHE = Path(__file__).parent / "_acceptance_cache"
@@ -326,9 +386,11 @@ ACCEPTANCE_CACHE = Path(__file__).parent / "_acceptance_cache"
 
 def memoless_baseline_action(policy, n, observe):
     """The dqn's baseline_action before the greedy memo: one pass over every
-    observation row, which observe() gives as the network's input."""
-    return environment.action_catalog(
+    observation row, which observe() gives as the network's input, for a
+    one-interval block."""
+    fractions, moves = environment.action_catalog(
         policy.config, ag.greedy_action(policy.net, observe()))
+    return fractions[:, None], moves[None]
 
 
 def row_bytes(row):
